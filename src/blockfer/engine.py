@@ -28,6 +28,7 @@ halved-window retry parameters to the failed record.
 
 from __future__ import annotations
 
+import heapq
 import random
 from dataclasses import dataclass, field, replace
 from enum import Enum
@@ -46,6 +47,7 @@ from .wire import (
 )
 
 DEFAULT_MAX_TRANSFER_SIZE = 250 * 2**20  # keep whole transfers in memory
+TIMER_SLACK = 8  # stale timer entries tolerated beyond twice the live count
 
 Peer = Any  # opaque hashable address; sockets use (host, port), tests use str
 
@@ -239,9 +241,9 @@ class SenderState:
     phase: SenderPhase = SenderPhase.AWAITING_WR_ACK
     window_index: int = 0  # next fresh window to dispatch
     pending: tuple[int, ...] = ()
-    awaiting_ack: bool = True
     attempts_left: int = 0
     last_send_time: float = 0.0
+    start_seq: int = 0  # position in the engine's live table; orders same-instant timers
     started_at: float = 0.0
     finished_at: Optional[float] = None
     retry_params: Optional[TransferParameters] = None
@@ -251,6 +253,10 @@ class SenderState:
 
     def block_payload(self, n: int) -> bytes:
         return self.data[n * self.params.block_size:(n + 1) * self.params.block_size]
+
+    def deadline(self) -> float:
+        """When the retransmit timer fires if nothing arrives first."""
+        return self.last_send_time + self.params.retransmit_interval_ms
 
 
 @dataclass
@@ -274,10 +280,15 @@ class ReceiverState:
     phase: ReceiverPhase = ReceiverPhase.RECEIVING
     attempts_left: int = 0
     last_ack_time: float = 0.0
+    start_seq: int = 0  # position in the engine's live table; orders same-instant timers
     started_at: float = 0.0
     finished_at: Optional[float] = None
     data: Optional[bytes] = field(repr=False, default=None)
     counters: ReceiverCounters = field(default_factory=ReceiverCounters)
+
+    def deadline(self) -> float:
+        """When the ack retransmit timer fires if nothing arrives first."""
+        return self.last_ack_time + self.interval_ms
 
     def closing_block(self) -> int:
         return min((self.expected_window + 1) * self.window_size, self.block_count) - 1
@@ -302,19 +313,34 @@ class Engine:
     """Event-driven transfer engine for any number of peers.
 
     At most one live transfer per peer, in either direction. Finished
-    transfers stay inspectable via transfer(); a finished receiver keeps
+    transfers stay inspectable via transfer(), which prefers a live state
+    over a finished one with the same id; a finished receiver keeps
     answering duplicate data with its final acknowledgement so a lost final
     ack cannot wedge the sender.
+
+    Cost model: the live table is keyed by peer and the finished table by
+    transfer id, and every lookup checks the other half of (peer, id), so
+    an inbound packet costs the same however many transfers are live or
+    finished. When two peers' finished transfers share an id, the newer
+    record replaces the older. Retransmit deadlines sit in a heap that
+    next_deadline() peeks at and tick() pops only the due entries of; an
+    entry goes stale when its transfer settles or re-arms, is dropped
+    lazily, and the heap is rebuilt from the live table once it outgrows
+    twice the live count. Timers due at the same instant fire in the order
+    their transfers went live. transfer() and cancel() scan only the live
+    table, which holds one state per peer; transfer() then indexes the
+    finished table by id.
     """
 
     def __init__(self, params: Optional[TransferParameters] = None,
                  rng: Optional[random.Random] = None):
         self.params = params if params is not None else TransferParameters()
         self.rng = rng if rng is not None else random.Random()
-        self._live: dict = {}       # (peer, id) -> state
-        self._finished: dict = {}   # (peer, id) -> state
-        self._peer_slot: dict = {}  # peer -> live transfer id
+        self._live: dict = {}       # peer -> its live state, in the order they went live
+        self._finished: dict = {}   # transfer id -> settled state
         self._my_ids: set = set()   # ids of live transfers this side initiated
+        self._timers: list = []     # heap of (deadline, start_seq, state)
+        self._started = 0           # start_seq of the next state to go live
         self._now = 0.0
 
     # -- event entry points
@@ -337,7 +363,7 @@ class Engine:
         """Announce a transfer to peer. Raises BusyError/SizeExceededError."""
         now = self._touch(now)
         params = params if params is not None else self.params
-        if self._peer_slot.get(peer) is not None:
+        if peer in self._live:
             raise BusyError(f"a transfer with {peer!r} is already live")
         if len(data) > params.max_transfer_size:
             raise SizeExceededError(
@@ -358,8 +384,8 @@ class Engine:
             write_request=wr, attempts_left=params.max_attempts,
             last_send_time=now, started_at=now,
         )
-        self._live[(peer, tid)] = state
-        self._peer_slot[peer] = tid
+        self._go_live(state)
+        self._arm(state)
         self._my_ids.add(tid)
         out = EngineOutput()
         out.packets.append((peer, wr))
@@ -368,8 +394,9 @@ class Engine:
     def packet_in(self, peer: Peer, packet: Packet, now: Optional[float] = None) -> EngineOutput:
         now = self._touch(now)
         out = EngineOutput()
-        key = (peer, packet.id)
-        state = self._live.get(key)
+        state = self._live.get(peer)
+        if state is not None and state.id != packet.id:
+            state = None
 
         if isinstance(packet, WriteRequest):
             if isinstance(state, ReceiverState):
@@ -377,7 +404,7 @@ class Engine:
                 state.attempts_left = state.max_attempts
                 self._emit_ack(state, out, now, retransmit=True)
             else:
-                finished = self._finished.get(key)
+                finished = self._finished_with(peer, packet.id)
                 if isinstance(finished, ReceiverState) and finished.phase is ReceiverPhase.DONE:
                     out.packets.append((peer, finished.final_ack()))
                 else:
@@ -385,7 +412,7 @@ class Engine:
             return out
 
         if state is None:
-            finished = self._finished.get(key)
+            finished = self._finished_with(peer, packet.id)
             if finished is not None:
                 if (isinstance(packet, Data) and isinstance(finished, ReceiverState)
                         and finished.phase is ReceiverPhase.DONE):
@@ -410,35 +437,37 @@ class Engine:
         """Fire retransmit timers; a full silent interval costs one attempt."""
         self._touch(now)
         out = EngineOutput()
-        for state in list(self._live.values()):
-            if isinstance(state, SenderState):
-                # same float expression next_deadline() publishes, so a tick
-                # at exactly that instant always fires
-                if now < state.last_send_time + state.params.retransmit_interval_ms:
-                    continue
-                state.attempts_left -= 1
-                if state.attempts_left <= 0:
+        timers = self._timers
+        if not timers or timers[0][0] > now:
+            return out
+        due = {}  # start_seq -> state; a state armed twice for one instant fires once
+        # the entries hold the values next_deadline() publishes, so a tick at
+        # exactly that instant always fires
+        while timers and timers[0][0] <= now:
+            deadline, seq, state = heapq.heappop(timers)
+            if state.finished_at is None and state.deadline() == deadline:
+                due[seq] = state
+        for seq in sorted(due):
+            state = due[seq]
+            state.attempts_left -= 1
+            if state.attempts_left <= 0:
+                if isinstance(state, SenderState):
                     state.retry_params = state.params.downscaled()
-                    self._fail(state, ErrorCode.TIMEOUT, out, now)
-                elif state.phase is SenderPhase.AWAITING_WR_ACK:
+                self._fail(state, ErrorCode.TIMEOUT, out, now)
+            elif isinstance(state, ReceiverState):
+                self._emit_ack(state, out, now, retransmit=True)
+            else:
+                if state.phase is SenderPhase.AWAITING_WR_ACK:
                     out.packets.append((state.peer, state.write_request))
                     state.counters.wr_retransmits += 1
-                    state.last_send_time = now
                 else:
                     for n in state.pending:
                         out.packets.append((state.peer, Data(state.id, n, state.block_payload(n))))
                     state.counters.window_retransmits += 1
                     state.counters.window_retransmit_blocks += len(state.pending)
                     state.counters.blocks_sent += len(state.pending)
-                    state.last_send_time = now
-            else:
-                if now < state.last_ack_time + state.interval_ms:
-                    continue
-                state.attempts_left -= 1
-                if state.attempts_left <= 0:
-                    self._fail(state, ErrorCode.TIMEOUT, out, now)
-                else:
-                    self._emit_ack(state, out, now, retransmit=True)
+                state.last_send_time = now
+                self._arm(state)
         return out
 
     def cancel(self, transfer_id: int, now: Optional[float] = None) -> EngineOutput:
@@ -456,24 +485,24 @@ class Engine:
 
     def next_deadline(self) -> Optional[float]:
         """Earliest time a tick would fire a retransmit timer, if any."""
-        deadlines = []
-        for state in self._live.values():
-            if isinstance(state, SenderState):
-                deadlines.append(state.last_send_time + state.params.retransmit_interval_ms)
-            else:
-                deadlines.append(state.last_ack_time + state.interval_ms)
-        return min(deadlines) if deadlines else None
+        timers = self._timers
+        while timers:
+            deadline, _, state = timers[0]
+            if state.finished_at is None and state.deadline() == deadline:
+                return deadline
+            heapq.heappop(timers)
+        return None
 
     def live_transfer_with(self, peer: Peer) -> Optional[int]:
-        return self._peer_slot.get(peer)
+        state = self._live.get(peer)
+        return state.id if state is not None else None
 
     def transfer(self, transfer_id: int):
-        """Live or finished state for an id, newest first; None if unknown."""
-        for table in (self._live, self._finished):
-            for state in table.values():
-                if state.id == transfer_id:
-                    return state
-        return None
+        """The live state for an id, else the finished one; None if unknown."""
+        for state in self._live.values():
+            if state.id == transfer_id:
+                return state
+        return self._finished.get(transfer_id)
 
     # -- internals
 
@@ -483,37 +512,51 @@ class Engine:
         self._now = max(self._now, now)
         return now
 
+    def _go_live(self, state) -> None:
+        state.start_seq = self._started
+        self._started += 1
+        self._live[state.peer] = state
+
+    def _arm(self, state) -> None:
+        """Queue the state's current deadline; its older entries go stale."""
+        heapq.heappush(self._timers, (state.deadline(), state.start_seq, state))
+        self._bound_timers()
+
+    def _bound_timers(self) -> None:
+        if len(self._timers) > 2 * len(self._live) + TIMER_SLACK:
+            self._timers[:] = [(s.deadline(), s.start_seq, s) for s in self._live.values()]
+            heapq.heapify(self._timers)
+
+    def _finished_with(self, peer: Peer, transfer_id: int):
+        state = self._finished.get(transfer_id)
+        return state if state is not None and state.peer == peer else None
+
     def _settle(self, state) -> None:
-        key = (state.peer, state.id)
-        self._live.pop(key, None)
-        self._finished[key] = state
-        if self._peer_slot.get(state.peer) == state.id:
-            del self._peer_slot[state.peer]
+        del self._live[state.peer]
+        self._finished[state.id] = state
         self._my_ids.discard(state.id)
+        self._bound_timers()
 
     def _fail(self, state, code: ErrorCode, out: EngineOutput, now: float,
               notify_peer: bool = False, message: str = "") -> None:
         if notify_peer:
             out.packets.append((state.peer, ErrorPacket(state.id, code, message)))
         state.phase = SenderPhase.FAILED if isinstance(state, SenderState) else ReceiverPhase.FAILED
-        if isinstance(state, SenderState):
-            state.awaiting_ack = False
         state.finished_at = now
         out.events.append(Errored(state.id, code))
         self._settle(state)
 
     def _accept_or_refuse(self, peer: Peer, wr: WriteRequest,
                           out: EngineOutput, now: float) -> None:
-        slot = self._peer_slot.get(peer)
-        if slot is not None:
-            live = self._live.get((peer, slot))
+        live = self._live.get(peer)
+        if live is not None:
             if isinstance(live, SenderState) and live.phase is SenderPhase.AWAITING_WR_ACK:
                 # both ends announced at once; each refuses the other's
                 out.packets.append((peer, ErrorPacket(
                     wr.id, ErrorCode.COLLISION, "simultaneous transfer announcements")))
             else:
                 out.packets.append((peer, ErrorPacket(
-                    wr.id, ErrorCode.BUSY, f"transfer {slot} still live with this peer")))
+                    wr.id, ErrorCode.BUSY, f"transfer {live.id} still live with this peer")))
             return
         if not 1 <= wr.block_size <= PAYLOAD_MAX or not 1 <= wr.window_size <= ACK_MAX_UNRECEIVED:
             out.packets.append((peer, ErrorPacket(
@@ -537,8 +580,7 @@ class Engine:
             attempts_left=self.params.max_attempts,
             started_at=now,
         )
-        self._live[(peer, wr.id)] = state
-        self._peer_slot[peer] = wr.id
+        self._go_live(state)
         if wr.block_count == 0:
             state.data = b""
             state.blocks = None
@@ -560,6 +602,7 @@ class Engine:
         if listed and state.expected_window == state.total_windows:
             state.drain_trigger = listed[-1]
         state.last_ack_time = now
+        self._arm(state)
 
     def _receiver_data(self, state: ReceiverState, d: Data,
                        out: EngineOutput, now: float) -> None:
@@ -626,7 +669,6 @@ class Engine:
         if a.window_index == state.total_windows:
             if not a.unreceived:
                 state.phase = SenderPhase.DONE
-                state.awaiting_ack = False
                 state.finished_at = now
                 out.events.append(Complete(state.id, sent=True))
                 self._settle(state)
@@ -646,6 +688,7 @@ class Engine:
             out.packets.append((state.peer, Data(state.id, n, state.block_payload(n))))
         state.counters.blocks_sent += len(pending)
         state.last_send_time = now
+        self._arm(state)
 
 
 # --- outbound scheduling ---------------------------------------------------------

@@ -7,8 +7,11 @@ the window rules, then asserted literally.
 import random
 
 import pytest
+from hypothesis import HealthCheck, settings, strategies as st
+from hypothesis.stateful import RuleBasedStateMachine, invariant, rule
 
 from blockfer.engine import (
+    TIMER_SLACK,
     Complete,
     Engine,
     Errored,
@@ -16,9 +19,11 @@ from blockfer.engine import (
     ReceiverPhase,
     ScheduledTransfer,
     SenderPhase,
+    SenderState,
     SizeExceededError,
     BusyError,
     TransferParameters,
+    TransferRefused,
     TransferScheduler,
     compute_missing,
     downscale_window,
@@ -495,6 +500,31 @@ def test_done_receiver_reacks_duplicate_data():
     assert out.events == []
 
 
+def test_transfer_lookup_prefers_live_and_checks_peer():
+    sender, receiver = make_pair()
+    data = bytes(range(8))
+    tid, out = sender.start_transfer("B", "x", data, now=0.0)
+    assert Complete(tid, data=data) in pump(sender, receiver, out)
+    finished = receiver.transfer(tid)
+    assert finished.phase is ReceiverPhase.DONE and finished.peer == "A"
+    assert receiver.transfer(tid ^ 1) is None
+
+    # another address reusing the id gets no final ack for A's transfer
+    out = receiver.packet_in("C", Data(tid, 0, data[:4]), now=1.0)
+    assert out.packets == [("C", ErrorPacket(tid, ErrorCode.UNKNOWN_TRANSFER,
+                                             f"no transfer {tid}"))]
+    # a live transfer with the same id is preferred over the finished one
+    wr = WriteRequest(tid, "y", len(data), 4, 2, 2, nonce=1)
+    receiver.packet_in("C", wr, now=2.0)
+    live = receiver.transfer(tid)
+    assert live is not finished and live.peer == "C" and live.finished_at is None
+    # once it settles, the newer record replaces the older one
+    for d in (Data(tid, 0, data[:4]), Data(tid, 1, data[4:])):
+        out = receiver.packet_in("C", d, now=3.0)
+    assert Complete(tid, data=data) in out.events
+    assert receiver.transfer(tid) is live
+
+
 # --- timers -------------------------------------------------------------------
 
 
@@ -572,6 +602,93 @@ def test_next_deadline_tracks_live_states():
     assert sender.next_deadline() == 10.0 + SMALL.retransmit_interval_ms
     sender.cancel(tid, now=11.0)
     assert sender.next_deadline() is None
+
+
+TIMED = TransferParameters(block_size=4, window_size=2, retransmit_interval_ms=100.0,
+                           max_attempts=3, min_window=1)
+PEERS = ["P0", "P1", "P2", "P3"]
+
+
+def brute_deadline(state):
+    if isinstance(state, SenderState):
+        return state.last_send_time + state.params.retransmit_interval_ms
+    return state.last_ack_time + state.interval_ms
+
+
+class TimerOracle(RuleBasedStateMachine):
+    """Engine "E" against peer engines over a wire that drops, duplicates and
+    reorders at will, checking the timer heap against a scan of the live table."""
+
+    def __init__(self):
+        super().__init__()
+        self.engine = Engine(params=TIMED, rng=random.Random(5))
+        self.peers = {p: Engine(params=TIMED, rng=random.Random(10 + i))
+                      for i, p in enumerate(PEERS)}
+        self.wire = []  # (src, dst, packet) in flight
+        self.now = 0.0
+
+    def send(self, src, out):
+        self.wire.extend((src, dst, packet) for dst, packet in out.packets)
+
+    @rule(peer=st.sampled_from(PEERS), size=st.integers(0, 24), outbound=st.booleans())
+    def start(self, peer, size, outbound):
+        src, dst, engine = ("E", peer, self.engine) if outbound else (peer, "E", self.peers[peer])
+        try:
+            _, out = engine.start_transfer(dst, "x", bytes(size), now=self.now)
+        except TransferRefused:
+            return
+        self.send(src, out)
+
+    @rule(index=st.integers(0, 1000), copies=st.sampled_from([0, 1, 1, 1, 2, 20]))
+    def packet_in(self, index, copies):
+        """Deliver a packet `copies` times: 0 drops it, more than 1 replays it."""
+        if not self.wire:
+            return
+        src, dst, packet = self.wire.pop(index % len(self.wire))
+        engine = self.engine if dst == "E" else self.peers[dst]
+        for _ in range(copies):
+            self.send(dst, engine.packet_in(src, packet, now=self.now))
+
+    @rule(step=st.sampled_from([0.0, 1.0, 40.0, 99.0, 100.0, 250.0]))
+    def tick(self, step):
+        self.now += step
+        live = list(self.engine._live.values())
+        attempts = [s.attempts_left for s in live]
+        due = [s for s in live if brute_deadline(s) <= self.now]
+        out = self.engine.tick(self.now)
+        # firing costs an attempt; nothing else a tick does touches attempts
+        assert [s for s, a in zip(live, attempts) if s.attempts_left != a] == due
+        # fired in live-table order: each survivor sends to its own peer, each
+        # failure emits Errored, and no two live transfers share a peer
+        runs = [peer for k, (peer, _) in enumerate(out.packets)
+                if k == 0 or out.packets[k - 1][0] != peer]
+        assert runs == [s.peer for s in due if s.finished_at is None]
+        assert out.events == [Errored(s.id, ErrorCode.TIMEOUT)
+                              for s in due if s.finished_at is not None]
+        self.send("E", out)
+        for name, peer_engine in self.peers.items():
+            self.send(name, peer_engine.tick(self.now))
+
+    @rule(which=st.integers(0, len(PEERS)))
+    def cancel(self, which):
+        live = list(self.engine._live.values())
+        tid = live[which].id if which < len(live) else 12345
+        self.send("E", self.engine.cancel(tid, now=self.now))
+
+    @invariant()
+    def next_deadline_is_the_live_minimum(self):
+        expected = min((brute_deadline(s) for s in self.engine._live.values()), default=None)
+        assert self.engine.next_deadline() == expected
+
+    @invariant()
+    def timer_heap_stays_bounded(self):
+        assert len(self.engine._timers) <= 2 * len(self.engine._live) + TIMER_SLACK
+
+
+TimerOracle.TestCase.settings = settings(
+    max_examples=150, stateful_step_count=60, deadline=None, derandomize=True,
+    database=None, suppress_health_check=[HealthCheck.too_slow])
+test_timer_oracle = TimerOracle.TestCase
 
 
 # --- cancel, scheduling, determinism -------------------------------------------
