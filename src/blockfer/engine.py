@@ -130,33 +130,6 @@ class Errored:
 CallbackEvent = Union[Progress, Complete, Errored]
 
 
-@dataclass(frozen=True)
-class PacketIn:
-    peer: Peer
-    packet: Packet
-
-
-@dataclass(frozen=True)
-class Tick:
-    now: float
-
-
-@dataclass(frozen=True)
-class StartTransfer:
-    peer: Peer
-    info: str
-    data: bytes
-    params: Optional[TransferParameters] = None
-
-
-@dataclass(frozen=True)
-class Cancel:
-    id: int
-
-
-EngineEvent = Union[PacketIn, Tick, StartTransfer, Cancel]
-
-
 @dataclass
 class EngineOutput:
     """Packets to transmit (peer, packet) and callbacks, in emission order."""
@@ -344,18 +317,6 @@ class Engine:
         self._now = 0.0
 
     # -- event entry points
-
-    def handle(self, event: EngineEvent) -> EngineOutput:
-        if isinstance(event, PacketIn):
-            return self.packet_in(event.peer, event.packet)
-        if isinstance(event, Tick):
-            return self.tick(event.now)
-        if isinstance(event, StartTransfer):
-            _, out = self.start_transfer(event.peer, event.info, event.data, event.params)
-            return out
-        if isinstance(event, Cancel):
-            return self.cancel(event.id)
-        raise TypeError(f"not an engine event: {event!r}")
 
     def start_transfer(self, peer: Peer, info: str, data: bytes,
                        params: Optional[TransferParameters] = None,
@@ -651,7 +612,7 @@ class Engine:
 
     def _sender_ack(self, state: SenderState, a: Acknowledgement,
                     out: EngineOutput, now: float) -> None:
-        if any(n >= state.block_count for n in a.unreceived):
+        if a.unreceived and max(a.unreceived) >= state.block_count:
             self._fail(state, ErrorCode.DECODE_FAILURE, out, now,
                        notify_peer=True, message="unreceived list out of range")
             return
@@ -679,7 +640,10 @@ class Engine:
             state.phase = SenderPhase.SENDING
             lo = a.window_index * state.params.window_size
             hi = min(lo + state.params.window_size, state.block_count)
-            pending = tuple(sorted(set(a.unreceived) | set(range(lo, hi))))
+            if a.unreceived:
+                pending = tuple(sorted(set(a.unreceived) | set(range(lo, hi))))
+            else:
+                pending = tuple(range(lo, hi))
             state.window_index += 1
         state.counters.lost_blocks += len(a.unreceived)
         state.pending = pending

@@ -27,6 +27,7 @@ from __future__ import annotations
 import struct
 from dataclasses import dataclass, field
 from enum import IntEnum
+from operator import lt
 from typing import Union
 
 MAGIC = b"\xeb\x01"
@@ -48,10 +49,16 @@ DATA_WIRE_OVERHEAD = 18  # header 4 + id 8 + block_number 4 + length 2
 ACK_MAX_UNRECEIVED = (DATAGRAM_BUDGET - DATA_WIRE_OVERHEAD) // 4  # 305
 MTU = 1500
 
-_HEADER = struct.Struct("!2sBB")
-_U16 = struct.Struct("!H")
-_U32 = struct.Struct("!I")
-_U64 = struct.Struct("!Q")
+# One precompiled layout per fixed section. Data and Acknowledgement share
+# an 18-byte head: header, id, block_number or window_index, and the payload
+# length or entry count. WriteRequest and Error carry their u16 string
+# prefixes at the end of a fixed section.
+_HEAD = struct.Struct("!2sBBQIH")
+_WR_HEAD = struct.Struct("!2sBBQH")      # header, id, info length
+_WR_BODY = struct.Struct("!QIIIQH")      # data_size .. nonce, metadata length
+_ERROR_HEAD = struct.Struct("!2sBBQBH")  # header, id, code, message length
+_ENTRIES = [struct.Struct(f"!{n}I") for n in range(ACK_MAX_UNRECEIVED + 1)]  # by entry count
+_PREFIX = MAGIC + bytes([VERSION])
 
 
 class ErrorCode(IntEnum):
@@ -134,125 +141,133 @@ def encode_packet(packet: Packet) -> bytes:
 
 
 def _encode(packet: Packet) -> bytes:
-    if isinstance(packet, WriteRequest):
-        info = packet.info.encode("utf-8")
-        _check(len(info) <= INFO_MAX, "info exceeds 64 bytes")
-        _check(len(packet.metadata) <= METADATA_MAX, "metadata exceeds 512 bytes")
-        _check(packet.block_size >= 1, "block_size must be positive")
-        _check(packet.block_count == block_count_for(packet.data_size, packet.block_size),
-               "block_count inconsistent with data_size/block_size")
-        body = (
-            _U64.pack(packet.id)
-            + _U16.pack(len(info)) + info
-            + _U64.pack(packet.data_size)
-            + _U32.pack(packet.block_size)
-            + _U32.pack(packet.window_size)
-            + _U32.pack(packet.block_count)
-            + _U64.pack(packet.nonce)
-            + _U16.pack(len(packet.metadata)) + packet.metadata
-        )
-        return _HEADER.pack(MAGIC, VERSION, TYPE_WRITE_REQUEST) + body
+    if isinstance(packet, Data):
+        payload = packet.payload
+        _check(len(payload) <= PAYLOAD_MAX, "payload exceeds 1200 bytes")
+        return _HEAD.pack(MAGIC, VERSION, TYPE_DATA, packet.id, packet.block_number,
+                          len(payload)) + payload
 
     if isinstance(packet, Acknowledgement):
         entries = packet.unreceived
         _check(len(entries) <= ACK_MAX_UNRECEIVED, "unreceived list too long for one datagram")
-        _check(all(entries[i] < entries[i + 1] for i in range(len(entries) - 1)),
-               "unreceived list must be strictly increasing")
-        body = (
-            _U64.pack(packet.id)
-            + _U32.pack(packet.window_index)
-            + _U16.pack(len(entries))
-            + b"".join(_U32.pack(n) for n in entries)
-        )
-        return _HEADER.pack(MAGIC, VERSION, TYPE_ACKNOWLEDGEMENT) + body
+        _check(all(map(lt, entries, entries[1:])), "unreceived list must be strictly increasing")
+        return (_HEAD.pack(MAGIC, VERSION, TYPE_ACKNOWLEDGEMENT, packet.id,
+                           packet.window_index, len(entries))
+                + _ENTRIES[len(entries)].pack(*entries))
 
-    if isinstance(packet, Data):
-        _check(len(packet.payload) <= PAYLOAD_MAX, "payload exceeds 1200 bytes")
-        body = (
-            _U64.pack(packet.id)
-            + _U32.pack(packet.block_number)
-            + _U16.pack(len(packet.payload)) + packet.payload
-        )
-        return _HEADER.pack(MAGIC, VERSION, TYPE_DATA) + body
+    if isinstance(packet, WriteRequest):
+        info = packet.info.encode("utf-8")
+        metadata = packet.metadata
+        _check(len(info) <= INFO_MAX, "info exceeds 64 bytes")
+        _check(len(metadata) <= METADATA_MAX, "metadata exceeds 512 bytes")
+        _check(packet.block_size >= 1, "block_size must be positive")
+        _check(packet.block_count == block_count_for(packet.data_size, packet.block_size),
+               "block_count inconsistent with data_size/block_size")
+        return (_WR_HEAD.pack(MAGIC, VERSION, TYPE_WRITE_REQUEST, packet.id, len(info)) + info
+                + _WR_BODY.pack(packet.data_size, packet.block_size, packet.window_size,
+                                packet.block_count, packet.nonce, len(metadata))
+                + metadata)
 
     if isinstance(packet, ErrorPacket):
         message = packet.message.encode("utf-8")
         _check(len(message) <= MESSAGE_MAX, "message exceeds 128 bytes")
-        body = (
-            _U64.pack(packet.id)
-            + bytes([ErrorCode(packet.code).value])
-            + _U16.pack(len(message)) + message
-        )
-        return _HEADER.pack(MAGIC, VERSION, TYPE_ERROR) + body
+        return _ERROR_HEAD.pack(MAGIC, VERSION, TYPE_ERROR, packet.id,
+                                ErrorCode(packet.code).value, len(message)) + message
 
     raise ValueError(f"not a packet: {packet!r}")
 
 
-class _Reader:
-    """Cursor over the input buffer; running out of bytes is a truncation."""
+def _truncated(what: str) -> DecodeError:
+    return DecodeError("truncation", f"input ends inside {what}")
 
-    __slots__ = ("buf", "pos")
 
-    def __init__(self, buf: bytes):
-        self.buf = buf
-        self.pos = 0
+def _section(layout: struct.Struct, raw: bytes, offset: int, what: str) -> tuple:
+    """The fields of the fixed section at offset; a truncation if the input ends inside it."""
+    if len(raw) < offset + layout.size:
+        raise _truncated(what)
+    return layout.unpack_from(raw, offset)
 
-    def take(self, n: int, what: str) -> bytes:
-        end = self.pos + n
-        if end > len(self.buf):
-            raise DecodeError("truncation", f"input ends inside {what}")
-        chunk = self.buf[self.pos:end]
-        self.pos = end
-        return chunk
 
-    def u16(self, what: str) -> int:
-        return _U16.unpack(self.take(2, what))[0]
+def _field(raw: bytes, start: int, length: int, cap: int, what: str) -> bytes:
+    """The variable field at start: its cap is checked before its length."""
+    if length > cap:
+        raise DecodeError("invariant", f"{what} exceeds {cap} bytes")
+    if len(raw) < start + length:
+        raise _truncated(what)
+    return raw[start:start + length]
 
-    def u32(self, what: str) -> int:
-        return _U32.unpack(self.take(4, what))[0]
 
-    def u64(self, what: str) -> int:
-        return _U64.unpack(self.take(8, what))[0]
+def _text(raw: bytes, start: int, length: int, cap: int, what: str) -> str:
+    try:
+        return _field(raw, start, length, cap, what).decode("utf-8")
+    except UnicodeDecodeError:
+        raise DecodeError("invariant", f"{what} is not valid UTF-8") from None
 
-    def utf8(self, cap: int, what: str) -> str:
-        length = self.u16(what)
-        if length > cap:
-            raise DecodeError("invariant", f"{what} exceeds {cap} bytes")
-        raw = self.take(length, what)
-        try:
-            return raw.decode("utf-8")
-        except UnicodeDecodeError:
-            raise DecodeError("invariant", f"{what} is not valid UTF-8") from None
 
-    def done(self) -> None:
-        if self.pos != len(self.buf):
-            raise DecodeError("invariant", "trailing bytes after packet")
+def _length_error(raw: bytes, end: int, what: str) -> DecodeError:
+    """Why a packet that should end at end does not: a truncation, or trailing bytes."""
+    if len(raw) < end:
+        return _truncated(what)
+    return DecodeError("invariant", "trailing bytes after packet")
+
+
+def _header_error(raw: bytes) -> DecodeError:
+    """Why raw does not start with a complete header of the supported version."""
+    if len(raw) < 2:
+        return _truncated("magic")
+    if raw[:2] != MAGIC:
+        return DecodeError("magic", f"bad magic {raw[:2].hex()}")
+    if len(raw) < 3:
+        return _truncated("version")
+    if raw[2] != VERSION:
+        return DecodeError("magic", f"unsupported version {raw[2]}")
+    return _truncated("type")
 
 
 def decode_packet(raw: bytes) -> Packet:
-    """Parse one datagram; raises DecodeError on any invalid input."""
-    r = _Reader(raw)
-    magic = r.take(2, "magic")
-    if magic != MAGIC:
-        raise DecodeError("magic", f"bad magic {magic.hex()}")
-    version = r.take(1, "version")[0]
-    if version != VERSION:
-        raise DecodeError("magic", f"unsupported version {version}")
-    ptype = r.take(1, "type")[0]
+    """Parse one datagram; raises DecodeError on any invalid input.
+
+    When an input breaks several rules, the first one met reading front to
+    back decides the reason (docs/wire.md, "Decode order").
+    """
+    if raw[:3] != _PREFIX or len(raw) < 4:
+        raise _header_error(raw)
+    ptype = raw[3]
+
+    if ptype == TYPE_DATA:
+        if len(raw) < DATA_WIRE_OVERHEAD:
+            raise _truncated("Data head")
+        _, _, _, pid, block_number, length = _HEAD.unpack_from(raw)
+        if length > PAYLOAD_MAX:
+            raise DecodeError("invariant", f"payload exceeds {PAYLOAD_MAX} bytes")
+        if len(raw) != DATA_WIRE_OVERHEAD + length:
+            raise _length_error(raw, DATA_WIRE_OVERHEAD + length, "payload")
+        return Data(pid, block_number, raw[DATA_WIRE_OVERHEAD:])
+
+    if ptype == TYPE_ACKNOWLEDGEMENT:
+        if len(raw) < DATA_WIRE_OVERHEAD:
+            raise _truncated("Acknowledgement head")
+        _, _, _, pid, window_index, count = _HEAD.unpack_from(raw)
+        if count > ACK_MAX_UNRECEIVED:
+            raise DecodeError("invariant", "unreceived list too long for one datagram")
+        if len(raw) != DATA_WIRE_OVERHEAD + 4 * count:
+            raise _length_error(raw, DATA_WIRE_OVERHEAD + 4 * count, "unreceived list")
+        entries = _ENTRIES[count].unpack_from(raw, DATA_WIRE_OVERHEAD)
+        if not all(map(lt, entries, entries[1:])):
+            raise DecodeError("invariant", "unreceived list is not strictly increasing")
+        return Acknowledgement(pid, window_index, entries)
 
     if ptype == TYPE_WRITE_REQUEST:
-        pid = r.u64("id")
-        info = r.utf8(INFO_MAX, "info")
-        data_size = r.u64("data_size")
-        block_size = r.u32("block_size")
-        window_size = r.u32("window_size")
-        block_count = r.u32("block_count")
-        nonce = r.u64("nonce")
-        metadata_len = r.u16("metadata")
-        if metadata_len > METADATA_MAX:
-            raise DecodeError("invariant", f"metadata exceeds {METADATA_MAX} bytes")
-        metadata = r.take(metadata_len, "metadata")
-        r.done()
+        _, _, _, pid, info_len = _section(_WR_HEAD, raw, 0, "WriteRequest head")
+        pos = _WR_HEAD.size
+        info = _text(raw, pos, info_len, INFO_MAX, "info")
+        pos += info_len
+        data_size, block_size, window_size, block_count, nonce, metadata_len = _section(
+            _WR_BODY, raw, pos, "WriteRequest fields after info")
+        pos += _WR_BODY.size
+        metadata = _field(raw, pos, metadata_len, METADATA_MAX, "metadata")
+        if len(raw) != pos + metadata_len:
+            raise _length_error(raw, pos + metadata_len, "metadata")
         if block_size < 1:
             raise DecodeError("invariant", "block_size is zero")
         if block_count != block_count_for(data_size, block_size):
@@ -260,35 +275,13 @@ def decode_packet(raw: bytes) -> Packet:
         return WriteRequest(pid, info, data_size, block_size, window_size,
                             block_count, nonce, metadata)
 
-    if ptype == TYPE_ACKNOWLEDGEMENT:
-        pid = r.u64("id")
-        window_index = r.u32("window_index")
-        count = r.u16("unreceived count")
-        if count > ACK_MAX_UNRECEIVED:
-            raise DecodeError("invariant", "unreceived list too long for one datagram")
-        entries = struct.unpack(f"!{count}I", r.take(4 * count, "unreceived list"))
-        r.done()
-        if any(entries[i] >= entries[i + 1] for i in range(count - 1)):
-            raise DecodeError("invariant", "unreceived list is not strictly increasing")
-        return Acknowledgement(pid, window_index, entries)
-
-    if ptype == TYPE_DATA:
-        pid = r.u64("id")
-        block_number = r.u32("block_number")
-        length = r.u16("payload")
-        if length > PAYLOAD_MAX:
-            raise DecodeError("invariant", f"payload exceeds {PAYLOAD_MAX} bytes")
-        payload = r.take(length, "payload")
-        r.done()
-        return Data(pid, block_number, payload)
-
     if ptype == TYPE_ERROR:
-        pid = r.u64("id")
-        code = r.take(1, "code")[0]
-        if code > 5:
-            raise DecodeError("invariant", f"unknown error code {code}")
-        message = r.utf8(MESSAGE_MAX, "message")
-        r.done()
+        if len(raw) > 12 and raw[12] > 5:  # the code is checked before the message length is read
+            raise DecodeError("invariant", f"unknown error code {raw[12]}")
+        _, _, _, pid, code, length = _section(_ERROR_HEAD, raw, 0, "Error head")
+        message = _text(raw, _ERROR_HEAD.size, length, MESSAGE_MAX, "message")
+        if len(raw) != _ERROR_HEAD.size + length:
+            raise _length_error(raw, _ERROR_HEAD.size + length, "message")
         return ErrorPacket(pid, ErrorCode(code), message)
 
     raise DecodeError("invariant", f"unknown packet type {ptype}")
