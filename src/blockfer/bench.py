@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import random
 import statistics
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Optional
 
 from .engine import TransferParameters
@@ -204,17 +204,6 @@ def summarize(rows) -> str:
             f"{mean(lambda r: r.retx_windows):>7.1f} "
             f"{mean(lambda r: r.retx_acks):>7.1f}")
     return "\n".join(lines)
-
-
-def mean_throughput_by_cell(rows) -> dict:
-    """(B, W) -> mean throughput of completed runs; 0.0 for barren cells."""
-    cells: dict = {}
-    for row in rows:
-        cells.setdefault((row.block_size, row.window_size), []).append(row)
-    return {
-        key: statistics.fmean([r.throughput_Bps for r in cell if r.completed] or [0.0])
-        for key, cell in cells.items()
-    }
 
 
 @dataclass(frozen=True)

@@ -19,7 +19,6 @@ import time
 
 from .bench import ExperimentConfig, evaluate_large, summarize, sweep
 from .crypto import (
-    AuthenticationError,
     IdentityCipher,
     PeerKeyPair,
     SealedCipher,
@@ -36,9 +35,9 @@ from .engine import (
     TransferParameters,
     TransferRefused,
 )
-from .transport import LinkModel, TransportError, UdpEndpoint
+from .transport import LinkModel, Pump, TransportError, UdpEndpoint, UdpTransport
 from .wire import (
-    DecodeError,
+    INFO_MAX,
     ErrorCode,
     ErrorPacket,
     WriteRequest,
@@ -66,10 +65,6 @@ def _env(name: str, cast, fallback):
 
 def _err(message: str) -> None:
     print(message, file=sys.stderr)
-
-
-def _now_ms() -> float:
-    return time.monotonic() * 1000.0
 
 
 def _parse_address(text: str):
@@ -235,38 +230,9 @@ def _link_from(args) -> LinkModel:
 # --- transfer loops ----------------------------------------------------------
 
 
-class _Pump:
-    """Shared socket/engine plumbing for the send and recv loops."""
-
-    def __init__(self, endpoint: UdpEndpoint, engine: Engine, cipher):
-        self.endpoint = endpoint
-        self.engine = engine
-        self.cipher = cipher
-        self.events: list = []
-
-    def flush(self, out) -> None:
-        for peer, packet in out.packets:
-            self.endpoint.send(peer, self.cipher.seal(encode_packet(packet)))
-        self.events.extend(out.events)
-
-    def poll_once(self, accept=None) -> None:
-        deadline = self.engine.next_deadline()
-        wait = 0.2
-        if deadline is not None:
-            wait = min(max((deadline - _now_ms()) / 1000.0, 0.0), 0.2)
-        for addr, datagram in self.endpoint.poll(wait):
-            try:
-                packet = decode_packet(self.cipher.open(datagram))
-            except (AuthenticationError, DecodeError):
-                continue  # noise on a public port is dropped, not fatal
-            if accept is not None and not accept(addr, packet):
-                continue
-            self.flush(self.engine.packet_in(addr, packet, now=_now_ms()))
-        self.flush(self.engine.tick(_now_ms()))
-
-    def take_events(self) -> list:
-        events, self.events = self.events, []
-        return events
+def _pump(endpoint: UdpEndpoint, engine: Engine, cipher) -> Pump:
+    return Pump({endpoint.address: engine}, UdpTransport(endpoint),
+                encode_packet, decode_packet, cipher)
 
 
 def _progress_line(done: int, total: int) -> str:
@@ -287,15 +253,17 @@ def _cmd_send(args) -> int:
     rng = random.Random(args.seed) if args.seed is not None else random.Random()
     engine = Engine(params=params, rng=rng)
     info = args.info if args.info is not None else os.path.basename(args.file)
+    # the wire caps info at INFO_MAX bytes: cut on a character boundary
+    info = info.encode("utf-8", "replace")[:INFO_MAX].decode("utf-8", "ignore")
 
     with UdpEndpoint(bind=("0.0.0.0", 0)) as endpoint:
-        pump = _Pump(endpoint, engine, cipher)
-        tid, out = engine.start_transfer(peer, info[:64], data, now=_now_ms())
-        pump.flush(out)
+        pump = _pump(endpoint, engine, cipher)
+        tid, out = engine.start_transfer(peer, info, data, now=pump.transport.now())
+        pump.flush(endpoint.address, out)
         _err(f"sending {args.file} ({len(data)} bytes) to {args.to}")
         reported = -1
         while True:
-            pump.poll_once()
+            pump.step()
             for event in pump.take_events():
                 if isinstance(event, Complete) and event.sent:
                     counters = engine.transfer(tid).counters
@@ -324,7 +292,7 @@ def _cmd_recv(args) -> int:
 
     engine = Engine(params=params, rng=random.Random(args.seed)
                     if args.seed is not None else random.Random())
-    pump = _Pump(endpoint, engine, cipher)
+    pump = _pump(endpoint, engine, cipher)
     active = {"peer": None}
 
     def accept(addr, packet) -> bool:
@@ -349,7 +317,7 @@ def _cmd_recv(args) -> int:
     code = None
     with endpoint:
         while True:
-            pump.poll_once(accept=accept)
+            pump.step(accept=accept)
             for event in pump.take_events():
                 if isinstance(event, Progress):
                     if event.received_blocks % 512 == 0:

@@ -28,12 +28,7 @@ from cryptography.hazmat.primitives.asymmetric.x25519 import (
 from cryptography.hazmat.primitives.ciphers.aead import ChaCha20Poly1305
 from cryptography.hazmat.primitives.hashes import SHA256
 from cryptography.hazmat.primitives.kdf.hkdf import HKDF
-from cryptography.hazmat.primitives.serialization import (
-    Encoding,
-    NoEncryption,
-    PrivateFormat,
-    PublicFormat,
-)
+from cryptography.hazmat.primitives.serialization import Encoding, PublicFormat
 
 from .wire import DATA_WIRE_OVERHEAD, DATAGRAM_BUDGET, PAYLOAD_MAX
 
@@ -93,36 +88,6 @@ def _pair_key(private_key: bytes, public_key: bytes) -> ChaCha20Poly1305:
     return ChaCha20Poly1305(key)
 
 
-def seal(
-    plaintext: bytes,
-    recipient_public_key: bytes,
-    sender_keypair: PeerKeyPair,
-    entropy: Optional[random.Random] = None,
-) -> bytes:
-    """Encrypt and authenticate plaintext for the recipient.
-
-    Output is nonce || ciphertext+tag: always len(plaintext) + SEALED_OVERHEAD.
-    """
-    aead = _pair_key(sender_keypair.private_key, recipient_public_key)
-    nonce = _draw_bytes(entropy, NONCE_SIZE)
-    return nonce + aead.encrypt(nonce, plaintext, None)
-
-
-def open_sealed(
-    ciphertext: bytes,
-    recipient_keypair: PeerKeyPair,
-    sender_public_key: bytes,
-) -> bytes:
-    """Reverse of seal. Raises AuthenticationError on any forgery or damage."""
-    if len(ciphertext) < SEALED_OVERHEAD:
-        raise AuthenticationError("sealed payload shorter than its overhead")
-    aead = _pair_key(recipient_keypair.private_key, sender_public_key)
-    try:
-        return aead.decrypt(ciphertext[:NONCE_SIZE], ciphertext[NONCE_SIZE:], None)
-    except InvalidTag:
-        raise AuthenticationError("sealed payload failed authentication") from None
-
-
 class IdentityCipher:
     """Pass-through cipher; the simulator and benchmarks default to this."""
 
@@ -150,10 +115,12 @@ class SealedCipher:
         self._entropy = entropy
 
     def seal(self, plaintext: bytes) -> bytes:
+        """nonce || ciphertext+tag: always len(plaintext) + SEALED_OVERHEAD."""
         nonce = _draw_bytes(self._entropy, NONCE_SIZE)
         return nonce + self._aead.encrypt(nonce, plaintext, None)
 
     def open(self, ciphertext: bytes) -> bytes:
+        """Reverse of seal. Raises AuthenticationError on any forgery or damage."""
         if len(ciphertext) < SEALED_OVERHEAD:
             raise AuthenticationError("sealed payload shorter than its overhead")
         try:

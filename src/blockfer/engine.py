@@ -83,27 +83,6 @@ class TransferParameters:
         return replace(self, window_size=max(self.window_size // 2, self.min_window))
 
 
-def downscale_window(params: TransferParameters) -> TransferParameters:
-    return params.downscaled()
-
-
-def split_into_blocks(data: bytes, block_size: int) -> list[bytes]:
-    """All blocks are block_size bytes except a shorter (never empty) tail."""
-    if block_size < 1:
-        raise ValueError("block_size must be positive")
-    return [data[i:i + block_size] for i in range(0, len(data), block_size)]
-
-
-def compute_missing(received, window_index: int, window_size: int, block_count: int) -> list[int]:
-    """Unreceived block numbers below window_index's closing boundary, ascending.
-
-    Covers every window up to and including window_index, so blocks that were
-    piggybacked into a later window and lost again stay reported.
-    """
-    boundary = min((window_index + 1) * window_size, block_count)
-    return [n for n in range(boundary) if not received[n]]
-
-
 # --- callbacks and events -----------------------------------------------------
 
 
@@ -219,6 +198,7 @@ class SenderState:
     start_seq: int = 0  # position in the engine's live table; orders same-instant timers
     started_at: float = 0.0
     finished_at: Optional[float] = None
+    error: Optional[ErrorCode] = None  # the code it FAILED with
     retry_params: Optional[TransferParameters] = None
     counters: SenderCounters = field(default_factory=SenderCounters)
     ack_log: list[Acknowledgement] = field(default_factory=list)
@@ -256,6 +236,7 @@ class ReceiverState:
     start_seq: int = 0  # position in the engine's live table; orders same-instant timers
     started_at: float = 0.0
     finished_at: Optional[float] = None
+    error: Optional[ErrorCode] = None  # the code it FAILED with
     data: Optional[bytes] = field(repr=False, default=None)
     counters: ReceiverCounters = field(default_factory=ReceiverCounters)
 
@@ -268,15 +249,6 @@ class ReceiverState:
 
     def final_ack(self) -> Acknowledgement:
         return Acknowledgement(self.id, self.total_windows, ())
-
-
-def reassemble(state: ReceiverState) -> bytes:
-    """Payload of a completed transfer, in block order."""
-    if state.data is not None:
-        return state.data
-    if state.received_count != state.block_count:
-        raise ValueError("transfer is not complete")
-    return b"".join(state.blocks)
 
 
 # --- the engine ----------------------------------------------------------------
@@ -504,6 +476,7 @@ class Engine:
             out.packets.append((state.peer, ErrorPacket(state.id, code, message)))
         state.phase = SenderPhase.FAILED if isinstance(state, SenderState) else ReceiverPhase.FAILED
         state.finished_at = now
+        state.error = code
         out.events.append(Errored(state.id, code))
         self._settle(state)
 

@@ -11,18 +11,12 @@ from __future__ import annotations
 
 import heapq
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Optional
 
-from ..engine import (
-    Complete,
-    Engine,
-    Errored,
-    ReceiverState,
-    SenderState,
-    TransferParameters,
-)
-from ..wire import MTU, ErrorCode, decode_packet, encode_packet
+from ..engine import Engine, TransferParameters
+from ..wire import MTU, decode_packet, encode_packet
+from .pump import Pump, TransferOutcome
 
 _SENDER_SALT = 0x9E3779B97F4A7C15
 _RECEIVER_SALT = 0xC2B2AE3D27D4EB4F
@@ -132,29 +126,38 @@ class SimulatedLink:
         return times
 
 
-@dataclass
-class TransferOutcome:
-    """What one driven transfer did, with both terminal engine states."""
+class _LinkTransport:
+    """A SimulatedLink as a Pump transport, on the link's clock.
 
-    completed: bool
-    duration_ms: float
-    transfer_id: int
-    data: Optional[bytes] = field(repr=False, default=None)
-    sender: Optional[SenderState] = None
-    receiver: Optional[ReceiverState] = None
-    error: Optional[ErrorCode] = None
-    trace: list = field(default_factory=list)
+    Each wait delivers the next datagram if it is due no later than until
+    (a delivery wins a tie with a deadline), and otherwise advances the
+    clock to until. Nothing can arrive once the link is idle and no
+    deadline is pending, or when the deadline lies past max_sim_ms.
+    """
 
+    def __init__(self, link: SimulatedLink, max_sim_ms: float, trace: Optional[list]):
+        self.link = link
+        self.clock = link.clock
+        self.max_sim_ms = max_sim_ms
+        self.trace = trace
 
-def _note_terminal(terminal: dict, events) -> None:
-    """Fold callback events into the outcome-building scratch dict."""
-    for event in events:
-        if isinstance(event, Complete) and event.data is not None:
-            terminal["data"] = event.data
-        elif isinstance(event, Complete) and event.sent:
-            terminal["sent"] = True
-        elif isinstance(event, Errored) and "error" not in terminal:
-            terminal["error"] = event.code
+    def send(self, local, peer, datagram: bytes) -> None:
+        now = self.clock.now
+        if self.trace is not None:
+            self.trace.append(f"{now:.3f} {local}->{peer} {datagram.hex()}")
+        self.link.send(local, peer, datagram, now)
+
+    def wait(self, until: Optional[float]) -> Optional[list]:
+        delivery_at = self.clock.peek_time()
+        if delivery_at is not None and (until is None or delivery_at <= until):
+            return [self.clock.pop()[1]]  # (destination, source, datagram)
+        if until is None or until > self.max_sim_ms:
+            return None  # idle, or stalled beyond any plausible schedule
+        self.clock.now = until
+        return []
+
+    def now(self) -> float:
+        return self.clock.now
 
 
 def run_simulated_transfer(data: bytes, model: Optional[LinkModel] = None,
@@ -163,60 +166,21 @@ def run_simulated_transfer(data: bytes, model: Optional[LinkModel] = None,
                            max_sim_ms: float = 86_400_000.0) -> TransferOutcome:
     """Run one whole transfer between two engines over a simulated link.
 
-    The loop interleaves deliveries and retransmit deadlines in time order
+    Deliveries and retransmit deadlines are handled in time order
     (deliveries first on a tie) until neither engine has anything pending.
     The optional trace records every datagram at send time, lost or not, as
     "time src->dst hexbytes" lines.
     """
     model = model if model is not None else LinkModel()
     params = params if params is not None else TransferParameters()
-    clock = SimClock()
-    link = SimulatedLink(model, clock)
-    engines = {
+    trace = [] if record_trace else None
+    transport = _LinkTransport(SimulatedLink(model, SimClock()), max_sim_ms, trace)
+    pump = Pump({
         "A": Engine(params=params, rng=random.Random(model.seed ^ _SENDER_SALT)),
         "B": Engine(params=params, rng=random.Random(model.seed ^ _RECEIVER_SALT)),
-    }
-    trace: list = []
-    terminal: dict = {}  # event type -> payload, for the outcome
-
-    def dispatch(src: str, out, now: float) -> None:
-        for dst, packet in out.packets:
-            wire = encode_packet(packet)
-            if record_trace:
-                trace.append(f"{now:.3f} {src}->{dst} {wire.hex()}")
-            link.send(src, dst, wire, now)
-        _note_terminal(terminal, out.events)
-
-    tid, out = engines["A"].start_transfer("B", info, data, now=0.0)
-    dispatch("A", out, 0.0)
-
-    while True:
-        deadlines = [d for e in engines.values()
-                     if (d := e.next_deadline()) is not None]
-        delivery_at = clock.peek_time()
-        if delivery_at is None and not deadlines:
-            break
-        deadline = min(deadlines) if deadlines else None
-        if delivery_at is not None and (deadline is None or delivery_at <= deadline):
-            now, (dst, src, datagram) = clock.pop()
-            out = engines[dst].packet_in(src, decode_packet(datagram), now=now)
-            dispatch(dst, out, now)
-        else:
-            if deadline > max_sim_ms:
-                break  # stalled beyond any plausible schedule
-            for name, engine in engines.items():
-                dispatch(name, engine.tick(deadline), deadline)
-
-    sender = engines["A"].transfer(tid)
-    receiver = engines["B"].transfer(tid)
-    finished = sender.finished_at if sender.finished_at is not None else clock.now
-    return TransferOutcome(
-        completed=terminal.get("sent", False),
-        duration_ms=finished - sender.started_at,
-        transfer_id=tid,
-        data=terminal.get("data"),
-        sender=sender,
-        receiver=receiver,
-        error=terminal.get("error"),
-        trace=trace,
-    )
+    }, transport, encode_packet, decode_packet)
+    tid, out = pump.engines["A"].start_transfer("B", info, data, now=0.0)
+    pump.flush("A", out)
+    while pump.step():
+        pump.events.clear()  # the outcome reads the engine states instead
+    return pump.outcome(tid, "A", "B", trace)

@@ -1,4 +1,4 @@
-"""Nonblocking UDP endpoint and a single-process loopback transfer driver."""
+"""Nonblocking UDP endpoint, its Pump transport and a single-process loopback driver."""
 
 from __future__ import annotations
 
@@ -8,11 +8,13 @@ import socket
 import time
 from typing import Optional
 
-from ..engine import Engine, ReceiverPhase, SenderPhase, TransferParameters
-from ..wire import DecodeError, MTU, decode_packet, encode_packet
-from .sim import MtuError, TransferOutcome, _note_terminal
+from ..engine import Engine, TransferParameters
+from ..wire import MTU, decode_packet, encode_packet
+from .pump import Pump, TransferOutcome
+from .sim import MtuError
 
 RECEIVE_BUFFER = 4 * 1024 * 1024  # absorbs whole window bursts
+MAX_WAIT_S = 0.2  # longest single wait, so callers regain control now and then
 
 
 class TransportError(Exception):
@@ -71,8 +73,35 @@ class UdpEndpoint:
         self.close()
 
 
-def _now_ms() -> float:
-    return time.monotonic() * 1000.0
+class UdpTransport:
+    """Bound UdpEndpoints as a Pump transport, on the monotonic clock in ms.
+
+    Each endpoint's local name is its own address. A wait returns what
+    arrived once a datagram is queued, the deadline has passed or
+    MAX_WAIT_S have gone by; it never reports that nothing can arrive.
+    One endpoint waits in UdpEndpoint.poll; several share one select and
+    then drain each readable one.
+    """
+
+    def __init__(self, *endpoints: UdpEndpoint):
+        self.endpoints = {endpoint.address: endpoint for endpoint in endpoints}
+
+    def send(self, local, peer, datagram: bytes) -> None:
+        self.endpoints[local].send(peer, datagram)
+
+    def now(self) -> float:
+        return time.monotonic() * 1000.0
+
+    def wait(self, until: Optional[float]) -> list:
+        timeout = MAX_WAIT_S
+        if until is not None:
+            timeout = min(max((until - self.now()) / 1000.0, 0.0), MAX_WAIT_S)
+        if len(self.endpoints) == 1:
+            [(local, endpoint)] = self.endpoints.items()
+            return [(local, addr, datagram) for addr, datagram in endpoint.poll(timeout)]
+        readable, _, _ = select.select(list(self.endpoints.values()), [], [], timeout)
+        return [(endpoint.address, addr, datagram)
+                for endpoint in readable for addr, datagram in endpoint.drain()]
 
 
 def run_loopback_transfer(data: bytes, params: Optional[TransferParameters] = None,
@@ -84,53 +113,18 @@ def run_loopback_transfer(data: bytes, params: Optional[TransferParameters] = No
     datagrams are dropped, matching how a public port must treat noise.
     """
     params = params if params is not None else TransferParameters()
-    sender = Engine(params=params, rng=random.Random(seed ^ 0x0DDC0FFE))
-    receiver = Engine(params=params, rng=random.Random(seed ^ 0xDEFACED1))
-    terminal: dict = {}
-
     with UdpEndpoint() as a, UdpEndpoint() as b:
-        def flush(endpoint: UdpEndpoint, out) -> None:
-            for peer, packet in out.packets:
-                endpoint.send(peer, encode_packet(packet))
-            _note_terminal(terminal, out.events)
-
-        tid, out = sender.start_transfer(b.address, info, data, now=_now_ms())
-        flush(a, out)
+        pump = Pump({
+            a.address: Engine(params=params, rng=random.Random(seed ^ 0x0DDC0FFE)),
+            b.address: Engine(params=params, rng=random.Random(seed ^ 0xDEFACED1)),
+        }, UdpTransport(a, b), encode_packet, decode_packet)
+        sender, receiver = pump.engines[a.address], pump.engines[b.address]
+        tid, out = sender.start_transfer(b.address, info, data, now=pump.transport.now())
+        pump.flush(a.address, out)
         give_up_at = time.monotonic() + wall_timeout_s
-        while time.monotonic() < give_up_at:
-            sender_state = sender.transfer(tid)
-            receiver_state = receiver.transfer(tid)
-            if sender_state.phase in (SenderPhase.DONE, SenderPhase.FAILED) and (
-                    receiver_state is None
-                    or receiver_state.phase in (ReceiverPhase.DONE, ReceiverPhase.FAILED)):
-                break
-            deadlines = [d for e in (sender, receiver)
-                         if (d := e.next_deadline()) is not None]
-            now = _now_ms()
-            wait = (min(deadlines) - now) / 1000.0 if deadlines else 0.05
-            select.select([a, b], [], [], min(max(wait, 0.0), 0.25))
-            for endpoint, engine in ((a, sender), (b, receiver)):
-                now = _now_ms()
-                for addr, datagram in endpoint.drain():
-                    try:
-                        packet = decode_packet(datagram)
-                    except DecodeError:
-                        continue
-                    flush(endpoint, engine.packet_in(addr, packet, now=now))
-            now = _now_ms()
-            for endpoint, engine in ((a, sender), (b, receiver)):
-                flush(endpoint, engine.tick(now))
-
-        sender_state = sender.transfer(tid)
-        receiver_state = receiver.transfer(tid)
-
-    finished = sender_state.finished_at if sender_state.finished_at is not None else _now_ms()
-    return TransferOutcome(
-        completed=terminal.get("sent", False),
-        duration_ms=finished - sender_state.started_at,
-        transfer_id=tid,
-        data=terminal.get("data"),
-        sender=sender_state,
-        receiver=receiver_state,
-        error=terminal.get("error"),
-    )
+        while time.monotonic() < give_up_at and (
+                sender.live_transfer_with(b.address) is not None
+                or receiver.live_transfer_with(a.address) is not None):
+            pump.step()
+            pump.events.clear()  # the outcome reads the engine states instead
+        return pump.outcome(tid, a.address, b.address)

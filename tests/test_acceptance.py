@@ -8,6 +8,7 @@ asserts, not configurable.
 
 import random
 import resource
+import statistics
 import time
 from pathlib import Path
 
@@ -17,7 +18,6 @@ from blockfer.bench import (
     ExperimentConfig,
     cell_seed,
     evaluate_large,
-    mean_throughput_by_cell,
     sweep,
 )
 from blockfer.crypto import AuthenticationError, PeerKeyPair, SealedCipher
@@ -204,7 +204,11 @@ def test_criterion_5_sweep_block_size_monotonic(tmp_path):
     assert len(lines) == 281  # header + one row per run
     assert all(row.completed for row in rows)
 
-    means = mean_throughput_by_cell(rows)
+    cells: dict = {}
+    for row in rows:
+        cells.setdefault((row.block_size, row.window_size), []).append(row)
+    means = {cell: statistics.fmean([r.throughput_Bps for r in runs if r.completed] or [0.0])
+             for cell, runs in cells.items()}
     for w in config.window_grid:
         curve = [means[(b, w)] for b in config.block_grid]
         assert curve == sorted(curve), f"throughput dips with B at W={w}"

@@ -67,6 +67,16 @@ def test_send_to_dead_port_exits_3(tmp_path):
     assert time.monotonic() - started < 15
 
 
+def test_multibyte_info_is_cut_on_a_character_boundary(tmp_path):
+    payload = tmp_path / "p.bin"
+    payload.write_bytes(b"x" * 500)
+    # 40 two-byte characters: 80 bytes, past the 64-byte wire limit
+    result = run_cli("send", "--to", f"127.0.0.1:{free_port()}", "--info", "\u00e9" * 40,
+                     "--interval-ms", "50", "--attempts", "1", payload)
+    assert result.returncode == 3, result.stderr
+    assert "Traceback" not in result.stderr
+
+
 def send_receive(tmp_path, size, extra_send=(), extra_recv=(), env_extra=None):
     data = random.Random(size).randbytes(size)
     source = tmp_path / "in.bin"

@@ -5,16 +5,21 @@ and blockfer.cli.encode_packet/decode_packet to time every encode and decode;
 a driver that bound the codec any other way would silently report zero
 wire.* calls. These tests swap in counting wrappers at the same names and
 check that each datagram is encoded once when sent and decoded once when
-delivered.
+delivered: over the simulated link, and between `blockfer recv` and
+`blockfer send` over 127.0.0.1, where the waits must go through
+UdpEndpoint.poll for the udp.poll span to see them.
 """
 
 import random
+import socket
+import threading
+import time
 
 from blockfer import cli
-from blockfer.crypto import IdentityCipher
-from blockfer.engine import Complete, Engine, TransferParameters
+from blockfer.engine import TransferParameters
 from blockfer.transport import sim
 from blockfer.transport.sim import LinkModel, SimClock, SimulatedLink
+from blockfer.transport.udp import UdpEndpoint
 
 
 def count_calls(monkeypatch, module, name):
@@ -58,49 +63,58 @@ def test_simulated_transfer_codes_every_datagram_once(monkeypatch):
     assert sorted(decoded) == sorted(delivered)
 
 
-class MemoryEndpoint:
-    """Just enough of UdpEndpoint for _Pump: datagrams sit in lists."""
-
-    def __init__(self):
-        self.outbox = []
-        self.inbox = []
-
-    def send(self, peer, datagram):
-        self.outbox.append((peer, datagram))
-
-    def poll(self, wait):
-        arrived, self.inbox = self.inbox, []
-        return arrived
-
-
-def test_cli_pump_codes_every_datagram_once(monkeypatch):
+def test_cli_send_and_recv_code_every_datagram_once(monkeypatch, tmp_path):
     encoded = count_calls(monkeypatch, cli, "encode_packet")
     decoded = count_calls(monkeypatch, cli, "decode_packet")
-    params = TransferParameters(block_size=500, window_size=16)
-    pumps = {name: cli._Pump(MemoryEndpoint(), Engine(params, random.Random(seed)),
-                             IdentityCipher())
-             for name, seed in (("A", 1), ("B", 2))}
+    sent, drained, polls = [], [], []
+    endpoint_send, endpoint_drain, endpoint_poll = (
+        UdpEndpoint.send, UdpEndpoint.drain, UdpEndpoint.poll)
+
+    def send(self, to, datagram):
+        sent.append(datagram)
+        endpoint_send(self, to, datagram)
+
+    def drain(self):
+        received = endpoint_drain(self)
+        drained.extend(received)
+        return received
+
+    def poll(self, timeout):
+        polls.append(timeout)
+        return endpoint_poll(self, timeout)
+
+    monkeypatch.setattr(UdpEndpoint, "send", send)
+    monkeypatch.setattr(UdpEndpoint, "drain", drain)
+    monkeypatch.setattr(UdpEndpoint, "poll", poll)
+
     data = random.Random(5).randbytes(20_000)
-    _, out = pumps["A"].engine.start_transfer("B", "hooks", data, now=cli._now_ms())
-    pumps["A"].flush(out)
-    pumps["B"].endpoint.inbox.append(("A", b"not a packet"))  # dropped, but decoded once
+    source, sink = tmp_path / "in.bin", tmp_path / "out.bin"
+    source.write_bytes(data)
+    with socket.socket(socket.AF_INET, socket.SOCK_DGRAM) as probe:
+        probe.bind(("127.0.0.1", 0))
+        port = probe.getsockname()[1]
+    flags = ["--block-size", "500", "--window", "16", "--interval-ms", "200",
+             "--attempts", "20", "--seed", "1"]
+    codes = {}
+    receiver = threading.Thread(target=lambda: codes.setdefault("recv", cli.main(
+        ["recv", "--port", str(port), "--out", str(sink), "--wait-s", "30", *flags])))
+    receiver.start()
+    try:
+        # noise is dropped, but decoded once; its arrival shows the port is bound
+        with socket.socket(socket.AF_INET, socket.SOCK_DGRAM) as noise:
+            for _ in range(500):
+                noise.sendto(b"not a packet", ("127.0.0.1", port))
+                if decoded:
+                    break
+                time.sleep(0.01)
+        assert decoded
+        codes["send"] = cli.main(["send", "--to", f"127.0.0.1:{port}", *flags, str(source)])
+    finally:
+        receiver.join(timeout=60)
 
-    moved = 0
-    done = {}
-    for _ in range(200):
-        for name, other in (("A", "B"), ("B", "A")):
-            endpoint = pumps[name].endpoint
-            moved += len(endpoint.outbox)
-            pumps[other].endpoint.inbox.extend((name, d) for _, d in endpoint.outbox)
-            endpoint.outbox.clear()
-        for name, pump in pumps.items():
-            pump.poll_once()
-            for event in pump.take_events():
-                if isinstance(event, Complete):
-                    done[name] = event
-        if len(done) == 2 and not any(p.endpoint.outbox for p in pumps.values()):
-            break
-
-    assert done["B"].data == data and done["A"].sent
-    assert len(encoded) == moved
-    assert len(decoded) == moved + 1
+    assert not receiver.is_alive()
+    assert codes == {"send": 0, "recv": 0}
+    assert sink.read_bytes() == data
+    assert len(encoded) == len(sent) > 0
+    assert len(decoded) == len(drained)
+    assert polls

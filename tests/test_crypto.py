@@ -14,9 +14,7 @@ from blockfer.crypto import (
     load_private_key,
     load_public_key,
     max_block_size,
-    open_sealed,
     save_keypair,
-    seal,
 )
 from blockfer.wire import DecodeError
 
@@ -51,11 +49,13 @@ def test_seal_open_roundtrip_all_lengths():
     rng = random.Random(2)
     sender = PeerKeyPair.generate(rng)
     recipient = PeerKeyPair.generate(rng)
+    sealer = SealedCipher(sender, recipient.public_key, entropy=rng)
+    opener = SealedCipher(recipient, sender.public_key)
     for length in range(0, 1301):
         plaintext = bytes(length * b"\xa5")[:length]
-        box = seal(plaintext, recipient.public_key, sender, entropy=rng)
+        box = sealer.seal(plaintext)
         assert len(box) == length + SEALED_OVERHEAD
-        assert open_sealed(box, recipient, sender.public_key) == plaintext
+        assert opener.open(box) == plaintext
 
 
 def test_overhead_is_constant_and_within_budget():
@@ -63,8 +63,9 @@ def test_overhead_is_constant_and_within_budget():
     rng = random.Random(3)
     sender = PeerKeyPair.generate(rng)
     recipient = PeerKeyPair.generate(rng)
+    sealer = SealedCipher(sender, recipient.public_key, entropy=rng)
     for length in (0, 1, 17, 1200, 1300):
-        box = seal(os.urandom(length), recipient.public_key, sender, entropy=rng)
+        box = sealer.seal(os.urandom(length))
         assert len(box) - length == SEALED_OVERHEAD
 
 
@@ -72,11 +73,13 @@ def test_single_byte_tamper_rejected():
     rng = random.Random(4)
     sender = PeerKeyPair.generate(rng)
     recipient = PeerKeyPair.generate(rng)
+    sealer = SealedCipher(sender, recipient.public_key, entropy=rng)
+    opener = SealedCipher(recipient, sender.public_key)
     for length in range(0, 1301, 101):
-        box = bytearray(seal(os.urandom(length), recipient.public_key, sender, entropy=rng))
+        box = bytearray(sealer.seal(os.urandom(length)))
         box[rng.randrange(len(box))] ^= 1 << rng.randrange(8)
         with pytest.raises(AuthenticationError):
-            open_sealed(bytes(box), recipient, sender.public_key)
+            opener.open(bytes(box))
 
 
 def test_auth_error_distinct_from_decode_error():
@@ -89,11 +92,11 @@ def test_wrong_recipient_cannot_open():
     sender = PeerKeyPair.generate(rng)
     recipient = PeerKeyPair.generate(rng)
     other = PeerKeyPair.generate(rng)
-    box = seal(b"secret", recipient.public_key, sender, entropy=rng)
+    box = SealedCipher(sender, recipient.public_key, entropy=rng).seal(b"secret")
     with pytest.raises(AuthenticationError):
-        open_sealed(box, other, sender.public_key)
+        SealedCipher(other, sender.public_key).open(box)
     with pytest.raises(AuthenticationError):
-        open_sealed(box, recipient, other.public_key)
+        SealedCipher(recipient, other.public_key).open(box)
 
 
 def test_sealed_cipher_objects_pair_up():
@@ -114,7 +117,8 @@ def test_sealing_never_repeats_nonces_bitwise():
     rng = random.Random(7)
     sender = PeerKeyPair.generate(rng)
     recipient = PeerKeyPair.generate(rng)
-    boxes = {seal(b"same message", recipient.public_key, sender, entropy=rng)[:12] for _ in range(200)}
+    sealer = SealedCipher(sender, recipient.public_key, entropy=rng)
+    boxes = {sealer.seal(b"same message")[:12] for _ in range(200)}
     assert len(boxes) == 200
 
 
@@ -122,10 +126,11 @@ def test_truncated_box_rejected():
     rng = random.Random(8)
     sender = PeerKeyPair.generate(rng)
     recipient = PeerKeyPair.generate(rng)
-    box = seal(b"payload", recipient.public_key, sender, entropy=rng)
+    box = SealedCipher(sender, recipient.public_key, entropy=rng).seal(b"payload")
+    opener = SealedCipher(recipient, sender.public_key)
     for cut in (0, 5, 11, len(box) - 1):
         with pytest.raises(AuthenticationError):
-            open_sealed(box[:cut], recipient, sender.public_key)
+            opener.open(box[:cut])
 
 
 def test_key_files_roundtrip_and_mode(tmp_path):

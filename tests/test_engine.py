@@ -25,10 +25,6 @@ from blockfer.engine import (
     TransferParameters,
     TransferRefused,
     TransferScheduler,
-    compute_missing,
-    downscale_window,
-    reassemble,
-    split_into_blocks,
 )
 from blockfer.wire import (
     Acknowledgement,
@@ -99,48 +95,17 @@ def pump(sender, receiver, out, now=0.0, drop=None, allow_ticks=False):
 # --- pure helpers ------------------------------------------------------------
 
 
-def test_split_into_blocks():
-    rng = random.Random(0)
-    for _ in range(300):
-        size = rng.randrange(0, 5000)
-        block = rng.randrange(1, 700)
-        data = rng.randbytes(size)
-        blocks = split_into_blocks(data, block)
-        assert len(blocks) == block_count_for(size, block)
-        assert b"".join(blocks) == data
-        for piece in blocks[:-1]:
-            assert len(piece) == block
-        if blocks:
-            assert 0 < len(blocks[-1]) <= block
-    assert split_into_blocks(b"", 10) == []
-
-
-def test_compute_missing_against_bruteforce():
-    rng = random.Random(1)
-    for _ in range(400):
-        block_count = rng.randrange(1, 200)
-        window = rng.randrange(1, 20)
-        received = bytearray(rng.randrange(2) for _ in range(block_count))
-        total_windows = block_count_for(block_count, window)
-        window_index = rng.randrange(total_windows)
-        got = compute_missing(received, window_index, window, block_count)
-        boundary = min((window_index + 1) * window, block_count)
-        expected = [n for n in range(boundary) if not received[n]]
-        assert got == expected
-        assert got == sorted(got)
-
-
 def test_downscale_window():
     params = TransferParameters(window_size=80, min_window=16)
     seen = [params.window_size]
     for _ in range(6):
-        params = downscale_window(params)
+        params = params.downscaled()
         seen.append(params.window_size)
     assert seen == [80, 40, 20, 16, 16, 16, 16]
     # strictly decreasing until the clamp, then fixed
-    assert downscale_window(TransferParameters(window_size=16, min_window=16)).window_size == 16
-    assert downscale_window(TransferParameters(window_size=17, min_window=16)).window_size == 16
-    assert downscale_window(TransferParameters(window_size=33, min_window=16)).window_size == 16
+    assert TransferParameters(window_size=16, min_window=16).downscaled().window_size == 16
+    assert TransferParameters(window_size=17, min_window=16).downscaled().window_size == 16
+    assert TransferParameters(window_size=33, min_window=16).downscaled().window_size == 16
 
 
 def test_parameter_validation():
@@ -304,7 +269,7 @@ def test_every_listed_block_is_in_the_next_batch():
         for ack, batch in zip(s.ack_log, s.batch_log):
             assert ack.window_index == batch.window_index
             assert set(ack.unreceived) <= set(batch.blocks)
-        assert reassemble(receiver.transfer(tid)) == data
+        assert receiver.transfer(tid).data == data
 
 
 # --- write request handling --------------------------------------------------
