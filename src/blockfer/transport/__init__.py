@@ -2,8 +2,9 @@
 
 A Pump (pump.py) runs engines over any object with three methods:
 
-  * send(local, peer, datagram): put one sealed datagram on the wire from
-    the engine named local;
+  * send(local, peer, datagrams): put a list of sealed datagrams on the
+    wire from the engine named local to one peer, in order; the Pump hands
+    over each run of consecutive packets to one peer in one call;
   * wait(until): block until datagrams arrive or the clock reaches until
     (None: no deadline), and return them as (local, peer, datagram)
     triples, [] when the time came with nothing, or None once nothing can
@@ -12,8 +13,10 @@ A Pump (pump.py) runs engines over any object with three methods:
 
 The simulated link (sim.py) delivers one datagram per wait on its own
 clock; UDP (udp.py) waits on the monotonic clock for at most 0.2 s at a
-time. Either way a transfer behaves identically; only delivery timing and
-loss differ.
+time. On Linux, UDP sends each run of datagrams with GSO and reads with GRO
+where the kernel offers both, so a window takes a few system calls rather
+than one per datagram; the datagrams on the wire are the same. Either way
+a transfer behaves identically; only delivery timing and loss differ.
 
 perfbench/spans.py times the layers by replacing these names, so the
 drivers must keep reaching them: the codec globals encode_packet and

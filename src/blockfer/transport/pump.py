@@ -54,10 +54,21 @@ class Pump:
         self.events: list = []
 
     def flush(self, local, out) -> None:
-        """Put every packet of an engine output on the wire from local."""
-        send, pack = self.transport.send, self.pack
-        for peer, packet in out.packets:
-            send(local, peer, pack(packet))
+        """Put every packet of an engine output on the wire from local.
+
+        Each run of consecutive packets to one peer goes to the transport in
+        one send, so a window of Data can leave in one system call.
+        """
+        packets = out.packets
+        if packets:
+            send, pack = self.transport.send, self.pack
+            to, run = packets[0][0], []
+            for peer, packet in packets:
+                if peer != to:
+                    send(local, to, run)
+                    to, run = peer, []
+                run.append(pack(packet))
+            send(local, to, run)
         self.events.extend(out.events)
 
     def step(self, accept=None) -> bool:

@@ -141,11 +141,12 @@ class _LinkTransport:
         self.max_sim_ms = max_sim_ms
         self.trace = trace
 
-    def send(self, local, peer, datagram: bytes) -> None:
+    def send(self, local, peer, datagrams: list) -> None:
         now = self.clock.now
-        if self.trace is not None:
-            self.trace.append(f"{now:.3f} {local}->{peer} {datagram.hex()}")
-        self.link.send(local, peer, datagram, now)
+        for datagram in datagrams:
+            if self.trace is not None:
+                self.trace.append(f"{now:.3f} {local}->{peer} {datagram.hex()}")
+            self.link.send(local, peer, datagram, now)
 
     def wait(self, until: Optional[float]) -> Optional[list]:
         delivery_at = self.clock.peek_time()

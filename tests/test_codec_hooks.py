@@ -70,9 +70,9 @@ def test_cli_send_and_recv_code_every_datagram_once(monkeypatch, tmp_path):
     endpoint_send, endpoint_drain, endpoint_poll = (
         UdpEndpoint.send, UdpEndpoint.drain, UdpEndpoint.poll)
 
-    def send(self, to, datagram):
-        sent.append(datagram)
-        endpoint_send(self, to, datagram)
+    def send(self, to, *datagrams):
+        sent.extend(datagrams)
+        endpoint_send(self, to, *datagrams)
 
     def drain(self):
         received = endpoint_drain(self)

@@ -20,8 +20,8 @@ class ScriptedTransport:
         self.waits = []
         self.clock = 0.0
 
-    def send(self, local, peer, datagram):
-        self.sent.append((local, peer, datagram))
+    def send(self, local, peer, datagrams):
+        self.sent.extend((local, peer, datagram) for datagram in datagrams)
 
     def wait(self, until):
         self.waits.append(until)

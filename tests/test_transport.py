@@ -1,6 +1,9 @@
 """Simulated link determinism/statistics and real UDP endpoint behavior."""
 
+import errno
 import random
+import socket
+import time
 
 import pytest
 
@@ -15,6 +18,7 @@ from blockfer.transport import (
     run_loopback_transfer,
     run_simulated_transfer,
 )
+from blockfer.transport.udp import UDP_GRO, UDP_SEGMENT
 from blockfer.wire import Data, ErrorCode, block_count_for, encode_packet
 
 
@@ -272,3 +276,177 @@ def test_loopback_transfer_small_file():
     assert result.data == data
     assert result.sender.counters.window_retransmits == 0
     assert result.sender.phase is SenderPhase.DONE
+
+
+# --- batched sends: GSO out, GRO in ------------------------------------------
+
+
+@pytest.fixture
+def gso():
+    with UdpEndpoint() as probe:
+        if not probe._gso:
+            pytest.skip("the kernel has no UDP_SEGMENT, so every endpoint sends "
+                        "one datagram per call")
+
+
+requires_gso = pytest.mark.usefixtures("gso")
+
+
+class RecordingSocket:
+    """Stands in for an endpoint's socket and records each send call.
+
+    With fail_gso, a segmented sendmsg fails the way it does on a NIC
+    without checksum offload.
+    """
+
+    def __init__(self, sock, fail_gso=False):
+        self._sock = sock
+        self.fail_gso = fail_gso
+        self.calls = []
+
+    def sendmsg(self, buffers, ancillary, flags, to):
+        self.calls.append("sendmsg")
+        if self.fail_gso:
+            raise OSError(errno.EIO, "no checksum offload")
+        return self._sock.sendmsg(buffers, ancillary, flags, to)
+
+    def sendto(self, datagram, to):
+        self.calls.append("sendto")
+        return self._sock.sendto(datagram, to)
+
+    def __getattr__(self, name):
+        return getattr(self._sock, name)
+
+
+def refuse_udp_options(patcher, *options):
+    """Make setsockopt fail for these UDP options, as on a kernel without them."""
+    setsockopt = socket.socket.setsockopt
+
+    def refusing(self, level, option, value):
+        if level == socket.IPPROTO_UDP and option in options:
+            raise OSError(errno.ENOPROTOOPT, "Protocol not available")
+        setsockopt(self, level, option, value)
+
+    patcher.setattr(socket.socket, "setsockopt", refusing)
+
+
+def recording(monkeypatch, endpoint, **kwargs):
+    sock = RecordingSocket(endpoint._sock, **kwargs)
+    monkeypatch.setattr(endpoint, "_sock", sock)
+    return sock
+
+
+def numbered(count, size):
+    """count distinct datagrams of size bytes each."""
+    return [i.to_bytes(2, "big") * (size // 2) + b"x" * (size % 2) for i in range(count)]
+
+
+def receive(endpoint, count, timeout=5.0):
+    received = []
+    give_up_at = time.monotonic() + timeout
+    while len(received) < count and time.monotonic() < give_up_at:
+        received.extend(endpoint.poll(0.1))
+    return received
+
+
+def assert_arrive_in_order(sender, receiver, datagrams):
+    received = receive(receiver, len(datagrams))
+    assert [addr for addr, _ in received] == [sender.address] * len(datagrams)
+    assert [datagram for _, datagram in received] == datagrams
+    assert receiver.poll(0.05) == []  # and nothing more
+
+
+@requires_gso
+def test_gso_window_reaches_a_receiver_without_gro(monkeypatch):
+    with UdpEndpoint() as a, UdpEndpoint() as b:
+        b._sock.setsockopt(socket.IPPROTO_UDP, UDP_GRO, 0)
+        sock = recording(monkeypatch, a)
+        window = numbered(80, 1218)
+        a.send(b.address, *window)
+        assert sock.calls == ["sendmsg"] * 2  # 53 datagrams fit in 65507 bytes
+        assert_arrive_in_order(a, b, window)
+
+
+def test_sender_without_gso_reaches_a_gro_receiver(monkeypatch):
+    with UdpEndpoint() as b:
+        with monkeypatch.context() as patched:
+            refuse_udp_options(patched, UDP_SEGMENT)
+            a = UdpEndpoint()
+        with a:
+            sock = recording(monkeypatch, a)
+            window = numbered(80, 1218)
+            a.send(b.address, *window)
+            assert sock.calls == ["sendto"] * 80
+            assert_arrive_in_order(a, b, window)
+
+
+@requires_gso
+def test_gso_window_ends_in_a_shorter_datagram(monkeypatch):
+    with UdpEndpoint() as a, UdpEndpoint() as b:
+        sock = recording(monkeypatch, a)
+        window = numbered(10, 1218) + numbered(1, 301)
+        a.send(b.address, *window)
+        assert sock.calls == ["sendmsg"]
+        assert_arrive_in_order(a, b, window)
+
+
+@requires_gso
+def test_gso_batch_of_mixed_sizes_arrives_in_order(monkeypatch):
+    with UdpEndpoint() as a, UdpEndpoint() as b:
+        sock = recording(monkeypatch, a)
+        data, acks = numbered(12, 1218), numbered(3, 80)
+        batch = [acks[0], *data[:5], acks[1], *data[5:], acks[2]]
+        a.send(b.address, *batch)
+        # the first ack alone, five Data closed by the ack, seven Data closed by the ack
+        assert sock.calls == ["sendto", "sendmsg", "sendmsg"]
+        assert_arrive_in_order(a, b, batch)
+
+
+@requires_gso
+@pytest.mark.parametrize("count, size, calls", [(150, 500, 3), (60, 1200, 2)])
+def test_gso_splits_a_large_batch_across_calls(monkeypatch, count, size, calls):
+    # at most 64 datagrams and at most 65507 bytes per call
+    with UdpEndpoint() as a, UdpEndpoint() as b:
+        sock = recording(monkeypatch, a)
+        batch = numbered(count, size)
+        a.send(b.address, *batch)
+        assert sock.calls == ["sendmsg"] * calls
+        assert_arrive_in_order(a, b, batch)
+
+
+def test_batch_over_the_mtu_sends_nothing(monkeypatch):
+    with UdpEndpoint() as a, UdpEndpoint() as b:
+        sock = recording(monkeypatch, a)
+        with pytest.raises(MtuError):
+            a.send(b.address, bytes(1200), bytes(1200), bytes(1501), bytes(1200))
+        assert sock.calls == []
+        assert b.poll(0.1) == []
+
+
+@requires_gso
+def test_gso_failure_falls_back_for_good(monkeypatch):
+    with UdpEndpoint() as a, UdpEndpoint() as b:
+        sock = recording(monkeypatch, a, fail_gso=True)
+        window = numbered(80, 1218)
+        a.send(b.address, *window)
+        assert sock.calls == ["sendmsg"] + ["sendto"] * 80
+        assert_arrive_in_order(a, b, window)
+        sock.calls.clear()
+        a.send(b.address, *window[:40])
+        assert sock.calls == ["sendto"] * 40
+        assert_arrive_in_order(a, b, window[:40])
+
+
+def test_loopback_transfer_without_offload_uses_one_call_per_datagram(monkeypatch):
+    # a kernel without UDP_SEGMENT and UDP_GRO: the probe fails, and no
+    # socket then segments a send or reads coalesced datagrams
+    def forbidden(self, *args):
+        raise AssertionError("batched socket call without offload")
+
+    refuse_udp_options(monkeypatch, UDP_SEGMENT, UDP_GRO)
+    monkeypatch.setattr(socket.socket, "sendmsg", forbidden)
+    monkeypatch.setattr(socket.socket, "recvmsg", forbidden)
+    data = random.Random(4).randbytes(100_000)
+    result = run_loopback_transfer(data, TransferParameters(block_size=1200, window_size=40),
+                                   seed=4)
+    assert result.completed and result.data == data
