@@ -127,7 +127,8 @@ def _add_transfer_flags(parser: argparse.ArgumentParser) -> None:
                         help="blocks per window (default 80)")
     parser.add_argument("--interval-ms", type=float,
                         default=_env("INTERVAL_MS", float, 2000.0),
-                        help="retransmit interval in ms (default 2000)")
+                        help="ceiling of the retransmit timeout in ms, which "
+                             "follows the measured round trip below it (default 2000)")
     parser.add_argument("--attempts", type=int, default=_env("ATTEMPTS", int, 5),
                         help="consecutive retransmits before giving up (default 5)")
     parser.add_argument("--max-size", type=int,

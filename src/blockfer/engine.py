@@ -18,12 +18,20 @@ closes the transfer. An ack's window_index counts the windows the receiver
 has closed, i.e. names the next window it expects; the write-request ack is
 window 0 with an empty list.
 
-Both sides run a retransmit timer. A sender that hears nothing for a full
-interval re-sends its awaited unit (the announcement, or the current pending
-batch); a receiver re-sends its last acknowledgement. Any valid inbound
-packet for the transfer refills the attempt budget; `max_attempts` silent
-intervals in a row fail the transfer with TIMEOUT, and the sender attaches
-halved-window retry parameters to the failed record.
+Both sides run a retransmit timer. A sender that hears nothing for one
+retransmit timeout (RTO) re-sends its awaited unit (the announcement, or the
+current pending batch); a receiver re-sends its last acknowledgement. The
+RTO follows RFC 6298: each side times one unit at a time (the sender its
+announcement or a fresh batch, up to the ack that accepts it; the receiver
+a fresh non-final ack, up to the first new block after it), skips units it
+had to re-send (Karn's rule), and sets the RTO to SRTT + 4 * RTTVAR,
+clamped to [RTO_MIN_MS, retransmit interval]. Until the first sample the
+RTO is the interval. Each firing doubles the RTO up to the interval. Any
+valid inbound packet for the transfer refills the attempt budget; a firing
+spends an attempt only once the RTO has reached the interval, so
+`max_attempts` such firings in a row fail the transfer with TIMEOUT within
+(max_attempts + 2) intervals of the last valid inbound packet, and the
+sender attaches halved-window retry parameters to the failed record.
 """
 
 from __future__ import annotations
@@ -48,6 +56,7 @@ from .wire import (
 
 DEFAULT_MAX_TRANSFER_SIZE = 250 * 2**20  # keep whole transfers in memory
 TIMER_SLACK = 8  # stale timer entries tolerated beyond twice the live count
+RTO_MIN_MS = 200.0  # floor of an adaptive timeout, as Linux's TCP_RTO_MIN
 
 Peer = Any  # opaque hashable address; sockets use (host, port), tests use str
 
@@ -195,6 +204,10 @@ class SenderState:
     pending: tuple[int, ...] = ()
     attempts_left: int = 0
     last_send_time: float = 0.0
+    rto: float = 0.0  # current retransmit timeout; starts at the interval
+    srtt: Optional[float] = None  # smoothed round trip, None before the first sample
+    rttvar: float = 0.0
+    timed_at: Optional[float] = None  # send time of the unit being timed, if any
     start_seq: int = 0  # position in the engine's live table; orders same-instant timers
     started_at: float = 0.0
     finished_at: Optional[float] = None
@@ -204,12 +217,16 @@ class SenderState:
     ack_log: list[Acknowledgement] = field(default_factory=list)
     batch_log: list[BatchRecord] = field(default_factory=list)
 
+    @property
+    def interval_ms(self) -> float:
+        return self.params.retransmit_interval_ms
+
     def block_payload(self, n: int) -> bytes:
         return self.data[n * self.params.block_size:(n + 1) * self.params.block_size]
 
     def deadline(self) -> float:
         """When the retransmit timer fires if nothing arrives first."""
-        return self.last_send_time + self.params.retransmit_interval_ms
+        return self.last_send_time + self.rto
 
 
 @dataclass
@@ -233,6 +250,10 @@ class ReceiverState:
     phase: ReceiverPhase = ReceiverPhase.RECEIVING
     attempts_left: int = 0
     last_ack_time: float = 0.0
+    rto: float = 0.0  # current retransmit timeout; starts at the interval
+    srtt: Optional[float] = None  # smoothed round trip, None before the first sample
+    rttvar: float = 0.0
+    timed_at: Optional[float] = None  # send time of the ack being timed, if any
     start_seq: int = 0  # position in the engine's live table; orders same-instant timers
     started_at: float = 0.0
     finished_at: Optional[float] = None
@@ -242,13 +263,24 @@ class ReceiverState:
 
     def deadline(self) -> float:
         """When the ack retransmit timer fires if nothing arrives first."""
-        return self.last_ack_time + self.interval_ms
+        return self.last_ack_time + self.rto
 
     def closing_block(self) -> int:
         return min((self.expected_window + 1) * self.window_size, self.block_count) - 1
 
     def final_ack(self) -> Acknowledgement:
         return Acknowledgement(self.id, self.total_windows, ())
+
+
+def _sample_rtt(state, rtt: float) -> None:
+    """Fold one round-trip sample into a state's timeout (RFC 6298, section 2)."""
+    if state.srtt is None:
+        state.srtt, state.rttvar = rtt, rtt / 2
+    else:
+        state.rttvar = 0.75 * state.rttvar + 0.25 * abs(state.srtt - rtt)
+        state.srtt = 0.875 * state.srtt + 0.125 * rtt
+    state.rto = min(state.interval_ms, max(RTO_MIN_MS, state.srtt + 4 * state.rttvar))
+    state.timed_at = None
 
 
 # --- the engine ----------------------------------------------------------------
@@ -315,7 +347,8 @@ class Engine:
             block_count=block_count,
             total_windows=block_count_for(block_count, params.window_size),
             write_request=wr, attempts_left=params.max_attempts,
-            last_send_time=now, started_at=now,
+            last_send_time=now, rto=params.retransmit_interval_ms, timed_at=now,
+            started_at=now,
         )
         self._go_live(state)
         self._arm(state)
@@ -367,7 +400,7 @@ class Engine:
         return out
 
     def tick(self, now: float) -> EngineOutput:
-        """Fire retransmit timers; a full silent interval costs one attempt."""
+        """Fire retransmit timers; a firing at the full interval costs one attempt."""
         self._touch(now)
         out = EngineOutput()
         timers = self._timers
@@ -382,12 +415,16 @@ class Engine:
                 due[seq] = state
         for seq in sorted(due):
             state = due[seq]
-            state.attempts_left -= 1
-            if state.attempts_left <= 0:
-                if isinstance(state, SenderState):
-                    state.retry_params = state.params.downscaled()
-                self._fail(state, ErrorCode.TIMEOUT, out, now)
-            elif isinstance(state, ReceiverState):
+            if state.rto >= state.interval_ms:
+                state.attempts_left -= 1
+                if state.attempts_left <= 0:
+                    if isinstance(state, SenderState):
+                        state.retry_params = state.params.downscaled()
+                    self._fail(state, ErrorCode.TIMEOUT, out, now)
+                    continue
+            state.rto = min(state.interval_ms, 2 * state.rto)
+            state.timed_at = None  # Karn's rule: a re-sent unit gives no sample
+            if isinstance(state, ReceiverState):
                 self._emit_ack(state, out, now, retransmit=True)
             else:
                 if state.phase is SenderPhase.AWAITING_WR_ACK:
@@ -509,6 +546,7 @@ class Engine:
             total_windows=block_count_for(wr.block_count, wr.window_size),
             interval_ms=self.params.retransmit_interval_ms,
             max_attempts=self.params.max_attempts,
+            rto=self.params.retransmit_interval_ms,
             received=bytearray(wr.block_count),
             blocks=[None] * wr.block_count,
             attempts_left=self.params.max_attempts,
@@ -536,6 +574,7 @@ class Engine:
         if listed and state.expected_window == state.total_windows:
             state.drain_trigger = listed[-1]
         state.last_ack_time = now
+        state.timed_at = None if retransmit else now
         self._arm(state)
 
     def _receiver_data(self, state: ReceiverState, d: Data,
@@ -555,6 +594,9 @@ class Engine:
         if state.received[n]:
             state.counters.duplicate_blocks += 1
             return
+        if state.timed_at is not None:
+            _sample_rtt(state, now - state.timed_at)
+            self._arm(state)
         state.received[n] = 1
         state.received_count += 1
         state.blocks[n] = d.payload
@@ -599,6 +641,8 @@ class Engine:
             return  # an ack for windows never dispatched: drop
         state.counters.acks_received += 1
         state.ack_log.append(a)
+        if state.timed_at is not None:
+            _sample_rtt(state, now - state.timed_at)
 
         if a.window_index == state.total_windows:
             if not a.unreceived:
@@ -624,7 +668,7 @@ class Engine:
         for n in pending:
             out.packets.append((state.peer, Data(state.id, n, state.block_payload(n))))
         state.counters.blocks_sent += len(pending)
-        state.last_send_time = now
+        state.last_send_time = state.timed_at = now
         self._arm(state)
 
 

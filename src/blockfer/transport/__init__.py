@@ -6,13 +6,15 @@ A Pump (pump.py) runs engines over any object with three methods:
     wire from the engine named local to one peer, in order; the Pump hands
     over each run of consecutive packets to one peer in one call;
   * wait(until): block until datagrams arrive or the clock reaches until
-    (None: no deadline), and return them as (local, peer, datagram)
-    triples, [] when the time came with nothing, or None once nothing can
-    ever arrive;
+    (None: no deadline), and return them as an iterable of (local, peer,
+    datagram) triples that the Pump walks once, [] when the time came with
+    nothing, or None once nothing can ever arrive; now() must already read
+    the arrival time when wait returns;
   * now(): the clock the engines run on, in milliseconds.
 
-The simulated link (sim.py) delivers one datagram per wait on its own
-clock; UDP (udp.py) waits on the monotonic clock for at most 0.2 s at a
+The simulated link (sim.py) delivers every datagram due at one instant of
+its own clock per wait, as a generator that pops the clock one datagram at
+a time; UDP (udp.py) waits on the monotonic clock for at most 0.2 s at a
 time. On Linux, UDP sends each run of datagrams with GSO and reads with GRO
 where the kernel offers both, so a window takes a few system calls rather
 than one per datagram; the datagrams on the wire are the same. Either way

@@ -85,14 +85,16 @@ class Pump:
         if arrived is None:
             return False
         now = self.transport.now()
+        quiet = True
         for local, peer, datagram in arrived:
+            quiet = False
             try:
                 packet = self.unpack(datagram)
             except (AuthenticationError, DecodeError):
                 continue  # noise on a public port is dropped, not fatal
             if accept is None or accept(peer, packet):
                 self.flush(local, self.engines[local].packet_in(peer, packet, now=now))
-        if not arrived or (until is not None and now > until):
+        if quiet or (until is not None and now > until):
             for local, engine in self.engines.items():
                 self.flush(local, engine.tick(now))
         return True

@@ -12,7 +12,7 @@ from __future__ import annotations
 import heapq
 import random
 from dataclasses import dataclass
-from typing import Any, Optional
+from typing import Any, Iterable, Optional
 
 from ..engine import Engine, TransferParameters
 from ..wire import MTU, decode_packet, encode_packet
@@ -129,10 +129,14 @@ class SimulatedLink:
 class _LinkTransport:
     """A SimulatedLink as a Pump transport, on the link's clock.
 
-    Each wait delivers the next datagram if it is due no later than until
-    (a delivery wins a tie with a deadline), and otherwise advances the
-    clock to until. Nothing can arrive once the link is idle and no
-    deadline is pending, or when the deadline lies past max_sim_ms.
+    Each wait delivers every datagram due at the next delivery instant if
+    that instant is no later than until (a delivery wins a tie with a
+    deadline), and otherwise advances the clock to until. The datagrams
+    come from a generator that pops the clock one at a time, so a reply
+    sent at zero latency while the caller feeds them in still arrives in
+    the same wait and in heap order. Nothing can arrive once the link is
+    idle and no deadline is pending, or when the deadline lies past
+    max_sim_ms.
     """
 
     def __init__(self, link: SimulatedLink, max_sim_ms: float, trace: Optional[list]):
@@ -148,14 +152,21 @@ class _LinkTransport:
                 self.trace.append(f"{now:.3f} {local}->{peer} {datagram.hex()}")
             self.link.send(local, peer, datagram, now)
 
-    def wait(self, until: Optional[float]) -> Optional[list]:
-        delivery_at = self.clock.peek_time()
+    def wait(self, until: Optional[float]) -> Optional[Iterable]:
+        clock = self.clock
+        delivery_at = clock.peek_time()
         if delivery_at is not None and (until is None or delivery_at <= until):
-            return [self.clock.pop()[1]]  # (destination, source, datagram)
+            clock.now = delivery_at  # now() holds while the caller feeds them in
+            return self._due(delivery_at)
         if until is None or until > self.max_sim_ms:
             return None  # idle, or stalled beyond any plausible schedule
-        self.clock.now = until
+        clock.now = until
         return []
+
+    def _due(self, at: float):
+        clock = self.clock
+        while clock.peek_time() == at:
+            yield clock.pop()[1]  # (destination, source, datagram)
 
     def now(self) -> float:
         return self.clock.now

@@ -5,12 +5,14 @@ the window rules, then asserted literally.
 """
 
 import random
+from dataclasses import replace
 
 import pytest
 from hypothesis import HealthCheck, settings, strategies as st
 from hypothesis.stateful import RuleBasedStateMachine, invariant, rule
 
 from blockfer.engine import (
+    RTO_MIN_MS,
     TIMER_SLACK,
     Complete,
     Engine,
@@ -415,11 +417,14 @@ def test_stale_ack_ignored_but_resets_attempts():
     sender.packet_in("B", ack0, now=2.0)
     state = sender.transfer(tid)
     assert state.window_index == 1
-    # two silent intervals spend attempts
-    sender.tick(now=2002.0)
-    sender.tick(now=4002.0)
+    # the 2 ms sample puts the timeout on its floor; firings double it and
+    # spend nothing until it reaches the interval, then one attempt each
+    for now, left in ((202.0, 5), (602.0, 5), (1402.0, 5), (3002.0, 5),
+                      (5002.0, 4), (7002.0, 3)):
+        assert sender.tick(now=now).packets
+        assert state.attempts_left == left
     assert state.attempts_left == SMALL.max_attempts - 2
-    out = sender.packet_in("B", ack0, now=4100.0)  # duplicate of the WR ack
+    out = sender.packet_in("B", ack0, now=7100.0)  # duplicate of the WR ack
     assert out.packets == [] and out.events == []
     assert state.attempts_left == SMALL.max_attempts
     assert state.window_index == 1
@@ -528,15 +533,26 @@ def test_window_timeout_retransmits_pending_batch():
     out = sender.packet_in("B", ack0, now=2.0)
     assert [d.block_number for d in data_packets(out)] == [0, 1]
     state = sender.transfer(tid)
+    assert state.rto == RTO_MIN_MS  # the WR ack's 2 ms sample, clamped up
 
-    out = sender.tick(now=2001.9)
+    out = sender.tick(now=201.9)
     assert out.packets == []
-    out = sender.tick(now=2002.0)  # last_send_time=2.0 + interval
+    out = sender.tick(now=202.0)  # last_send_time=2.0 + RTO_MIN_MS
     assert [d.block_number for d in data_packets(out)] == [0, 1]
     assert state.counters.window_retransmits == 1
     assert state.counters.window_retransmit_blocks == 2
     assert state.counters.blocks_sent == 4
-    assert state.attempts_left == 4
+    assert state.attempts_left == 5  # below the interval a firing spends nothing
+    # each firing doubles the timeout up to the interval, which spends one
+    sent_at = 202.0
+    for rto, left in ((400.0, 5), (800.0, 5), (1600.0, 5), (2000.0, 4)):
+        assert sender.tick(now=sent_at + rto - 0.1).packets == []
+        out = sender.tick(now=sent_at + rto)
+        assert [d.block_number for d in data_packets(out)] == [0, 1]
+        assert state.attempts_left == left
+        sent_at += rto
+    assert state.counters.window_retransmits == 5
+    assert state.rto == SMALL.retransmit_interval_ms
 
 
 def test_receiver_timeout_and_reack():
@@ -569,25 +585,118 @@ def test_next_deadline_tracks_live_states():
     assert sender.next_deadline() is None
 
 
+@pytest.mark.parametrize("samples, expected", [
+    # (srtt, rttvar, rto) after each ack; alpha = 1/8, beta = 1/4 after the first
+    ([300.0, 100.0, 10.0], [(300.0, 150.0, 900.0), (275.0, 162.5, 925.0),
+                            (241.875, 188.125, 994.375)]),
+    ([2.0], [(2.0, 1.0, RTO_MIN_MS)]),        # clamped up to the floor
+    ([1000.0], [(1000.0, 500.0, 2000.0)]),    # clamped down to the interval
+    ([40.0, 40.0], [(40.0, 20.0, 200.0), (40.0, 15.0, 200.0)]),
+])
+def test_sender_rto_follows_rfc6298(samples, expected):
+    sender = Engine(params=SMALL, rng=random.Random(2))
+    tid, _ = sender.start_transfer("B", "x", bytes(8 * len(samples)), now=0.0)
+    state = sender.transfer(tid)
+    assert (state.srtt, state.rto) == (None, SMALL.retransmit_interval_ms)
+    now = 0.0
+    for window, (rtt, (srtt, rttvar, rto)) in enumerate(zip(samples, expected)):
+        now += rtt  # each ack comes rtt after the unit it accepts was sent
+        sender.packet_in("B", Acknowledgement(tid, window, ()), now=now)
+        assert (state.srtt, state.rttvar, state.rto) == (srtt, rttvar, rto)
+        assert sender.next_deadline() == now + rto
+
+
+def test_sender_skips_samples_of_retransmitted_units():
+    # Karn's rule: the ack of a re-sent announcement or batch is ambiguous
+    sender = Engine(params=SMALL, rng=random.Random(2))
+    tid, _ = sender.start_transfer("B", "x", bytes(24), now=0.0)  # 3 windows
+    state = sender.transfer(tid)
+    assert sender.tick(now=2000.0).packets == [("B", state.write_request)]
+    sender.packet_in("B", Acknowledgement(tid, 0, ()), now=2010.0)
+    assert (state.srtt, state.rto) == (None, 2000.0)
+
+    sender.packet_in("B", Acknowledgement(tid, 1, ()), now=2020.0)  # a fresh batch: timed
+    assert (state.srtt, state.rttvar, state.rto) == (10.0, 5.0, RTO_MIN_MS)
+    assert data_packets(sender.tick(now=2220.0))  # the batch again; the timeout doubles
+    sender.packet_in("B", Acknowledgement(tid, 2, ()), now=2225.0)
+    assert (state.srtt, state.rttvar, state.rto) == (10.0, 5.0, 400.0)
+    assert sender.next_deadline() == 2225.0 + 400.0
+
+
+def test_receiver_times_its_ack_and_resends_it_after_the_rto():
+    sender, receiver = make_pair()
+    tid, out = sender.start_transfer("B", "x", bytes(range(20)), now=0.0)
+    [(_, wr)] = out.packets
+    ack0 = acks(receiver.packet_in("A", wr, now=1.0))[0]
+    state = receiver.transfer(tid)
+    b0, b1 = data_packets(sender.packet_in("B", ack0, now=2.0))
+
+    # the first new block after the ack samples it, and the timer re-arms
+    receiver.packet_in("A", b0, now=31.0)
+    assert (state.srtt, state.rttvar, state.rto) == (30.0, 15.0, RTO_MIN_MS)
+    assert receiver.next_deadline() == 1.0 + RTO_MIN_MS
+    [ack1] = acks(receiver.packet_in("A", b1, now=32.0))  # closes window 0; then lost
+
+    assert receiver.tick(now=231.9).packets == []
+    assert acks(receiver.tick(now=232.0)) == [ack1]  # after the rto, not the interval
+    assert state.counters.ack_retransmits == 1 and state.rto == 400.0
+    # a block after a re-sent ack gives no sample (Karn's rule)
+    b2, _ = data_packets(sender.packet_in("B", ack1, now=240.0))
+    receiver.packet_in("A", b2, now=260.0)
+    assert (state.srtt, state.rto) == (30.0, 400.0)
+    # silence: the timeout doubles up to the interval, which alone spends attempts
+    sent_at = 232.0
+    for rto, left in ((400.0, 5), (800.0, 5), (1600.0, 5), (2000.0, 4), (2000.0, 3)):
+        assert receiver.tick(now=sent_at + rto - 0.1).packets == []
+        assert acks(receiver.tick(now=sent_at + rto)) == [ack1]
+        assert state.attempts_left == left
+        sent_at += rto
+
+
+@pytest.mark.parametrize("silent", ["receiver", "sender"])
+def test_peer_silent_mid_transfer_times_out_within_the_budget(silent):
+    """Two windows go through at t=0, then one direction goes dead: the side
+    left waiting fails with TIMEOUT within (max_attempts + 2) intervals."""
+    sender, receiver = make_pair()
+    tid, out = sender.start_transfer("B", "x", bytes(range(40)), now=0.0)  # 5 windows
+    if silent == "receiver":
+        waiting, drop = sender, lambda p: isinstance(p, Acknowledgement) and p.window_index >= 2
+    else:
+        waiting, drop = receiver, lambda p: isinstance(p, Data) and p.block_number >= 4
+    events = pump(sender, receiver, out, drop=drop, allow_ticks=True)
+    state = waiting.transfer(tid)
+    assert Errored(tid, ErrorCode.TIMEOUT) in events and state.error is ErrorCode.TIMEOUT
+    interval, attempts = SMALL.retransmit_interval_ms, SMALL.max_attempts
+    # the last valid inbound packet came at t=0: 200+400+800+1600, then 5 x 2000
+    assert state.finished_at == 13000.0
+    assert attempts * interval <= state.finished_at <= (attempts + 2) * interval
+
+
 TIMED = TransferParameters(block_size=4, window_size=2, retransmit_interval_ms=100.0,
                            max_attempts=3, min_window=1)
+ADAPTIVE = replace(TIMED, retransmit_interval_ms=1000.0)
 PEERS = ["P0", "P1", "P2", "P3"]
 
 
 def brute_deadline(state):
     if isinstance(state, SenderState):
-        return state.last_send_time + state.params.retransmit_interval_ms
-    return state.last_ack_time + state.interval_ms
+        return state.last_send_time + state.rto
+    return state.last_ack_time + state.rto
 
 
 class TimerOracle(RuleBasedStateMachine):
     """Engine "E" against peer engines over a wire that drops, duplicates and
-    reorders at will, checking the timer heap against a scan of the live table."""
+    reorders at will, checking the timer heap against a scan of the live table.
+
+    With TIMED the interval lies below RTO_MIN_MS, so the timeout stays at the
+    interval; AdaptiveTimerOracle repeats this with one that samples shorten."""
+
+    params = TIMED
 
     def __init__(self):
         super().__init__()
-        self.engine = Engine(params=TIMED, rng=random.Random(5))
-        self.peers = {p: Engine(params=TIMED, rng=random.Random(10 + i))
+        self.engine = Engine(params=self.params, rng=random.Random(5))
+        self.peers = {p: Engine(params=self.params, rng=random.Random(10 + i))
                       for i, p in enumerate(PEERS)}
         self.wire = []  # (src, dst, packet) in flight
         self.now = 0.0
@@ -616,13 +725,18 @@ class TimerOracle(RuleBasedStateMachine):
 
     @rule(step=st.sampled_from([0.0, 1.0, 40.0, 99.0, 100.0, 250.0]))
     def tick(self, step):
+        self.advance(step)
+
+    def advance(self, step):
         self.now += step
         live = list(self.engine._live.values())
         attempts = [s.attempts_left for s in live]
         due = [s for s in live if brute_deadline(s) <= self.now]
+        spending = [s for s in due if s.rto == s.interval_ms]
         out = self.engine.tick(self.now)
-        # firing costs an attempt; nothing else a tick does touches attempts
-        assert [s for s, a in zip(live, attempts) if s.attempts_left != a] == due
+        # a firing at the full interval costs an attempt; nothing else a tick
+        # does touches attempts
+        assert [s for s, a in zip(live, attempts) if s.attempts_left != a] == spending
         # fired in live-table order: each survivor sends to its own peer, each
         # failure emits Errored, and no two live transfers share a peer
         runs = [peer for k, (peer, _) in enumerate(out.packets)
@@ -649,11 +763,32 @@ class TimerOracle(RuleBasedStateMachine):
     def timer_heap_stays_bounded(self):
         assert len(self.engine._timers) <= 2 * len(self.engine._live) + TIMER_SLACK
 
+    @invariant()
+    def deadline_is_last_send_plus_rto(self):
+        for engine in (self.engine, *self.peers.values()):
+            for s in engine._live.values():
+                sent = s.last_send_time if isinstance(s, SenderState) else s.last_ack_time
+                assert s.deadline() == sent + s.rto
+                assert min(RTO_MIN_MS, s.interval_ms) <= s.rto <= s.interval_ms
 
-TimerOracle.TestCase.settings = settings(
+
+class AdaptiveTimerOracle(TimerOracle):
+    """TimerOracle with an interval above RTO_MIN_MS, and steps that reach it."""
+
+    params = ADAPTIVE
+
+    @rule(step=st.sampled_from([0.0, 1.0, 40.0, 199.0, 200.0, 400.0, 1000.0]))
+    def tick(self, step):
+        self.advance(step)
+
+
+ORACLE_SETTINGS = settings(
     max_examples=150, stateful_step_count=60, deadline=None, derandomize=True,
     database=None, suppress_health_check=[HealthCheck.too_slow])
+TimerOracle.TestCase.settings = ORACLE_SETTINGS
+AdaptiveTimerOracle.TestCase.settings = ORACLE_SETTINGS
 test_timer_oracle = TimerOracle.TestCase
+test_adaptive_timer_oracle = AdaptiveTimerOracle.TestCase
 
 
 # --- cancel, scheduling, determinism -------------------------------------------

@@ -18,6 +18,7 @@ from blockfer.transport import (
     run_loopback_transfer,
     run_simulated_transfer,
 )
+from blockfer.transport.sim import _LinkTransport
 from blockfer.transport.udp import UDP_GRO, UDP_SEGMENT
 from blockfer.wire import Data, ErrorCode, block_count_for, encode_packet
 
@@ -54,6 +55,24 @@ def test_clock_tie_key_orders_before_insertion_sequence():
     clock.push(1.0, "a", tie=3)
     assert clock.pop() == (1.0, "a")
     assert clock.pop() == (1.0, "b")
+
+
+def test_link_wait_delivers_one_instant_per_wait():
+    clock = SimClock()
+    link = make_link(clock, latency_base_ms=5.0)
+    transport = _LinkTransport(link, max_sim_ms=1000.0, trace=None)
+    for n in range(3):
+        link.send("A", "B", bytes([n]), now=0.0)
+    link.send("A", "B", b"late", now=1.0)
+    arrived = transport.wait(until=None)
+    assert transport.now() == 5.0  # before the first datagram is taken
+    got = [next(arrived)[2]]
+    clock.push(5.0, ("A", "B", b"reply"))  # sent at zero latency while feeding in
+    got += [datagram for _, _, datagram in arrived]
+    assert got == [b"\x00", b"\x01", b"\x02", b"reply"]
+    assert [d for _, _, d in transport.wait(until=6.0)] == [b"late"]
+    assert transport.wait(until=7.0) == [] and transport.now() == 7.0
+    assert transport.wait(until=None) is None
 
 
 # --- link model draws ----------------------------------------------------
@@ -228,6 +247,31 @@ def test_simulated_transfer_dead_link_times_out():
     assert result.duration_ms == 5 * 200.0
     assert result.sender.retry_params.window_size == 40
     assert result.receiver is None
+
+
+def test_lost_packets_cost_a_fraction_of_the_interval():
+    """1 MiB at 1% loss and 20 ms with default parameters, over fixed seeds.
+
+    Beyond the analytic bound, one round trip per window plus one for the
+    announcement, each timer firing may cost interval/4. A firing in the
+    first exchange, before any round-trip sample, still waits the whole
+    interval, and each drain of the last window's leftovers costs one more
+    round trip with no firing at all."""
+    params = TransferParameters()
+    interval, latency = params.retransmit_interval_ms, 20.0
+    data = random.Random(3).randbytes(2**20)
+    for seed in range(1, 13):
+        model = LinkModel(loss_probability=0.01, latency_base_ms=latency, seed=seed)
+        result = run_simulated_transfer(data, model, params)
+        assert result.completed and result.data == data
+        sender, receiver = result.sender, result.receiver
+        stall = result.duration_ms - (sender.total_windows + 1) * 2 * latency
+        firings = sender.counters.window_retransmits + receiver.counters.ack_retransmits
+        drains = sum(1 for a in sender.ack_log
+                     if a.window_index == sender.total_windows and a.unreceived)
+        allowed = (interval * sender.counters.wr_retransmits + interval / 4 * firings
+                   + 2 * latency * drains)
+        assert stall <= allowed, f"seed {seed}: {stall} ms stalled, {allowed} allowed"
 
 
 def test_simulated_transfer_zero_size():
