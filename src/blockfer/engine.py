@@ -21,11 +21,13 @@ window 0 with an empty list.
 Both sides run a retransmit timer. A sender that hears nothing for one
 retransmit timeout (RTO) re-sends its awaited unit (the announcement, or the
 current pending batch); a receiver re-sends its last acknowledgement. The
-RTO follows RFC 6298: each side times one unit at a time (the sender its
-announcement or a fresh batch, up to the ack that accepts it; the receiver
-a fresh non-final ack, up to the first new block after it), skips units it
-had to re-send (Karn's rule), and sets the RTO to SRTT + 4 * RTTVAR,
-clamped to [RTO_MIN_MS, retransmit interval]. Until the first sample the
+RTO follows RFC 6298: each side times one unit at a time (the sender a
+fresh batch, up to the ack that accepts it; the receiver a fresh ack, up to
+its next fresh ack), skips units it had to re-send (Karn's rule), and sets
+the RTO to SRTT + 4 * RTTVAR, clamped to [RTO_MIN_MS, retransmit interval].
+Every sample thus spans the time a whole batch takes to cross the link,
+which is what a deadline has to cover; the announcement and its ack are
+one small datagram each way and are not timed. Until the first sample the
 RTO is the interval. Each firing doubles the RTO up to the interval. Any
 valid inbound packet for the transfer refills the attempt budget; a firing
 spends an attempt only once the RTO has reached the interval, so
@@ -347,8 +349,7 @@ class Engine:
             block_count=block_count,
             total_windows=block_count_for(block_count, params.window_size),
             write_request=wr, attempts_left=params.max_attempts,
-            last_send_time=now, rto=params.retransmit_interval_ms, timed_at=now,
-            started_at=now,
+            last_send_time=now, rto=params.retransmit_interval_ms, started_at=now,
         )
         self._go_live(state)
         self._arm(state)
@@ -569,12 +570,16 @@ class Engine:
         listed = tuple(sorted(state.missing)[:state.window_size])
         out.packets.append((state.peer, Acknowledgement(state.id, state.expected_window, listed)))
         state.counters.acks_sent += 1
-        if retransmit:
-            state.counters.ack_retransmits += 1
         if listed and state.expected_window == state.total_windows:
             state.drain_trigger = listed[-1]
+        if retransmit:
+            state.counters.ack_retransmits += 1
+            state.timed_at = None  # Karn's rule: the next fresh ack gives no sample
+        else:
+            if state.timed_at is not None:
+                _sample_rtt(state, now - state.timed_at)  # one whole ack-to-ack cycle
+            state.timed_at = now
         state.last_ack_time = now
-        state.timed_at = None if retransmit else now
         self._arm(state)
 
     def _receiver_data(self, state: ReceiverState, d: Data,
@@ -594,9 +599,6 @@ class Engine:
         if state.received[n]:
             state.counters.duplicate_blocks += 1
             return
-        if state.timed_at is not None:
-            _sample_rtt(state, now - state.timed_at)
-            self._arm(state)
         state.received[n] = 1
         state.received_count += 1
         state.blocks[n] = d.payload

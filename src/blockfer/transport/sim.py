@@ -33,7 +33,10 @@ class LinkModel:
     latency_jitter_ms spreads delivery uniformly around the base; a draw
     below zero clamps to immediate delivery. header_tax_bytes emulates the
     overhead of a fatter encapsulation by counting against the MTU without
-    being transmitted.
+    being transmitted. A positive rate_kbps gives each direction a
+    bottleneck of that many kilobits per second: datagrams queue and cross
+    it one after another, lost ones included, before the latency applies,
+    so a window takes time to arrive. Zero leaves the link unlimited.
     """
 
     loss_probability: float = 0.0
@@ -43,6 +46,7 @@ class LinkModel:
     duplicate_probability: float = 0.0
     seed: int = 0
     header_tax_bytes: int = 0
+    rate_kbps: float = 0.0
 
     def __post_init__(self):
         for name in ("loss_probability", "reorder_probability", "duplicate_probability"):
@@ -53,6 +57,8 @@ class LinkModel:
             raise ValueError("latencies must not be negative")
         if self.header_tax_bytes < 0:
             raise ValueError("header_tax_bytes must not be negative")
+        if self.rate_kbps < 0:
+            raise ValueError("rate_kbps must not be negative")
 
 
 class SimClock:
@@ -95,6 +101,7 @@ class SimulatedLink:
         self.sends = 0
         self.drops = 0
         self._rng = random.Random(model.seed)
+        self._free_at: dict = {}  # (src, dst) -> when that direction's bottleneck frees
 
     def _delivery(self, now: float) -> tuple[float, int]:
         jitter = self._rng.uniform(-self.model.latency_jitter_ms,
@@ -112,6 +119,9 @@ class SimulatedLink:
                 f"datagram of {len(datagram)} bytes (+{self.model.header_tax_bytes} "
                 f"header tax) exceeds the {MTU}-byte MTU")
         self.sends += 1
+        if self.model.rate_kbps:
+            start = max(now, self._free_at.get((src, dst), now))
+            now = self._free_at[(src, dst)] = start + len(datagram) * 8 / self.model.rate_kbps
         if self._rng.random() < self.model.loss_probability:
             self.drops += 1
             return []

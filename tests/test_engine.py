@@ -417,14 +417,11 @@ def test_stale_ack_ignored_but_resets_attempts():
     sender.packet_in("B", ack0, now=2.0)
     state = sender.transfer(tid)
     assert state.window_index == 1
-    # the 2 ms sample puts the timeout on its floor; firings double it and
-    # spend nothing until it reaches the interval, then one attempt each
-    for now, left in ((202.0, 5), (602.0, 5), (1402.0, 5), (3002.0, 5),
-                      (5002.0, 4), (7002.0, 3)):
-        assert sender.tick(now=now).packets
-        assert state.attempts_left == left
+    # two silent intervals spend attempts
+    sender.tick(now=2002.0)
+    sender.tick(now=4002.0)
     assert state.attempts_left == SMALL.max_attempts - 2
-    out = sender.packet_in("B", ack0, now=7100.0)  # duplicate of the WR ack
+    out = sender.packet_in("B", ack0, now=4100.0)  # duplicate of the WR ack
     assert out.packets == [] and out.events == []
     assert state.attempts_left == SMALL.max_attempts
     assert state.window_index == 1
@@ -533,26 +530,15 @@ def test_window_timeout_retransmits_pending_batch():
     out = sender.packet_in("B", ack0, now=2.0)
     assert [d.block_number for d in data_packets(out)] == [0, 1]
     state = sender.transfer(tid)
-    assert state.rto == RTO_MIN_MS  # the WR ack's 2 ms sample, clamped up
 
-    out = sender.tick(now=201.9)
+    out = sender.tick(now=2001.9)
     assert out.packets == []
-    out = sender.tick(now=202.0)  # last_send_time=2.0 + RTO_MIN_MS
+    out = sender.tick(now=2002.0)  # last_send_time=2.0 + interval
     assert [d.block_number for d in data_packets(out)] == [0, 1]
     assert state.counters.window_retransmits == 1
     assert state.counters.window_retransmit_blocks == 2
     assert state.counters.blocks_sent == 4
-    assert state.attempts_left == 5  # below the interval a firing spends nothing
-    # each firing doubles the timeout up to the interval, which spends one
-    sent_at = 202.0
-    for rto, left in ((400.0, 5), (800.0, 5), (1600.0, 5), (2000.0, 4)):
-        assert sender.tick(now=sent_at + rto - 0.1).packets == []
-        out = sender.tick(now=sent_at + rto)
-        assert [d.block_number for d in data_packets(out)] == [0, 1]
-        assert state.attempts_left == left
-        sent_at += rto
-    assert state.counters.window_retransmits == 5
-    assert state.rto == SMALL.retransmit_interval_ms
+    assert state.attempts_left == 4
 
 
 def test_receiver_timeout_and_reack():
@@ -595,62 +581,134 @@ def test_next_deadline_tracks_live_states():
 ])
 def test_sender_rto_follows_rfc6298(samples, expected):
     sender = Engine(params=SMALL, rng=random.Random(2))
-    tid, _ = sender.start_transfer("B", "x", bytes(8 * len(samples)), now=0.0)
+    tid, _ = sender.start_transfer("B", "x", bytes(8 * (len(samples) + 1)), now=0.0)
     state = sender.transfer(tid)
+    # the announcement is not timed: its ack opens batch 0 and gives no sample
+    sender.packet_in("B", Acknowledgement(tid, 0, ()), now=30.0)
     assert (state.srtt, state.rto) == (None, SMALL.retransmit_interval_ms)
-    now = 0.0
-    for window, (rtt, (srtt, rttvar, rto)) in enumerate(zip(samples, expected)):
-        now += rtt  # each ack comes rtt after the unit it accepts was sent
+    now = 30.0
+    for window, (rtt, (srtt, rttvar, rto)) in enumerate(zip(samples, expected), 1):
+        now += rtt  # each ack comes rtt after the batch it accepts was sent
         sender.packet_in("B", Acknowledgement(tid, window, ()), now=now)
         assert (state.srtt, state.rttvar, state.rto) == (srtt, rttvar, rto)
         assert sender.next_deadline() == now + rto
 
 
+def test_timed_batch_timeout_backs_off_to_the_interval():
+    sender, receiver = make_pair()
+    tid, out = sender.start_transfer("B", "x", bytes(range(20)), now=0.0)
+    [(_, wr)] = out.packets
+    ack0 = acks(receiver.packet_in("A", wr, now=1.0))[0]
+    b0, b1 = data_packets(sender.packet_in("B", ack0, now=2.0))
+    receiver.packet_in("A", b0, now=3.0)
+    [ack1] = acks(receiver.packet_in("A", b1, now=3.0))
+    out = sender.packet_in("B", ack1, now=4.0)  # batch 0 took 2 ms: the floor
+    assert [d.block_number for d in data_packets(out)] == [2, 3]
+    state = sender.transfer(tid)
+    assert state.rto == RTO_MIN_MS
+
+    assert sender.tick(now=203.9).packets == []
+    out = sender.tick(now=204.0)  # last_send_time=4.0 + RTO_MIN_MS
+    assert [d.block_number for d in data_packets(out)] == [2, 3]
+    assert state.counters.window_retransmit_blocks == 2
+    assert state.counters.blocks_sent == 6
+    assert state.attempts_left == 5  # below the interval a firing spends nothing
+    # each firing doubles the timeout up to the interval, which spends one
+    sent_at = 204.0
+    for rto, left in ((400.0, 5), (800.0, 5), (1600.0, 5), (2000.0, 4), (2000.0, 3)):
+        assert sender.tick(now=sent_at + rto - 0.1).packets == []
+        out = sender.tick(now=sent_at + rto)
+        assert [d.block_number for d in data_packets(out)] == [2, 3]
+        assert state.attempts_left == left
+        sent_at += rto
+    assert state.counters.window_retransmits == 6
+    assert state.rto == SMALL.retransmit_interval_ms
+    # a stale ack refills the attempts and changes nothing else
+    out = sender.packet_in("B", ack0, now=sent_at + 1.0)
+    assert out.packets == [] and out.events == []
+    assert state.attempts_left == SMALL.max_attempts and state.window_index == 2
+    assert state.counters.stale_acks == 1
+
+
 def test_sender_skips_samples_of_retransmitted_units():
-    # Karn's rule: the ack of a re-sent announcement or batch is ambiguous
+    # Karn's rule: the ack of a re-sent batch may answer either copy
     sender = Engine(params=SMALL, rng=random.Random(2))
     tid, _ = sender.start_transfer("B", "x", bytes(24), now=0.0)  # 3 windows
     state = sender.transfer(tid)
-    assert sender.tick(now=2000.0).packets == [("B", state.write_request)]
-    sender.packet_in("B", Acknowledgement(tid, 0, ()), now=2010.0)
-    assert (state.srtt, state.rto) == (None, 2000.0)
-
-    sender.packet_in("B", Acknowledgement(tid, 1, ()), now=2020.0)  # a fresh batch: timed
+    sender.packet_in("B", Acknowledgement(tid, 0, ()), now=10.0)
+    sender.packet_in("B", Acknowledgement(tid, 1, ()), now=20.0)  # a fresh batch: timed
     assert (state.srtt, state.rttvar, state.rto) == (10.0, 5.0, RTO_MIN_MS)
-    assert data_packets(sender.tick(now=2220.0))  # the batch again; the timeout doubles
-    sender.packet_in("B", Acknowledgement(tid, 2, ()), now=2225.0)
+    assert data_packets(sender.tick(now=220.0))  # the batch again; the timeout doubles
+    sender.packet_in("B", Acknowledgement(tid, 2, ()), now=225.0)
     assert (state.srtt, state.rttvar, state.rto) == (10.0, 5.0, 400.0)
-    assert sender.next_deadline() == 2225.0 + 400.0
+    assert sender.next_deadline() == 225.0 + 400.0
 
 
-def test_receiver_times_its_ack_and_resends_it_after_the_rto():
+def test_receiver_times_ack_cycles_and_resends_a_lost_ack_after_the_rto():
     sender, receiver = make_pair()
-    tid, out = sender.start_transfer("B", "x", bytes(range(20)), now=0.0)
+    tid, out = sender.start_transfer("B", "x", bytes(range(20)), now=0.0)  # 3 windows
     [(_, wr)] = out.packets
     ack0 = acks(receiver.packet_in("A", wr, now=1.0))[0]
     state = receiver.transfer(tid)
     b0, b1 = data_packets(sender.packet_in("B", ack0, now=2.0))
 
-    # the first new block after the ack samples it, and the timer re-arms
+    # blocks do not sample: the cycle runs from one fresh ack to the next
     receiver.packet_in("A", b0, now=31.0)
-    assert (state.srtt, state.rttvar, state.rto) == (30.0, 15.0, RTO_MIN_MS)
-    assert receiver.next_deadline() == 1.0 + RTO_MIN_MS
+    assert (state.srtt, state.rto) == (None, SMALL.retransmit_interval_ms)
     [ack1] = acks(receiver.packet_in("A", b1, now=32.0))  # closes window 0; then lost
+    assert (state.srtt, state.rttvar, state.rto) == (31.0, 15.5, RTO_MIN_MS)
+    assert receiver.next_deadline() == 32.0 + RTO_MIN_MS
 
     assert receiver.tick(now=231.9).packets == []
     assert acks(receiver.tick(now=232.0)) == [ack1]  # after the rto, not the interval
     assert state.counters.ack_retransmits == 1 and state.rto == 400.0
-    # a block after a re-sent ack gives no sample (Karn's rule)
-    b2, _ = data_packets(sender.packet_in("B", ack1, now=240.0))
+    # the fresh ack after a re-sent one gives no sample (Karn's rule)
+    b2, b3 = data_packets(sender.packet_in("B", ack1, now=240.0))
     receiver.packet_in("A", b2, now=260.0)
-    assert (state.srtt, state.rto) == (30.0, 400.0)
+    [ack2] = acks(receiver.packet_in("A", b3, now=261.0))
+    assert (state.srtt, state.rto) == (31.0, 400.0)
     # silence: the timeout doubles up to the interval, which alone spends attempts
-    sent_at = 232.0
+    sent_at = 261.0
     for rto, left in ((400.0, 5), (800.0, 5), (1600.0, 5), (2000.0, 4), (2000.0, 3)):
         assert receiver.tick(now=sent_at + rto - 0.1).packets == []
-        assert acks(receiver.tick(now=sent_at + rto)) == [ack1]
+        assert acks(receiver.tick(now=sent_at + rto)) == [ack2]
         assert state.attempts_left == left
         sent_at += rto
+
+
+def test_slow_window_is_not_resent_before_its_ack():
+    """Each 80-block window takes 500 ms to reach the receiver, far more than
+    a 20 ms round trip: neither side may re-send anything before the ack."""
+    params = TransferParameters()
+    sender, receiver = make_pair(params)
+    data = random.Random(4).randbytes(params.block_size * params.window_size * 6)
+    latency, spacing = 10.0, 500.0 / params.window_size
+    tid, out = sender.start_transfer("B", "x", data, now=0.0)
+    [(_, wr)] = out.packets
+    now = latency
+    [ack] = acks(receiver.packet_in("A", wr, now=now))
+    batches = 0
+    while True:
+        now += latency
+        assert sender.tick(now).packets == [] and receiver.tick(now).packets == []
+        out = sender.packet_in("B", ack, now=now)
+        if not out.packets:
+            break
+        batches += 1
+        for k, block in enumerate(data_packets(out), 1):
+            at = now + latency + k * spacing
+            assert sender.tick(at).packets == [] and receiver.tick(at).packets == []
+            got = receiver.packet_in("A", block, now=at)
+        [ack] = acks(got)
+        now = at
+    assert batches == 6 and Complete(tid, sent=True) in out.events
+    assert receiver.transfer(tid).data == data
+    # both sides sampled the same whole cycle: 500 ms of blocks plus the round trip
+    cycle = 500.0 + 2 * latency
+    for state in (sender.transfer(tid), receiver.transfer(tid)):
+        assert state.srtt == cycle and state.rto > cycle
+    assert sender.transfer(tid).counters.window_retransmits == 0
+    assert receiver.transfer(tid).counters.ack_retransmits == 0
 
 
 @pytest.mark.parametrize("silent", ["receiver", "sender"])

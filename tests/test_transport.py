@@ -179,6 +179,25 @@ def test_link_model_validation():
         LinkModel(latency_base_ms=-1.0)
     with pytest.raises(ValueError):
         LinkModel(header_tax_bytes=-1)
+    with pytest.raises(ValueError):
+        LinkModel(rate_kbps=-1.0)
+
+
+def test_rate_queues_each_direction_one_datagram_after_another():
+    # 125 bytes at 1000 kbit/s take 1 ms to cross the bottleneck
+    link = make_link(latency_base_ms=5.0, rate_kbps=1000.0)
+    assert [link.send("A", "B", bytes(125), now=0.0) for _ in range(3)] == [[6.0], [7.0], [8.0]]
+    assert link.send("B", "A", bytes(125), now=0.0) == [6.0]  # the other direction is free
+    assert link.send("A", "B", bytes(250), now=20.0) == [27.0]  # the queue drained
+    # a datagram lost on the way still took its turn at the bottleneck
+    for seed in range(40):
+        link = make_link(latency_base_ms=5.0, rate_kbps=1000.0, loss_probability=0.5, seed=seed)
+        first, second = (link.send("A", "B", bytes(125), now=0.0) for _ in range(2))
+        if not first and second:
+            assert second == [7.0]
+            break
+    else:
+        pytest.fail("no seed dropped only the first datagram")
 
 
 # --- end-to-end over the simulator ----------------------------------------
@@ -253,10 +272,11 @@ def test_lost_packets_cost_a_fraction_of_the_interval():
     """1 MiB at 1% loss and 20 ms with default parameters, over fixed seeds.
 
     Beyond the analytic bound, one round trip per window plus one for the
-    announcement, each timer firing may cost interval/4. A firing in the
-    first exchange, before any round-trip sample, still waits the whole
-    interval, and each drain of the last window's leftovers costs one more
-    round trip with no firing at all."""
+    announcement, each timer firing may cost interval/4. A firing before a
+    side's first round-trip sample, which the first window's batch and ack
+    give, still waits the whole interval; these seeds have such a firing
+    only on the announcement. Each drain of the last window's leftovers
+    costs one more round trip with no firing at all."""
     params = TransferParameters()
     interval, latency = params.retransmit_interval_ms, 20.0
     data = random.Random(3).randbytes(2**20)
@@ -272,6 +292,23 @@ def test_lost_packets_cost_a_fraction_of_the_interval():
         allowed = (interval * sender.counters.wr_retransmits + interval / 4 * firings
                    + 2 * latency * drains)
         assert stall <= allowed, f"seed {seed}: {stall} ms stalled, {allowed} allowed"
+
+
+@pytest.mark.parametrize("rate_kbps", [4000.0, 1000.0])
+def test_slow_link_transfer_sends_nothing_twice(rate_kbps):
+    """A lossless 20 ms link on which each 80-block window takes about 0.2 s
+    (4 Mbit/s) or 0.8 s (1 Mbit/s) to cross: no timer fires, because every
+    round-trip sample spans a whole window's transmit time."""
+    data = random.Random(3).randbytes(2**20)
+    model = LinkModel(latency_base_ms=20.0, rate_kbps=rate_kbps)
+    result = run_simulated_transfer(data, model, TransferParameters())
+    assert result.completed and result.data == data
+    sender, receiver = result.sender, result.receiver
+    assert sender.counters.blocks_sent == sender.block_count
+    assert receiver.counters.acks_sent == sender.total_windows + 1
+    assert (sender.counters.wr_retransmits, sender.counters.window_retransmits,
+            receiver.counters.ack_retransmits) == (0, 0, 0)
+    assert result.duration_ms > len(data) * 8 / rate_kbps
 
 
 def test_simulated_transfer_zero_size():
