@@ -30,7 +30,6 @@ from .engine import (
     Complete,
     Engine,
     Errored,
-    Progress,
     SizeExceededError,
     TransferParameters,
     TransferRefused,
@@ -77,7 +76,6 @@ __all__ = [
     "LinkModel",
     "MtuError",
     "PeerKeyPair",
-    "Progress",
     "SealedCipher",
     "SimClock",
     "SimulatedLink",

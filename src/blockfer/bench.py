@@ -108,8 +108,7 @@ def _params_for(config: ExperimentConfig, block_size: int,
     return TransferParameters(
         block_size=block_size, window_size=window_size,
         retransmit_interval_ms=config.interval_ms,
-        max_attempts=config.max_attempts,
-        min_window=min(16, window_size))
+        max_attempts=config.max_attempts)
 
 
 def _stats_from(outcome, data_size: int, block_size: int, window_size: int,
@@ -249,8 +248,7 @@ def evaluate_large(data_size: int = 250 * 2**20, block_size: int = 1200,
     link = link if link is not None else LinkModel()
     params = TransferParameters(
         block_size=block_size, window_size=window_size,
-        retransmit_interval_ms=interval_ms, max_attempts=max_attempts,
-        min_window=min(16, window_size))
+        retransmit_interval_ms=interval_ms, max_attempts=max_attempts)
     data = random.Random(seed).randbytes(data_size)
 
     collected = []

@@ -31,7 +31,6 @@ from .engine import (
     Complete,
     Engine,
     Errored,
-    Progress,
     TransferParameters,
     TransferRefused,
 )
@@ -112,8 +111,7 @@ def _build_params(args, cipher) -> TransferParameters:
         return TransferParameters(
             block_size=block_size, window_size=args.window,
             retransmit_interval_ms=args.interval_ms, max_attempts=args.attempts,
-            max_transfer_size=args.max_size,
-            min_window=min(16, args.window))
+            max_transfer_size=args.max_size)
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
 
@@ -236,9 +234,12 @@ def _pump(endpoint: UdpEndpoint, engine: Engine, cipher) -> Pump:
                 encode_packet, decode_packet, cipher)
 
 
-def _progress_line(done: int, total: int) -> str:
+def _report(done: int, total: int, reported: int) -> int:
+    """Print a progress line if the whole percentage moved since reported; return it."""
     percent = 100 * done // total if total else 100
-    return f"{percent:3d}% ({done}/{total} blocks)"
+    if percent != reported:
+        _err(f"{percent:3d}% ({done}/{total} blocks)")
+    return percent
 
 
 def _cmd_send(args) -> int:
@@ -268,7 +269,6 @@ def _cmd_send(args) -> int:
             for event in pump.take_events():
                 if isinstance(event, Complete) and event.sent:
                     counters = engine.transfer(tid).counters
-                    _err(_progress_line(1, 1))
                     _err(f"complete: {counters.blocks_sent} blocks sent, "
                          f"{counters.lost_blocks} lost on the way")
                     return 0
@@ -276,11 +276,8 @@ def _cmd_send(args) -> int:
                     _err(f"transfer failed: {event.code.name}")
                     return 3
             state = engine.transfer(tid)
-            acked = state.window_index * params.window_size
-            percent = min(100 * acked // max(state.block_count, 1), 99)
-            if percent != reported:
-                reported = percent
-                _err(_progress_line(min(acked, state.block_count), state.block_count))
+            reported = _report(min(state.window_index * params.window_size,
+                                   state.block_count), state.block_count, reported)
 
 
 def _cmd_recv(args) -> int:
@@ -294,17 +291,28 @@ def _cmd_recv(args) -> int:
     engine = Engine(params=params, rng=random.Random(args.seed)
                     if args.seed is not None else random.Random())
     pump = _pump(endpoint, engine, cipher)
-    active = {"peer": None}
+    peer = tid = offer = None  # the claimed sender and its transfer; an unjudged announcement
+
+    def judge_offer() -> None:
+        """Claim the receiver if the engine took the announcement let through."""
+        nonlocal peer, tid, offer
+        if offer is not None:
+            (addr, wr), offer = offer, None
+            taken = engine.transfer(wr.id) is not None
+            _err(f"{'accepting' if taken else 'refused'} {wr.info!r} "
+                 f"({wr.data_size} bytes) from {addr[0]}:{addr[1]}")
+            if taken:
+                peer, tid = addr, wr.id
 
     def accept(addr, packet) -> bool:
-        if active["peer"] is None:
+        nonlocal offer
+        judge_offer()  # every datagram before this one has reached the engine
+        if peer is None:
             if isinstance(packet, WriteRequest):
-                active["peer"] = addr
-                _err(f"accepting {packet.info!r} ({packet.data_size} bytes) "
-                     f"from {addr[0]}:{addr[1]}")
+                offer = (addr, packet)
                 return True
             return False  # strays before any transfer: ignore
-        if addr == active["peer"]:
+        if addr == peer:
             return True
         if isinstance(packet, WriteRequest):  # second sender: turn it away
             wire = encode_packet(ErrorPacket(packet.id, ErrorCode.BUSY,
@@ -316,14 +324,13 @@ def _cmd_recv(args) -> int:
     finished_at = None
     received = None
     code = None
+    reported = -1
     with endpoint:
         while True:
             pump.step(accept=accept)
+            judge_offer()
             for event in pump.take_events():
-                if isinstance(event, Progress):
-                    if event.received_blocks % 512 == 0:
-                        _err(_progress_line(event.received_blocks, event.block_count))
-                elif isinstance(event, Complete) and event.data is not None:
+                if isinstance(event, Complete):
                     received = event.data
                     finished_at = time.monotonic()
                 elif isinstance(event, Errored):
@@ -335,8 +342,10 @@ def _cmd_recv(args) -> int:
                     break
             elif code is not None:
                 return code
-            elif active["peer"] is None and args.wait_s is not None \
-                    and time.monotonic() - started > args.wait_s:
+            elif tid is not None:
+                state = engine.transfer(tid)
+                reported = _report(state.received_count, state.block_count, reported)
+            elif args.wait_s is not None and time.monotonic() - started > args.wait_s:
                 _err("no transfer arrived in time")
                 return 3
 

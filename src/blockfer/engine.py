@@ -2,10 +2,13 @@
 
 One Engine holds every live transfer with any number of peers. Callers feed
 it events (inbound packets, clock ticks, start/cancel requests) and get back
-the packets to put on the wire plus progress/completion callbacks. Feeding
-the same events in the same order always produces byte-identical output;
-time and randomness only enter through the `now` arguments and the injected
-`random.Random`.
+the packets to put on the wire plus an event when a transfer settles
+(Complete or Errored); progress is read from the transfer's state. A
+receiver's Complete carries the only copy of the payload: a settled
+transfer keeps its phase, counters and final acknowledgement, not bytes.
+Feeding the same events in the same order always produces byte-identical
+output; time and randomness only enter through the `now` arguments and the
+injected `random.Random`.
 
 Protocol shape: the sender announces a transfer with a WriteRequest, then
 sends blocks in windows of `window_size`. The receiver acknowledges each
@@ -59,6 +62,7 @@ from .wire import (
 DEFAULT_MAX_TRANSFER_SIZE = 250 * 2**20  # keep whole transfers in memory
 TIMER_SLACK = 8  # stale timer entries tolerated beyond twice the live count
 RTO_MIN_MS = 200.0  # floor of an adaptive timeout, as Linux's TCP_RTO_MIN
+MIN_WINDOW = 16  # a timed-out retry halves its window down to this; smaller ones stay
 
 Peer = Any  # opaque hashable address; sockets use (host, port), tests use str
 
@@ -72,7 +76,6 @@ class TransferParameters:
     retransmit_interval_ms: float = 2000.0
     max_attempts: int = 5
     max_transfer_size: int = DEFAULT_MAX_TRANSFER_SIZE
-    min_window: int = 16
 
     def __post_init__(self):
         if not 1 <= self.block_size <= PAYLOAD_MAX:
@@ -86,28 +89,20 @@ class TransferParameters:
             raise ValueError("max_attempts must be at least 1")
         if self.max_transfer_size < 0:
             raise ValueError("max_transfer_size must not be negative")
-        if not 1 <= self.min_window <= self.window_size:
-            raise ValueError("min_window must be in [1, window_size]")
 
     def downscaled(self) -> "TransferParameters":
-        """Retry parameters after a timeout: half the window, clamped."""
-        return replace(self, window_size=max(self.window_size // 2, self.min_window))
+        """Retry parameters after a timeout: the window halves, but not below MIN_WINDOW."""
+        w = self.window_size
+        return replace(self, window_size=max(w // 2, min(MIN_WINDOW, w)))
 
 
-# --- callbacks and events -----------------------------------------------------
-
-
-@dataclass(frozen=True)
-class Progress:
-    id: int
-    received_blocks: int
-    block_count: int
+# --- settlement events ---------------------------------------------------------
 
 
 @dataclass(frozen=True)
 class Complete:
     id: int
-    data: Optional[bytes] = None  # receiver side carries the payload
+    data: Optional[bytes] = None  # receiver side: the payload, owned by the caller
     sent: bool = False            # sender side carries this flag
 
 
@@ -117,12 +112,12 @@ class Errored:
     code: ErrorCode
 
 
-CallbackEvent = Union[Progress, Complete, Errored]
+CallbackEvent = Union[Complete, Errored]
 
 
 @dataclass
 class EngineOutput:
-    """Packets to transmit (peer, packet) and callbacks, in emission order."""
+    """Packets to transmit (peer, packet) and settlement events, in emission order."""
 
     packets: list[tuple[Peer, Packet]] = field(default_factory=list)
     events: list[CallbackEvent] = field(default_factory=list)
@@ -243,8 +238,7 @@ class ReceiverState:
     total_windows: int
     interval_ms: float
     max_attempts: int
-    received: bytearray = field(repr=False)
-    blocks: Optional[list] = field(repr=False, default=None)
+    blocks: Optional[list] = field(repr=False, default=None)  # None once settled
     received_count: int = 0
     expected_window: int = 0
     missing: set = field(default_factory=set)  # unreceived below the closed boundary
@@ -260,7 +254,6 @@ class ReceiverState:
     started_at: float = 0.0
     finished_at: Optional[float] = None
     error: Optional[ErrorCode] = None  # the code it FAILED with
-    data: Optional[bytes] = field(repr=False, default=None)
     counters: ReceiverCounters = field(default_factory=ReceiverCounters)
 
     def deadline(self) -> float:
@@ -293,8 +286,9 @@ class Engine:
 
     At most one live transfer per peer, in either direction. Finished
     transfers stay inspectable via transfer(), which prefers a live state
-    over a finished one with the same id; a finished receiver keeps
-    answering duplicate data with its final acknowledgement so a lost final
+    over a finished one with the same id. A finished receiver keeps its
+    phase, counters and final acknowledgement but none of the payload, and
+    keeps answering duplicate data with that acknowledgement so a lost final
     ack cannot wedge the sender.
 
     Cost model: the live table is keyed by peer and the finished table by
@@ -503,6 +497,11 @@ class Engine:
         return state if state is not None and state.peer == peer else None
 
     def _settle(self, state) -> None:
+        # no payload stays behind: the caller owns what it sent or got in Complete
+        if isinstance(state, ReceiverState):
+            state.blocks = None
+        else:
+            state.data = b""
         del self._live[state.peer]
         self._finished[state.id] = state
         self._my_ids.discard(state.id)
@@ -548,15 +547,12 @@ class Engine:
             interval_ms=self.params.retransmit_interval_ms,
             max_attempts=self.params.max_attempts,
             rto=self.params.retransmit_interval_ms,
-            received=bytearray(wr.block_count),
             blocks=[None] * wr.block_count,
             attempts_left=self.params.max_attempts,
             started_at=now,
         )
         self._go_live(state)
         if wr.block_count == 0:
-            state.data = b""
-            state.blocks = None
             state.phase = ReceiverPhase.DONE
             state.finished_at = now
             self._emit_ack(state, out, now)
@@ -596,31 +592,28 @@ class Engine:
                        notify_peer=True, message=f"block {n} has wrong length")
             return
         state.attempts_left = state.max_attempts
-        if state.received[n]:
+        blocks = state.blocks
+        if blocks[n] is not None:
             state.counters.duplicate_blocks += 1
             return
-        state.received[n] = 1
+        blocks[n] = d.payload
         state.received_count += 1
-        state.blocks[n] = d.payload
         state.missing.discard(n)
         state.counters.blocks_received += 1
-        out.events.append(Progress(state.id, state.received_count, state.block_count))
 
         if state.received_count == state.block_count:
-            state.data = b"".join(state.blocks)
-            state.blocks = None  # release per-block storage
             state.missing.clear()
             state.expected_window = state.total_windows
             state.phase = ReceiverPhase.DONE
             state.finished_at = now
             self._emit_ack(state, out, now)
-            out.events.append(Complete(state.id, data=state.data))
+            out.events.append(Complete(state.id, data=b"".join(blocks)))
             self._settle(state)
         elif state.expected_window < state.total_windows and n == state.closing_block():
             lo = state.expected_window * state.window_size
             hi = min(lo + state.window_size, state.block_count)
             for m in range(lo, hi):
-                if not state.received[m]:
+                if blocks[m] is None:
                     state.missing.add(m)
             state.expected_window += 1
             self._emit_ack(state, out, now)

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from ..crypto import AuthenticationError, IdentityCipher
-from ..engine import ReceiverState, SenderPhase, SenderState
+from ..engine import Complete, ReceiverState, SenderPhase, SenderState
 from ..wire import DecodeError, ErrorCode
 
 
@@ -38,8 +38,9 @@ class Pump:
     delivers to, to its Engine. encode and decode are the codec; callers
     pass the names their own module imported, so that whatever wraps those
     module globals sees every datagram. The identity cipher (the default)
-    is skipped rather than called. Events the engines emit collect in
-    events until take_events().
+    is skipped rather than called. The settlement events the engines emit
+    collect in events until take_events(); outcome() reads the received
+    payload from them.
     """
 
     def __init__(self, engines: dict, transport, encode, decode, cipher=None):
@@ -106,8 +107,9 @@ class Pump:
     def outcome(self, tid: int, sender, receiver, trace=None) -> TransferOutcome:
         """Transfer tid as the engines named sender and receiver left it.
 
-        The error is that of the side that failed first, the sender's on a
-        tie: the first Errored event either engine emitted.
+        The data comes from the receiver's Complete event. The error is that
+        of the side that failed first, the sender's on a tie: the first
+        Errored event either engine emitted.
         """
         sent = self.engines[sender].transfer(tid)
         received = self.engines[receiver].transfer(tid)
@@ -117,7 +119,9 @@ class Pump:
             completed=sent.phase is SenderPhase.DONE,
             duration_ms=finished - sent.started_at,
             transfer_id=tid,
-            data=received.data if received is not None else None,
+            data=next((e.data for e in self.events
+                       if isinstance(e, Complete) and e.id == tid and e.data is not None),
+                      None),
             sender=sent,
             receiver=received,
             error=min(failed, key=lambda s: s.finished_at).error if failed else None,

@@ -98,8 +98,6 @@ class SimulatedLink:
     def __init__(self, model: LinkModel, clock: SimClock):
         self.model = model
         self.clock = clock
-        self.sends = 0
-        self.drops = 0
         self._rng = random.Random(model.seed)
         self._free_at: dict = {}  # (src, dst) -> when that direction's bottleneck frees
 
@@ -118,12 +116,10 @@ class SimulatedLink:
             raise MtuError(
                 f"datagram of {len(datagram)} bytes (+{self.model.header_tax_bytes} "
                 f"header tax) exceeds the {MTU}-byte MTU")
-        self.sends += 1
         if self.model.rate_kbps:
             start = max(now, self._free_at.get((src, dst), now))
             now = self._free_at[(src, dst)] = start + len(datagram) * 8 / self.model.rate_kbps
         if self._rng.random() < self.model.loss_probability:
-            self.drops += 1
             return []
         times = []
         time, tie = self._delivery(now)
@@ -204,5 +200,5 @@ def run_simulated_transfer(data: bytes, model: Optional[LinkModel] = None,
     tid, out = pump.engines["A"].start_transfer("B", info, data, now=0.0)
     pump.flush("A", out)
     while pump.step():
-        pump.events.clear()  # the outcome reads the engine states instead
+        pass
     return pump.outcome(tid, "A", "B", trace)

@@ -195,5 +195,4 @@ def run_loopback_transfer(data: bytes, params: Optional[TransferParameters] = No
                 sender.live_transfer_with(b.address) is not None
                 or receiver.live_transfer_with(a.address) is not None):
             pump.step()
-            pump.events.clear()  # the outcome reads the engine states instead
         return pump.outcome(tid, a.address, b.address)

@@ -62,8 +62,7 @@ def test_criterion_1_lossless_exactness():
         size = 0 if trial == 0 else rng.randrange(1, 5_000_000 + 1)
         block = rng.randrange(200, 1201)
         window = rng.choice((1, 2, 4, 8, 16, 32, 64, 128, 256))
-        params = TransferParameters(block_size=block, window_size=window,
-                                    min_window=min(16, window))
+        params = TransferParameters(block_size=block, window_size=window)
         model = LinkModel(latency_base_ms=rng.uniform(0.0, 30.0), seed=trial)
         data = rng.randbytes(size)
 
@@ -102,8 +101,7 @@ def test_criterion_2_loss_recovery_piggyback():
         window = rng.choice((8, 16, 32, 64))
         params = TransferParameters(
             block_size=rng.randrange(600, 1201), window_size=window,
-            retransmit_interval_ms=200.0, max_attempts=8,
-            min_window=min(16, window))
+            retransmit_interval_ms=200.0, max_attempts=8)
         data = rng.randbytes(size)
 
         outcome = run_simulated_transfer(data, model, params, info=f"t{trial}")
@@ -125,7 +123,7 @@ def test_criterion_2_loss_recovery_piggyback():
 def test_criterion_3_golden_trace():
     data = random.Random(9).randbytes(1800)  # exactly 3 blocks of 600
     model = LinkModel(latency_base_ms=10.0, seed=42)
-    params = TransferParameters(block_size=600, window_size=4, min_window=4)
+    params = TransferParameters(block_size=600, window_size=4)
     outcome = run_simulated_transfer(data, model, params, info="golden",
                                      record_trace=True)
     assert outcome.completed and outcome.data == data

@@ -160,3 +160,33 @@ def test_eval_sim_prints_report(tmp_path):
     assert result.returncode == 0, result.stderr
     assert "throughput" in result.stdout
     assert "window retransmits" in result.stdout
+
+
+def test_recv_refusal_keeps_waiting_for_a_valid_sender(tmp_path):
+    """An announcement over --max-size is refused without claiming the
+    receiver: the next sender's file arrives and recv exits 0."""
+    oversize, valid, sink = tmp_path / "big.bin", tmp_path / "ok.bin", tmp_path / "out.bin"
+    oversize.write_bytes(b"b" * 5000)
+    data = random.Random(5).randbytes(800)
+    valid.write_bytes(data)
+    port = free_port()
+    recv = subprocess.Popen(
+        [*CLI, "recv", "--port", str(port), "--out", str(sink),
+         "--max-size", "1000", "--wait-s", "20"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True)
+    try:
+        send_args = ("send", "--to", f"127.0.0.1:{port}", "--interval-ms", "200",
+                     "--attempts", "20")
+        refused = run_cli(*send_args, oversize)
+        accepted = run_cli(*send_args, valid)
+        _, recv_err = recv.communicate(timeout=30)
+    finally:
+        if recv.poll() is None:
+            recv.kill()
+            recv.communicate()
+    assert refused.returncode == 3 and "SIZE_EXCEEDED" in refused.stderr
+    assert accepted.returncode == 0, accepted.stderr
+    assert recv.returncode == 0, recv_err
+    assert "refused 'big.bin' (5000 bytes)" in recv_err
+    assert "accepting 'ok.bin' (800 bytes)" in recv_err
+    assert sink.read_bytes() == data

@@ -4,7 +4,9 @@ Expected packet sequences in the walkthroughs were worked out by hand from
 the window rules, then asserted literally.
 """
 
+import gc
 import random
+import tracemalloc
 from dataclasses import replace
 
 import pytest
@@ -17,7 +19,6 @@ from blockfer.engine import (
     Complete,
     Engine,
     Errored,
-    Progress,
     ReceiverPhase,
     ScheduledTransfer,
     SenderPhase,
@@ -39,7 +40,7 @@ from blockfer.wire import (
 )
 
 SMALL = TransferParameters(block_size=4, window_size=2, retransmit_interval_ms=2000,
-                           max_attempts=5, min_window=1)
+                           max_attempts=5)
 
 
 def make_pair(params=SMALL, seed=1):
@@ -98,16 +99,16 @@ def pump(sender, receiver, out, now=0.0, drop=None, allow_ticks=False):
 
 
 def test_downscale_window():
-    params = TransferParameters(window_size=80, min_window=16)
+    params = TransferParameters(window_size=80)
     seen = [params.window_size]
     for _ in range(6):
         params = params.downscaled()
         seen.append(params.window_size)
     assert seen == [80, 40, 20, 16, 16, 16, 16]
     # strictly decreasing until the clamp, then fixed
-    assert TransferParameters(window_size=16, min_window=16).downscaled().window_size == 16
-    assert TransferParameters(window_size=17, min_window=16).downscaled().window_size == 16
-    assert TransferParameters(window_size=33, min_window=16).downscaled().window_size == 16
+    assert TransferParameters(window_size=16).downscaled().window_size == 16
+    assert TransferParameters(window_size=17).downscaled().window_size == 16
+    assert TransferParameters(window_size=33).downscaled().window_size == 16
 
 
 def test_parameter_validation():
@@ -123,10 +124,6 @@ def test_parameter_validation():
         TransferParameters(retransmit_interval_ms=0)
     with pytest.raises(ValueError):
         TransferParameters(max_attempts=0)
-    with pytest.raises(ValueError):
-        TransferParameters(min_window=0)
-    with pytest.raises(ValueError):
-        TransferParameters(window_size=8, min_window=9)
 
 
 # --- lossless walkthrough ----------------------------------------------------
@@ -150,10 +147,11 @@ def test_lossless_five_block_walkthrough():
     assert sender.transfer(tid).window_index == 1
 
     out1 = receiver.packet_in("A", data_packets(out)[0], now=3.0)
-    assert out1.packets == [] and out1.events == [Progress(tid, 1, 5)]
+    assert out1.packets == [] and out1.events == []
+    assert receiver.transfer(tid).received_count == 1
     out2 = receiver.packet_in("A", data_packets(out)[1], now=3.5)
     assert acks(out2) == [Acknowledgement(tid, 1, ())]
-    assert out2.events == [Progress(tid, 2, 5)]
+    assert out2.events == [] and receiver.transfer(tid).received_count == 2
 
     out = sender.packet_in("B", acks(out2)[0], now=4.0)
     assert data_packets(out) == [Data(tid, 2, data[8:12]), Data(tid, 3, data[12:16])]
@@ -166,8 +164,10 @@ def test_lossless_five_block_walkthrough():
 
     out = receiver.packet_in("A", data_packets(out)[0], now=7.0)
     assert acks(out) == [Acknowledgement(tid, 3, ())]
-    assert out.events == [Progress(tid, 5, 5), Complete(tid, data=data)]
-    assert receiver.transfer(tid).phase is ReceiverPhase.DONE
+    assert out.events == [Complete(tid, data=data)]
+    state = receiver.transfer(tid)
+    assert state.phase is ReceiverPhase.DONE and state.received_count == 5
+    assert state.blocks is None  # the Complete event holds the only copy
 
     out = sender.packet_in("B", acks(out)[0], now=8.0)
     assert out.events == [Complete(tid, sent=True)]
@@ -185,10 +185,18 @@ def test_lossless_counts_random_sizes():
         block = rng.randrange(1, 40)
         window = rng.randrange(1, 9)
         size = rng.randrange(0, 900)
-        params = TransferParameters(block_size=block, window_size=window, min_window=1)
+        params = TransferParameters(block_size=block, window_size=window)
         sender, receiver = make_pair(params, seed=rng.randrange(10**6))
         data = rng.randbytes(size)
         tid, out = sender.start_transfer("B", "x", data, now=0.0)
+        counts = []  # the receiver's received_count after each packet it takes in
+
+        def packet_in(peer, packet, now, deliver=receiver.packet_in):
+            result = deliver(peer, packet, now=now)
+            counts.append(receiver.transfer(tid).received_count)
+            return result
+
+        receiver.packet_in = packet_in
         events = pump(sender, receiver, out)
         block_count = block_count_for(size, block)
         windows = block_count_for(block_count, window)
@@ -203,8 +211,7 @@ def test_lossless_counts_random_sizes():
         assert Complete(tid, data=data) in events
         assert Complete(tid, sent=True) in events
         # progress is monotonic and complete happens exactly once per side
-        progresses = [e.received_blocks for e in events if isinstance(e, Progress)]
-        assert progresses == sorted(progresses)
+        assert counts == sorted(counts) and counts[-1] == block_count
         assert len([e for e in events if isinstance(e, Complete)]) == 2
 
 
@@ -258,20 +265,20 @@ def test_last_window_drain():
 
 def test_every_listed_block_is_in_the_next_batch():
     rng = random.Random(21)
-    params = TransferParameters(block_size=8, window_size=4, min_window=1)
+    params = TransferParameters(block_size=8, window_size=4)
     for _ in range(10):
         sender, receiver = make_pair(params, seed=rng.randrange(10**6))
         data = rng.randbytes(rng.randrange(100, 1200))
         tid, out = sender.start_transfer("B", "x", data, now=0.0)
-        pump(sender, receiver, out, allow_ticks=True,
-             drop=lambda p: isinstance(p, Data) and rng.random() < 0.25)
+        events = pump(sender, receiver, out, allow_ticks=True,
+                      drop=lambda p: isinstance(p, Data) and rng.random() < 0.25)
         s = sender.transfer(tid)
         assert s.phase is SenderPhase.DONE
         assert len(s.batch_log) == len(s.ack_log) - 1  # final ack opens no batch
         for ack, batch in zip(s.ack_log, s.batch_log):
             assert ack.window_index == batch.window_index
             assert set(ack.unreceived) <= set(batch.blocks)
-        assert receiver.transfer(tid).data == data
+        assert Complete(tid, data=data) in events
 
 
 # --- write request handling --------------------------------------------------
@@ -386,10 +393,11 @@ def test_duplicate_block_no_double_progress():
     ack0 = acks(receiver.packet_in("A", wr, now=1.0))[0]
     out = sender.packet_in("B", ack0, now=2.0)
     block0 = data_packets(out)[0]
-    first = receiver.packet_in("A", block0, now=3.0)
-    assert first.events == [Progress(tid, 1, 5)]
+    receiver.packet_in("A", block0, now=3.0)
+    assert receiver.transfer(tid).received_count == 1
     second = receiver.packet_in("A", block0, now=4.0)
     assert second.events == [] and second.packets == []
+    assert receiver.transfer(tid).received_count == 1
     assert receiver.transfer(tid).counters.duplicate_blocks == 1
 
 
@@ -400,7 +408,7 @@ def test_early_block_stored_quietly():
     receiver.packet_in("A", wr, now=1.0)
     out = receiver.packet_in("A", Data(tid, 2, bytes(range(8, 12))), now=2.0)
     assert acks(out) == []  # stored, but window 0 is still open
-    assert out.events == [Progress(tid, 1, 4)]
+    assert out.events == [] and receiver.transfer(tid).received_count == 1
     receiver.packet_in("A", Data(tid, 0, bytes(range(0, 4))), now=3.0)
     out = receiver.packet_in("A", Data(tid, 1, bytes(range(4, 8))), now=4.0)
     assert acks(out) == [Acknowledgement(tid, 1, ())]  # nothing missing below boundary
@@ -517,9 +525,9 @@ def test_sender_timeout_after_exactly_max_attempts_intervals():
     assert Errored(tid, ErrorCode.TIMEOUT) in out.events
     assert state.attempts_left == 0
     assert state.counters.wr_retransmits == SMALL.max_attempts - 1
-    # downscaled retry parameters attached: 2 -> max(1, min_window=1)
+    # downscaled retry parameters attached: 2 -> max(2 // 2, min(16, 2))
     assert state.retry_params is not None
-    assert state.retry_params.window_size == 1
+    assert state.retry_params.window_size == 2
 
 
 def test_window_timeout_retransmits_pending_batch():
@@ -702,7 +710,7 @@ def test_slow_window_is_not_resent_before_its_ack():
         [ack] = acks(got)
         now = at
     assert batches == 6 and Complete(tid, sent=True) in out.events
-    assert receiver.transfer(tid).data == data
+    assert Complete(tid, data=data) in got.events
     # both sides sampled the same whole cycle: 500 ms of blocks plus the round trip
     cycle = 500.0 + 2 * latency
     for state in (sender.transfer(tid), receiver.transfer(tid)):
@@ -728,10 +736,39 @@ def test_peer_silent_mid_transfer_times_out_within_the_budget(silent):
     # the last valid inbound packet came at t=0: 200+400+800+1600, then 5 x 2000
     assert state.finished_at == 13000.0
     assert attempts * interval <= state.finished_at <= (attempts + 2) * interval
+    # the receiver settles FAILED either way, and keeps none of the blocks it had
+    settled = receiver.transfer(tid)
+    assert settled.phase is ReceiverPhase.FAILED and settled.received_count >= 4
+    assert settled.blocks is None
+
+
+def test_settled_transfers_retain_no_payload():
+    """200 transfers of 64 KiB each through one engine pair: once the caller
+    drops its payloads and the Complete events, the engines' settled tables
+    hold phases, counters and logs only, not one payload per transfer."""
+    params = TransferParameters(block_size=1024, window_size=16)
+    sender, receiver = make_pair(params)
+    rng = random.Random(11)
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        for _ in range(200):
+            data = rng.randbytes(64 * 1024)
+            tid, out = sender.start_transfer("B", "x", data, now=0.0)
+            assert Complete(tid, data=data) in pump(sender, receiver, out)
+            assert receiver.transfer(tid).blocks is None
+        del data, out
+        gc.collect()
+        retained = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert len(receiver._finished) == len(sender._finished) == 200
+    assert retained < 2 * 2**20, f"engines retain {retained / 2**20:.2f} MiB"
 
 
 TIMED = TransferParameters(block_size=4, window_size=2, retransmit_interval_ms=100.0,
-                           max_attempts=3, min_window=1)
+                           max_attempts=3)
 ADAPTIVE = replace(TIMED, retransmit_interval_ms=1000.0)
 PEERS = ["P0", "P1", "P2", "P3"]
 
@@ -876,7 +913,7 @@ def test_start_transfer_refusals():
     with pytest.raises(SizeExceededError):
         sender.start_transfer("C", "z", bytes(20),
                               params=TransferParameters(block_size=4, window_size=2,
-                                                        max_transfer_size=10, min_window=1),
+                                                        max_transfer_size=10),
                               now=2.0)
 
 
@@ -887,7 +924,7 @@ def test_scheduler_fifo_and_conditions():
     sched.schedule_transfer(ScheduledTransfer("P1", "a", bytes(8)))
     sched.schedule_transfer(ScheduledTransfer("P1", "b", bytes(8)))
     sched.schedule_transfer(ScheduledTransfer("P2", "c", bytes(8)))
-    oversize = TransferParameters(block_size=4, window_size=2, max_transfer_size=4, min_window=1)
+    oversize = TransferParameters(block_size=4, window_size=2, max_transfer_size=4)
     sched.schedule_transfer(ScheduledTransfer("P3", "d", bytes(8), params=oversize))
 
     started, out = sched.poll_scheduled(engine, lambda p: connected.get(p, False), now=0.0)

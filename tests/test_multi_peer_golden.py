@@ -26,7 +26,7 @@ from blockfer.wire import decode_packet, encode_packet
 GOLDEN = Path(__file__).parent / "golden" / "multi_peer_stream.json"
 
 PARAMS = TransferParameters(block_size=512, window_size=8,
-                            retransmit_interval_ms=100.0, max_attempts=5, min_window=4)
+                            retransmit_interval_ms=100.0, max_attempts=5)
 HUB = "H"
 OUTBOUND = [f"P{k:02d}" for k in range(10)]       # the hub sends to these
 INBOUND = [f"P{k:02d}" for k in range(10, 20)]    # these send to the hub

@@ -7,8 +7,7 @@ from blockfer.engine import Engine, TransferParameters
 from blockfer.transport import Pump
 from blockfer.wire import decode_packet, encode_packet
 
-PARAMS = TransferParameters(block_size=100, window_size=4, retransmit_interval_ms=50.0,
-                            min_window=1)
+PARAMS = TransferParameters(block_size=100, window_size=4, retransmit_interval_ms=50.0)
 
 
 class ScriptedTransport:

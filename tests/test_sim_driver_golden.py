@@ -44,8 +44,7 @@ def cases():
                           duplicate_probability=0.05 if shuffle else 0.0,
                           seed=seed)
         params = TransferParameters(block_size=BLOCK, window_size=window,
-                                    retransmit_interval_ms=150.0, max_attempts=6,
-                                    min_window=min(4, window))
+                                    retransmit_interval_ms=150.0, max_attempts=6)
         name = (f"loss={loss} latency={latency} jitter={jitter} "
                 f"shuffle={shuffle} W={window}")
         yield name, random.Random(seed).randbytes(SIZE), model, params

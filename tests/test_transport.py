@@ -204,7 +204,7 @@ def test_rate_queues_each_direction_one_datagram_after_another():
 
 
 def test_simulated_transfer_lossless_exact_counts():
-    params = TransferParameters(block_size=600, window_size=4, min_window=4)
+    params = TransferParameters(block_size=600, window_size=4)
     data = random.Random(0).randbytes(10_000)
     result = run_simulated_transfer(
         data, LinkModel(latency_base_ms=5.0, seed=3), params, record_trace=True)
@@ -223,7 +223,7 @@ def test_simulated_transfer_lossless_exact_counts():
 
 
 def test_simulated_transfer_survives_loss_reorder_duplication():
-    params = TransferParameters(block_size=600, window_size=8, min_window=4,
+    params = TransferParameters(block_size=600, window_size=8,
                                 retransmit_interval_ms=200.0, max_attempts=8)
     data = random.Random(1).randbytes(64_000)
     for loss, seed in ((0.05, 21), (0.2, 22)):
@@ -240,7 +240,7 @@ def test_simulated_transfer_survives_loss_reorder_duplication():
 
 
 def test_simulated_transfer_is_deterministic():
-    params = TransferParameters(block_size=600, window_size=8, min_window=4,
+    params = TransferParameters(block_size=600, window_size=8,
                                 retransmit_interval_ms=200.0, max_attempts=8)
     data = random.Random(2).randbytes(30_000)
     model = LinkModel(loss_probability=0.1, latency_base_ms=15.0,
