@@ -30,13 +30,16 @@ its next fresh ack), skips units it had to re-send (Karn's rule), and sets
 the RTO to SRTT + 4 * RTTVAR, clamped to [RTO_MIN_MS, retransmit interval].
 Every sample thus spans the time a whole batch takes to cross the link,
 which is what a deadline has to cover; the announcement and its ack are
-one small datagram each way and are not timed. Until the first sample the
-RTO is the interval. Each firing doubles the RTO up to the interval. Any
-valid inbound packet for the transfer refills the attempt budget; a firing
-spends an attempt only once the RTO has reached the interval, so
-`max_attempts` such firings in a row fail the transfer with TIMEOUT within
-(max_attempts + 2) intervals of the last valid inbound packet, and the
-sender attaches halved-window retry parameters to the failed record.
+one small datagram each way and are not timed. A transfer starts from the
+SRTT and RTTVAR of the last settled transfer with the same peer, in either
+direction (RFC 9040's temporal sharing), and its RTO from those; with no
+such transfer it starts at the interval. Each firing doubles the RTO up to
+the interval. Any valid inbound packet for the transfer refills the attempt
+budget; a firing spends an attempt only once the RTO has reached the
+interval, so `max_attempts` such firings in a row fail the transfer with
+TIMEOUT within (max_attempts + 2) intervals of the last valid inbound
+packet, and the sender attaches halved-window retry parameters to the
+failed record.
 """
 
 from __future__ import annotations
@@ -63,6 +66,7 @@ DEFAULT_MAX_TRANSFER_SIZE = 250 * 2**20  # keep whole transfers in memory
 TIMER_SLACK = 8  # stale timer entries tolerated beyond twice the live count
 RTO_MIN_MS = 200.0  # floor of an adaptive timeout, as Linux's TCP_RTO_MIN
 MIN_WINDOW = 16  # a timed-out retry halves its window down to this; smaller ones stay
+RTT_CACHE_PEERS = 1024  # peers whose last (srtt, rttvar) seeds their next transfer
 
 Peer = Any  # opaque hashable address; sockets use (host, port), tests use str
 
@@ -186,7 +190,7 @@ class ReceiverCounters:
     duplicate_blocks: int = 0
 
 
-@dataclass
+@dataclass(slots=True)
 class SenderState:
     id: int
     peer: Peer
@@ -201,7 +205,7 @@ class SenderState:
     pending: tuple[int, ...] = ()
     attempts_left: int = 0
     last_send_time: float = 0.0
-    rto: float = 0.0  # current retransmit timeout; starts at the interval
+    rto: float = 0.0  # current retransmit timeout; seeded from the peer, else the interval
     srtt: Optional[float] = None  # smoothed round trip, None before the first sample
     rttvar: float = 0.0
     timed_at: Optional[float] = None  # send time of the unit being timed, if any
@@ -226,7 +230,7 @@ class SenderState:
         return self.last_send_time + self.rto
 
 
-@dataclass
+@dataclass(slots=True)
 class ReceiverState:
     id: int
     peer: Peer
@@ -246,7 +250,7 @@ class ReceiverState:
     phase: ReceiverPhase = ReceiverPhase.RECEIVING
     attempts_left: int = 0
     last_ack_time: float = 0.0
-    rto: float = 0.0  # current retransmit timeout; starts at the interval
+    rto: float = 0.0  # current retransmit timeout; seeded from the peer, else the interval
     srtt: Optional[float] = None  # smoothed round trip, None before the first sample
     rttvar: float = 0.0
     timed_at: Optional[float] = None  # send time of the ack being timed, if any
@@ -267,6 +271,10 @@ class ReceiverState:
         return Acknowledgement(self.id, self.total_windows, ())
 
 
+def _set_rto(state) -> None:
+    state.rto = min(state.interval_ms, max(RTO_MIN_MS, state.srtt + 4 * state.rttvar))
+
+
 def _sample_rtt(state, rtt: float) -> None:
     """Fold one round-trip sample into a state's timeout (RFC 6298, section 2)."""
     if state.srtt is None:
@@ -274,7 +282,7 @@ def _sample_rtt(state, rtt: float) -> None:
     else:
         state.rttvar = 0.75 * state.rttvar + 0.25 * abs(state.srtt - rtt)
         state.srtt = 0.875 * state.srtt + 0.125 * rtt
-    state.rto = min(state.interval_ms, max(RTO_MIN_MS, state.srtt + 4 * state.rttvar))
+    _set_rto(state)
     state.timed_at = None
 
 
@@ -302,7 +310,11 @@ class Engine:
     twice the live count. Timers due at the same instant fire in the order
     their transfers went live. transfer() and cancel() scan only the live
     table, which holds one state per peer; transfer() then indexes the
-    finished table by id.
+    finished table by id. Going live costs one lookup in the RTT cache, and
+    settling with an RTT estimate one store; the cache is keyed by peer,
+    shared by both roles, and drops its least recently settled peer beyond
+    RTT_CACHE_PEERS, so spoofed source addresses cannot grow it without
+    bound.
     """
 
     def __init__(self, params: Optional[TransferParameters] = None,
@@ -311,6 +323,7 @@ class Engine:
         self.rng = rng if rng is not None else random.Random()
         self._live: dict = {}       # peer -> its live state, in the order they went live
         self._finished: dict = {}   # transfer id -> settled state
+        self._rtt: dict = {}        # peer -> (srtt, rttvar) of its last settled transfer
         self._my_ids: set = set()   # ids of live transfers this side initiated
         self._timers: list = []     # heap of (deadline, start_seq, state)
         self._started = 0           # start_seq of the next state to go live
@@ -478,6 +491,10 @@ class Engine:
         return now
 
     def _go_live(self, state) -> None:
+        cached = self._rtt.get(state.peer)
+        if cached is not None:
+            state.srtt, state.rttvar = cached
+            _set_rto(state)
         state.start_seq = self._started
         self._started += 1
         self._live[state.peer] = state
@@ -504,6 +521,12 @@ class Engine:
             state.data = b""
         del self._live[state.peer]
         self._finished[state.id] = state
+        if state.srtt is not None:
+            rtt = self._rtt
+            rtt.pop(state.peer, None)  # re-inserted last: the dict stays in settle order
+            rtt[state.peer] = state.srtt, state.rttvar
+            if len(rtt) > RTT_CACHE_PEERS:
+                del rtt[next(iter(rtt))]
         self._my_ids.discard(state.id)
         self._bound_timers()
 

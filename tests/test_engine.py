@@ -15,6 +15,7 @@ from hypothesis.stateful import RuleBasedStateMachine, invariant, rule
 
 from blockfer.engine import (
     RTO_MIN_MS,
+    RTT_CACHE_PEERS,
     TIMER_SLACK,
     Complete,
     Engine,
@@ -55,9 +56,11 @@ def acks(out):
     return [p for _, p in out.packets if isinstance(p, Acknowledgement)]
 
 
-def pump(sender, receiver, out, now=0.0, drop=None, allow_ticks=False):
+def pump(sender, receiver, out, now=0.0, drop=None, allow_ticks=False, hop=0.0):
     """Deliver every emitted packet to the other engine until quiet.
 
+    Each round of deliveries (B's inbox, then A's) happens hop ms after the
+    round before it.
     drop(packet) -> True consumes a packet silently, once per matching send.
     With allow_ticks, the clock jumps to the next retransmit deadline when
     both directions go silent, so dropped window-closing blocks recover.
@@ -80,6 +83,7 @@ def pump(sender, receiver, out, now=0.0, drop=None, allow_ticks=False):
                 events.extend(result.events)
                 inboxes[other].extend(result.packets)
             continue
+        now += hop
         for name in ("B", "A"):
             queue, inboxes[name] = inboxes[name], []
             for to, packet in queue:
@@ -767,6 +771,113 @@ def test_settled_transfers_retain_no_payload():
     assert retained < 2 * 2**20, f"engines retain {retained / 2**20:.2f} MiB"
 
 
+# --- the per-peer RTT cache -----------------------------------------------------
+
+
+def seeded_pair():
+    """An engine pair after one 3-window transfer from A to B, 2 ms a round:
+    each side has sampled cycles of a few ms, so a timeout seeded from them
+    sits at RTO_MIN_MS. Returns the engines and the settled sender and
+    receiver."""
+    sender, receiver = make_pair()
+    tid, out = sender.start_transfer("B", "x", bytes(range(20)), now=0.0)
+    assert Complete(tid, sent=True) in pump(sender, receiver, out, hop=2.0)
+    first, received = sender.transfer(tid), receiver.transfer(tid)
+    assert 0 < first.srtt < 10 and 0 < received.srtt < 10
+    return sender, receiver, first, received
+
+
+def test_second_transfer_resends_a_lost_announcement_after_the_seeded_rto():
+    sender, receiver, first, _ = seeded_pair()
+    tid, _ = sender.start_transfer("B", "y", bytes(range(20)), now=100.0)
+    state = sender.transfer(tid)
+    assert (state.srtt, state.rttvar, state.rto) == (first.srtt, first.rttvar, RTO_MIN_MS)
+    # the announcement is lost: it goes again after the seeded timeout, not the interval
+    assert sender.tick(now=100.0 + RTO_MIN_MS - 0.1).packets == []
+    resent = sender.tick(now=100.0 + RTO_MIN_MS)
+    assert [p for _, p in resent.packets] == [state.write_request]
+    assert state.counters.wr_retransmits == 1 and state.attempts_left == SMALL.max_attempts
+    assert state.rto == 2 * RTO_MIN_MS  # Karn's rule and the backoff are unchanged
+    assert Complete(tid, sent=True) in pump(sender, receiver, resent, now=100.0 + RTO_MIN_MS)
+
+
+def test_second_announcement_reacks_a_lost_closing_block_after_the_seeded_rto():
+    sender, receiver, _, received = seeded_pair()
+    tid, out = sender.start_transfer("B", "y", bytes(range(20)), now=100.0)
+    [(_, wr)] = out.packets
+    [ack0] = acks(receiver.packet_in("A", wr, now=102.0))
+    state = receiver.transfer(tid)
+    assert (state.srtt, state.rttvar, state.rto) == (received.srtt, received.rttvar, RTO_MIN_MS)
+    b0, _ = data_packets(sender.packet_in("B", ack0, now=104.0))
+    receiver.packet_in("A", b0, now=106.0)  # block 1, which closes window 0, is lost
+    assert receiver.tick(now=102.0 + RTO_MIN_MS - 0.1).packets == []
+    assert acks(receiver.tick(now=102.0 + RTO_MIN_MS)) == [ack0]
+    assert state.counters.ack_retransmits == 1 and state.attempts_left == SMALL.max_attempts
+
+
+def test_only_the_same_peer_seeds_a_new_transfer():
+    sender, receiver, first, _ = seeded_pair()
+    tid, _ = sender.start_transfer("C", "y", bytes(20), now=100.0)
+    other = sender.transfer(tid)
+    assert (other.srtt, other.rto) == (None, SMALL.retransmit_interval_ms)
+    receiver.packet_in("C", WriteRequest(id=7, info="z", data_size=20, block_size=4,
+                                         window_size=2, block_count=5, nonce=1), now=100.0)
+    assert (receiver.transfer(7).srtt, receiver.transfer(7).rto) == (None, SMALL.retransmit_interval_ms)
+    # one cache serves both roles: the engine that received from A now sends to A
+    tid, _ = receiver.start_transfer("A", "back", bytes(20), now=100.0)
+    assert receiver.transfer(tid).rto == RTO_MIN_MS
+    sender.cancel(other.id, now=101.0)
+    tid, _ = sender.start_transfer("B", "again", bytes(20), now=101.0)
+    assert (sender.transfer(tid).srtt, sender.transfer(tid).rto) == (first.srtt, RTO_MIN_MS)
+
+
+def test_seeded_rto_is_clamped_to_the_new_transfers_interval():
+    sender = Engine(params=SMALL, rng=random.Random(2))
+    tid, _ = sender.start_transfer("B", "x", bytes(16), now=0.0)  # 2 windows
+    sender.packet_in("B", Acknowledgement(tid, 0, ()), now=10.0)
+    sender.packet_in("B", Acknowledgement(tid, 1, ()), now=50.0)  # one 40 ms sample
+    sender.cancel(tid, now=60.0)  # a failed transfer seeds the next one as well
+    assert sender.transfer(tid).phase is SenderPhase.FAILED
+    short = replace(SMALL, retransmit_interval_ms=150.0)
+    tid, _ = sender.start_transfer("B", "y", bytes(16), params=short, now=100.0)
+    state = sender.transfer(tid)
+    # SRTT + 4 RTTVAR = 120 ms lies below the floor, and the floor above this interval
+    assert (state.srtt, state.rttvar, state.rto) == (40.0, 20.0, 150.0)
+    assert sender.next_deadline() == 100.0 + 150.0
+
+
+def test_seeded_sender_with_a_silent_peer_still_times_out_within_the_budget():
+    sender, _, _, _ = seeded_pair()
+    tid, _ = sender.start_transfer("B", "y", bytes(range(20)), now=100.0)
+    state = sender.transfer(tid)
+    assert state.rto == RTO_MIN_MS
+    events = []
+    while (deadline := sender.next_deadline()) is not None:
+        events.extend(sender.tick(deadline).events)
+    assert events == [Errored(tid, ErrorCode.TIMEOUT)]
+    interval, attempts = SMALL.retransmit_interval_ms, SMALL.max_attempts
+    assert attempts * interval <= state.finished_at - 100.0 <= (attempts + 2) * interval
+    assert state.counters.wr_retransmits >= attempts - 1
+
+
+def test_rtt_cache_keeps_the_most_recently_settled_peers():
+    sender = Engine(params=SMALL, rng=random.Random(2))
+
+    def settle(peer, now):
+        tid, _ = sender.start_transfer(peer, "x", bytes(8), now=now)  # one window
+        sender.packet_in(peer, Acknowledgement(tid, 0, ()), now=now + 1.0)
+        sender.packet_in(peer, Acknowledgement(tid, 1, ()), now=now + 5.0)  # sampled
+        assert sender.transfer(tid).phase is SenderPhase.DONE
+
+    for k in range(RTT_CACHE_PEERS):
+        settle(f"P{k}", now=10.0 * k)
+    settle("P0", now=1e5)  # settles again: now the most recent, not the oldest
+    settle("Q", now=1e5 + 10.0)
+    assert len(sender._rtt) == RTT_CACHE_PEERS
+    assert "P1" not in sender._rtt and {"P0", "P2", "Q"} <= sender._rtt.keys()
+    assert list(sender._rtt)[-2:] == ["P0", "Q"]
+
+
 TIMED = TransferParameters(block_size=4, window_size=2, retransmit_interval_ms=100.0,
                            max_attempts=3)
 ADAPTIVE = replace(TIMED, retransmit_interval_ms=1000.0)
@@ -857,6 +968,11 @@ class TimerOracle(RuleBasedStateMachine):
     @invariant()
     def timer_heap_stays_bounded(self):
         assert len(self.engine._timers) <= 2 * len(self.engine._live) + TIMER_SLACK
+
+    @invariant()
+    def rtt_cache_stays_bounded(self):
+        for engine in (self.engine, *self.peers.values()):
+            assert len(engine._rtt) <= RTT_CACHE_PEERS
 
     @invariant()
     def deadline_is_last_send_plus_rto(self):

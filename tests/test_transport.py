@@ -7,10 +7,18 @@ import time
 
 import pytest
 
-from blockfer.engine import ReceiverPhase, SenderPhase, TransferParameters
+from blockfer.engine import (
+    Engine,
+    ReceiverPhase,
+    ScheduledTransfer,
+    SenderPhase,
+    TransferParameters,
+    TransferScheduler,
+)
 from blockfer.transport import (
     LinkModel,
     MtuError,
+    Pump,
     SimClock,
     SimulatedLink,
     TransportError,
@@ -20,7 +28,7 @@ from blockfer.transport import (
 )
 from blockfer.transport.sim import _LinkTransport
 from blockfer.transport.udp import UDP_GRO, UDP_SEGMENT
-from blockfer.wire import Data, ErrorCode, block_count_for, encode_packet
+from blockfer.wire import Data, ErrorCode, block_count_for, decode_packet, encode_packet
 
 
 # --- clock ---------------------------------------------------------------
@@ -292,6 +300,37 @@ def test_lost_packets_cost_a_fraction_of_the_interval():
         allowed = (interval * sender.counters.wr_retransmits + interval / 4 * firings
                    + 2 * latency * drains)
         assert stall <= allowed, f"seed {seed}: {stall} ms stalled, {allowed} allowed"
+
+
+def test_repeat_transfers_to_a_peer_never_stall_a_whole_interval():
+    """300 transfers of 64 KiB, one after another from one engine to another
+    through a TransferScheduler, over a 1% loss, 20 ms link. Each is a single
+    window, so before any sample a lost announcement, ack, closing block or
+    final ack would stall it a whole interval; after the first, every
+    transfer starts from the timeout its predecessor measured."""
+    params = TransferParameters()
+    link = SimulatedLink(LinkModel(loss_probability=0.01, latency_base_ms=20.0, seed=5),
+                         SimClock())
+    pump = Pump({"A": Engine(params, random.Random(1)), "B": Engine(params, random.Random(2))},
+                _LinkTransport(link, 86_400_000.0, None), encode_packet, decode_packet)
+    payloads = [random.Random(k).randbytes(64 * 1024) for k in range(4)]
+    scheduler = TransferScheduler()
+    for k in range(300):
+        scheduler.schedule_transfer(ScheduledTransfer("B", f"t{k}", payloads[k % 4]))
+    durations = []
+    while scheduler:
+        [tid], out = scheduler.poll_scheduled(pump.engines["A"], lambda peer: True,
+                                              pump.transport.now())
+        pump.flush("A", out)
+        while pump.step():
+            pass
+        outcome = pump.outcome(tid, "A", "B")
+        assert outcome.completed and outcome.data == payloads[len(durations) % 4]
+        durations.append(outcome.duration_ms)
+        pump.take_events()
+    stalled = [(k, d) for k, d in enumerate(durations[1:], 1)
+               if d >= params.retransmit_interval_ms]
+    assert stalled == []
 
 
 @pytest.mark.parametrize("rate_kbps", [4000.0, 1000.0])
