@@ -22,20 +22,26 @@ has closed, i.e. names the next window it expects; the write-request ack is
 window 0 with an empty list.
 
 Both sides run a retransmit timer. A sender that hears nothing for one
-retransmit timeout (RTO) re-sends its awaited unit (the announcement, or the
-current pending batch); a receiver re-sends its last acknowledgement. The
-RTO follows RFC 6298: each side times one unit at a time (the sender a
-fresh batch, up to the ack that accepts it; the receiver a fresh ack, up to
-its next fresh ack), skips units it had to re-send (Karn's rule), and sets
-the RTO to SRTT + 4 * RTTVAR, clamped to [RTO_MIN_MS, retransmit interval].
-Every sample thus spans the time a whole batch takes to cross the link,
-which is what a deadline has to cover; the announcement and its ack are
-one small datagram each way and are not timed. A transfer starts from the
-SRTT and RTTVAR of the last settled transfer with the same peer, in either
-direction (RFC 9040's temporal sharing), and its RTO from those; with no
-such transfer it starts at the interval. Each firing doubles the RTO up to
-the interval. Any valid inbound packet for the transfer refills the attempt
-budget; a firing spends an attempt only once the RTO has reached the
+timeout re-sends its announcement, or after it sends a tail-loss probe:
+the last block of its pending batch alone (RFC 8985), i.e. the window's
+closing block or the drain trigger, whose arrival makes the receiver ack.
+A receiver re-sends its last acknowledgement when its own timer fires, and
+also when a duplicate arrives of the block that sent its last fresh ack,
+so a probe whose ack was lost draws that ack again. Each side times one
+unit at a time (the sender a fresh batch, up to the ack that accepts it;
+the receiver a fresh ack, up to its next fresh ack), skips units it had to
+re-send (Karn's rule), and keeps RFC 6298's SRTT and RTTVAR. A probe costs
+one block, so the sender's timeout is 2 * SRTT clamped to [PTO_MIN_MS,
+retransmit interval] (RFC 9002's PTO); the receiver's is SRTT + 4 * RTTVAR
+clamped to [RTO_MIN_MS, retransmit interval]. Every sample thus spans the
+time a whole batch takes to cross the link, which is what a deadline has
+to cover; the announcement and its ack are one small datagram each way and
+are not timed. A transfer starts from the SRTT and RTTVAR of the last
+settled transfer with the same peer, in either direction (RFC 9040's
+temporal sharing), and its timeout from those; with no such transfer it
+starts at the interval. Each firing doubles the timeout up to the
+interval. Any valid inbound packet for the transfer refills the attempt
+budget; a firing spends an attempt only once the timeout has reached the
 interval, so `max_attempts` such firings in a row fail the transfer with
 TIMEOUT within (max_attempts + 2) intervals of the last valid inbound
 packet, and the sender attaches halved-window retry parameters to the
@@ -64,7 +70,8 @@ from .wire import (
 
 DEFAULT_MAX_TRANSFER_SIZE = 250 * 2**20  # keep whole transfers in memory
 TIMER_SLACK = 8  # stale timer entries tolerated beyond twice the live count
-RTO_MIN_MS = 200.0  # floor of an adaptive timeout, as Linux's TCP_RTO_MIN
+RTO_MIN_MS = 200.0  # floor of the receiver's adaptive timeout, as Linux's TCP_RTO_MIN
+PTO_MIN_MS = 100.0  # floor of the sender's probe timeout: above host stalls, so a clean path fires none
 MIN_WINDOW = 16  # a timed-out retry halves its window down to this; smaller ones stay
 RTT_CACHE_PEERS = 1024  # peers whose last (srtt, rttvar) seeds their next transfer
 
@@ -175,8 +182,8 @@ class BatchRecord(NamedTuple):
 class SenderCounters:
     blocks_sent: int = 0
     lost_blocks: int = 0          # entries across all fresh unreceived lists
-    window_retransmits: int = 0   # timer-fired re-sends of the pending batch
-    window_retransmit_blocks: int = 0
+    window_retransmits: int = 0   # timer-fired probes: one block of the pending batch
+    window_retransmit_blocks: int = 0  # blocks those probes sent, so 1 per firing
     wr_retransmits: int = 0
     acks_received: int = 0
     stale_acks: int = 0
@@ -247,6 +254,7 @@ class ReceiverState:
     expected_window: int = 0
     missing: set = field(default_factory=set)  # unreceived below the closed boundary
     drain_trigger: Optional[int] = None
+    acked_by: Optional[int] = None  # the block whose arrival sent the last fresh ack
     phase: ReceiverPhase = ReceiverPhase.RECEIVING
     attempts_left: int = 0
     last_ack_time: float = 0.0
@@ -272,7 +280,12 @@ class ReceiverState:
 
 
 def _set_rto(state) -> None:
-    state.rto = min(state.interval_ms, max(RTO_MIN_MS, state.srtt + 4 * state.rttvar))
+    """A sender probes at 2 * SRTT (RFC 8985's PTO); a receiver keeps RFC 6298's RTO."""
+    if isinstance(state, SenderState):
+        rto = max(PTO_MIN_MS, 2 * state.srtt)
+    else:
+        rto = max(RTO_MIN_MS, state.srtt + 4 * state.rttvar)
+    state.rto = min(state.interval_ms, rto)
 
 
 def _sample_rtt(state, rtt: float) -> None:
@@ -439,11 +452,12 @@ class Engine:
                     out.packets.append((state.peer, state.write_request))
                     state.counters.wr_retransmits += 1
                 else:
-                    for n in state.pending:
-                        out.packets.append((state.peer, Data(state.id, n, state.block_payload(n))))
+                    # the probe: the block whose arrival makes the receiver ack
+                    n = state.pending[-1]
+                    out.packets.append((state.peer, Data(state.id, n, state.block_payload(n))))
                     state.counters.window_retransmits += 1
-                    state.counters.window_retransmit_blocks += len(state.pending)
-                    state.counters.blocks_sent += len(state.pending)
+                    state.counters.window_retransmit_blocks += 1
+                    state.counters.blocks_sent += 1
                 state.last_send_time = now
                 self._arm(state)
         return out
@@ -618,6 +632,8 @@ class Engine:
         blocks = state.blocks
         if blocks[n] is not None:
             state.counters.duplicate_blocks += 1
+            if n == state.acked_by:  # a probe whose ack was lost: answer it again
+                self._emit_ack(state, out, now, retransmit=True)
             return
         blocks[n] = d.payload
         state.received_count += 1
@@ -639,8 +655,10 @@ class Engine:
                 if blocks[m] is None:
                     state.missing.add(m)
             state.expected_window += 1
+            state.acked_by = n
             self._emit_ack(state, out, now)
         elif state.expected_window == state.total_windows and n == state.drain_trigger:
+            state.acked_by = n
             self._emit_ack(state, out, now)
 
     def _sender_ack(self, state: SenderState, a: Acknowledgement,

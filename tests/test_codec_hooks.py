@@ -37,12 +37,14 @@ def count_calls(monkeypatch, module, name):
 def test_simulated_transfer_codes_every_datagram_once(monkeypatch):
     encoded = count_calls(monkeypatch, sim, "encode_packet")
     decoded = count_calls(monkeypatch, sim, "decode_packet")
-    sent, delivered = [], []
+    sent, delivered, fates = [], [], []
     link_send, clock_push = SimulatedLink.send, SimClock.push
 
     def send(self, src, dst, datagram, now):
         sent.append(datagram)
-        return link_send(self, src, dst, datagram, now)
+        times = link_send(self, src, dst, datagram, now)
+        fates.append(len(times))  # 0: lost, 2: duplicated
+        return times
 
     def push(self, time, item, tie=0):
         delivered.append(item[2])
@@ -57,7 +59,8 @@ def test_simulated_transfer_codes_every_datagram_once(monkeypatch):
                                                                          window_size=16))
 
     assert outcome.completed and outcome.data == data
-    assert len(sent) != len(delivered)  # losses and duplicates both happened
+    assert fates.count(0) > 0 and fates.count(2) > 0  # losses and duplicates both happened
+    assert len(delivered) == len(sent) - fates.count(0) + fates.count(2)
     assert len(encoded) == len(sent)
     assert len(decoded) == len(delivered)
     assert sorted(decoded) == sorted(delivered)

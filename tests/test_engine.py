@@ -14,6 +14,7 @@ from hypothesis import HealthCheck, settings, strategies as st
 from hypothesis.stateful import RuleBasedStateMachine, invariant, rule
 
 from blockfer.engine import (
+    PTO_MIN_MS,
     RTO_MIN_MS,
     RTT_CACHE_PEERS,
     TIMER_SLACK,
@@ -534,23 +535,118 @@ def test_sender_timeout_after_exactly_max_attempts_intervals():
     assert state.retry_params.window_size == 2
 
 
-def test_window_timeout_retransmits_pending_batch():
+def test_window_timeout_probes_with_the_closing_block():
     sender, receiver = make_pair()
     tid, out = sender.start_transfer("B", "x", bytes(range(20)), now=0.0)
     [(_, wr)] = out.packets
     ack0 = acks(receiver.packet_in("A", wr, now=1.0))[0]
     out = sender.packet_in("B", ack0, now=2.0)
-    assert [d.block_number for d in data_packets(out)] == [0, 1]
+    b0, b1 = data_packets(out)
+    assert (b0.block_number, b1.block_number) == (0, 1)
     state = sender.transfer(tid)
+    receiver.packet_in("A", b0, now=3.0)  # block 1, which closes window 0, is lost
 
     out = sender.tick(now=2001.9)
     assert out.packets == []
     out = sender.tick(now=2002.0)  # last_send_time=2.0 + interval
-    assert [d.block_number for d in data_packets(out)] == [0, 1]
+    assert out.packets == [("B", b1)]  # the probe: the closing block alone, not the batch
+    assert state.pending == (0, 1)
     assert state.counters.window_retransmits == 1
-    assert state.counters.window_retransmit_blocks == 2
-    assert state.counters.blocks_sent == 4
+    assert state.counters.window_retransmit_blocks == 1
+    assert state.counters.blocks_sent == 3
     assert state.attempts_left == 4
+    # the probe closes the window, and its ack opens the next batch
+    [ack1] = acks(receiver.packet_in("A", b1, now=2003.0))
+    assert ack1 == Acknowledgement(tid, 1, ())
+    assert [d.block_number for d in data_packets(sender.packet_in("B", ack1, now=2004.0))] == [2, 3]
+
+
+def test_duplicate_closing_block_draws_the_last_ack_again():
+    sender, receiver = make_pair()
+    tid, out = sender.start_transfer("B", "x", bytes(range(20)), now=0.0)  # 3 windows
+    [(_, wr)] = out.packets
+    ack0 = acks(receiver.packet_in("A", wr, now=1.0))[0]
+    b0, b1 = data_packets(sender.packet_in("B", ack0, now=2.0))
+    receiver.packet_in("A", b0, now=3.0)
+    [ack1] = acks(receiver.packet_in("A", b1, now=4.0))  # closes window 0; then lost
+    state = receiver.transfer(tid)
+    assert state.timed_at == 4.0
+
+    # a copy of any block but the one that sent the last fresh ack draws nothing
+    assert receiver.packet_in("A", b0, now=5.0).packets == []
+    # the sender's probe is that block: the receiver answers with the same ack
+    [(_, probe)] = sender.tick(now=sender.next_deadline()).packets
+    assert probe == b1
+    out = receiver.packet_in("A", probe, now=2003.0)
+    assert out.packets == [("A", ack1)] and out.events == []
+    assert state.counters.ack_retransmits == 1 and state.counters.acks_sent == 3
+    assert state.counters.duplicate_blocks == 2 and state.received_count == 2
+    assert state.timed_at is None  # Karn's rule: the next fresh ack gives no sample
+    assert receiver.next_deadline() == 2003.0 + state.rto
+    # once the next window closes, the old closing block is just a duplicate
+    b2, b3 = data_packets(sender.packet_in("B", ack1, now=2004.0))
+    receiver.packet_in("A", b2, now=2005.0)
+    assert acks(receiver.packet_in("A", b3, now=2006.0)) == [Acknowledgement(tid, 2, ())]
+    assert receiver.packet_in("A", b1, now=2007.0).packets == []
+    assert state.counters.ack_retransmits == 1
+
+
+def test_duplicate_drain_trigger_draws_the_last_ack_again():
+    sender, receiver = make_pair()
+    data = bytes(range(24))  # 6 blocks, 3 windows
+    tid, out = sender.start_transfer("B", "x", data, now=0.0)
+    [(_, wr)] = out.packets
+    [ack] = acks(receiver.packet_in("A", wr, now=1.0))
+    now = 2.0
+    # blocks 0 and 2 are lost every time; each window's closing block arrives
+    for delivered in ((1,), (3,), (4, 5)):
+        batch = data_packets(sender.packet_in("B", ack, now=now))
+        for d in batch:
+            if d.block_number in delivered:
+                got = receiver.packet_in("A", d, now=now + 1.0)
+        [ack] = acks(got)
+        now += 2.0
+    assert ack == Acknowledgement(tid, 3, (0, 2))
+    state, sent = receiver.transfer(tid), sender.transfer(tid)
+    b0, b2 = data_packets(sender.packet_in("B", ack, now=now))
+    assert sent.phase is SenderPhase.LAST_WINDOW_DRAIN and sent.pending == (0, 2)
+    # block 0 is lost again; block 2, the drain trigger, draws an ack that is lost
+    [last] = acks(receiver.packet_in("A", b2, now=now + 1.0))
+    assert last == Acknowledgement(tid, 3, (0,)) and state.drain_trigger == 0
+    assert receiver.packet_in("A", Data(tid, 1, data[4:8]), now=now + 1.5).packets == []
+
+    # the sender's probe is the drain trigger it sent last, which draws that ack again
+    [(_, probe)] = sender.tick(now=sender.next_deadline()).packets
+    assert probe == b2 and sent.counters.window_retransmit_blocks == 1
+    out = receiver.packet_in("A", probe, now=now + 300.0)
+    assert out.packets == [("A", last)]
+    assert state.counters.ack_retransmits == 1 and state.timed_at is None
+    [(_, resent)] = sender.packet_in("B", last, now=now + 301.0).packets
+    assert resent == b0
+    out = receiver.packet_in("A", resent, now=now + 302.0)
+    assert Complete(tid, data=data) in out.events
+    assert Complete(tid, sent=True) in sender.packet_in("B", acks(out)[0], now=now + 303.0).events
+
+
+def test_done_receiver_answers_a_probe_with_its_final_ack():
+    sender, receiver = make_pair()
+    data = bytes(range(8))  # 2 blocks, 1 window
+    tid, out = sender.start_transfer("B", "x", data, now=0.0)
+    [(_, wr)] = out.packets
+    ack0 = acks(receiver.packet_in("A", wr, now=1.0))[0]
+    b0, b1 = data_packets(sender.packet_in("B", ack0, now=2.0))
+    receiver.packet_in("A", b0, now=3.0)
+    out = receiver.packet_in("A", b1, now=4.0)
+    assert Complete(tid, data=data) in out.events  # the final ack is lost
+    final = Acknowledgement(tid, 1, ())
+    assert acks(out) == [final]
+    [(_, probe)] = sender.tick(now=sender.next_deadline()).packets
+    assert probe == b1
+    # the settled receiver answers the probe, and any other block, with its final ack
+    assert receiver.packet_in("A", probe, now=2003.0).packets == [("A", final)]
+    assert receiver.packet_in("A", b0, now=2004.0).packets == [("A", final)]
+    assert receiver.transfer(tid).counters.ack_retransmits == 0  # settled: no timer, no count
+    assert Complete(tid, sent=True) in sender.packet_in("B", final, now=2005.0).events
 
 
 def test_receiver_timeout_and_reack():
@@ -584,12 +680,13 @@ def test_next_deadline_tracks_live_states():
 
 
 @pytest.mark.parametrize("samples, expected", [
-    # (srtt, rttvar, rto) after each ack; alpha = 1/8, beta = 1/4 after the first
-    ([300.0, 100.0, 10.0], [(300.0, 150.0, 900.0), (275.0, 162.5, 925.0),
-                            (241.875, 188.125, 994.375)]),
-    ([2.0], [(2.0, 1.0, RTO_MIN_MS)]),        # clamped up to the floor
+    # (srtt, rttvar, rto) after each ack; alpha = 1/8, beta = 1/4 after the first.
+    # The estimator is RFC 6298's; the sender's timeout is the probe timeout 2 * SRTT
+    ([300.0, 100.0, 10.0], [(300.0, 150.0, 600.0), (275.0, 162.5, 550.0),
+                            (241.875, 188.125, 483.75)]),
+    ([2.0], [(2.0, 1.0, PTO_MIN_MS)]),        # clamped up to the floor
     ([1000.0], [(1000.0, 500.0, 2000.0)]),    # clamped down to the interval
-    ([40.0, 40.0], [(40.0, 20.0, 200.0), (40.0, 15.0, 200.0)]),
+    ([60.0, 60.0], [(60.0, 30.0, 120.0), (60.0, 22.5, 120.0)]),  # below RTO_MIN_MS
 ])
 def test_sender_rto_follows_rfc6298(samples, expected):
     sender = Engine(params=SMALL, rng=random.Random(2))
@@ -617,23 +714,27 @@ def test_timed_batch_timeout_backs_off_to_the_interval():
     out = sender.packet_in("B", ack1, now=4.0)  # batch 0 took 2 ms: the floor
     assert [d.block_number for d in data_packets(out)] == [2, 3]
     state = sender.transfer(tid)
-    assert state.rto == RTO_MIN_MS
+    assert state.rto == PTO_MIN_MS
 
-    assert sender.tick(now=203.9).packets == []
-    out = sender.tick(now=204.0)  # last_send_time=4.0 + RTO_MIN_MS
-    assert [d.block_number for d in data_packets(out)] == [2, 3]
-    assert state.counters.window_retransmit_blocks == 2
-    assert state.counters.blocks_sent == 6
+    assert sender.tick(now=4.0 + PTO_MIN_MS - 0.1).packets == []
+    out = sender.tick(now=4.0 + PTO_MIN_MS)  # last_send_time=4.0 + PTO_MIN_MS
+    assert [d.block_number for d in data_packets(out)] == [3]  # the probe
+    assert state.counters.window_retransmit_blocks == 1
+    assert state.counters.blocks_sent == 5
     assert state.attempts_left == 5  # below the interval a firing spends nothing
     # each firing doubles the timeout up to the interval, which spends one
-    sent_at = 204.0
-    for rto, left in ((400.0, 5), (800.0, 5), (1600.0, 5), (2000.0, 4), (2000.0, 3)):
+    sent_at = 4.0 + PTO_MIN_MS
+    backoff = [(200.0, 5), (400.0, 5), (800.0, 5), (1600.0, 5), (2000.0, 4), (2000.0, 3)]
+    assert PTO_MIN_MS == 100.0
+    for rto, left in backoff:
         assert sender.tick(now=sent_at + rto - 0.1).packets == []
         out = sender.tick(now=sent_at + rto)
-        assert [d.block_number for d in data_packets(out)] == [2, 3]
+        assert [d.block_number for d in data_packets(out)] == [3]
         assert state.attempts_left == left
         sent_at += rto
-    assert state.counters.window_retransmits == 6
+    assert state.counters.window_retransmits == 7
+    assert state.counters.window_retransmit_blocks == 7
+    assert state.counters.blocks_sent == 4 + 7
     assert state.rto == SMALL.retransmit_interval_ms
     # a stale ack refills the attempts and changes nothing else
     out = sender.packet_in("B", ack0, now=sent_at + 1.0)
@@ -649,11 +750,12 @@ def test_sender_skips_samples_of_retransmitted_units():
     state = sender.transfer(tid)
     sender.packet_in("B", Acknowledgement(tid, 0, ()), now=10.0)
     sender.packet_in("B", Acknowledgement(tid, 1, ()), now=20.0)  # a fresh batch: timed
-    assert (state.srtt, state.rttvar, state.rto) == (10.0, 5.0, RTO_MIN_MS)
-    assert data_packets(sender.tick(now=220.0))  # the batch again; the timeout doubles
-    sender.packet_in("B", Acknowledgement(tid, 2, ()), now=225.0)
-    assert (state.srtt, state.rttvar, state.rto) == (10.0, 5.0, 400.0)
-    assert sender.next_deadline() == 225.0 + 400.0
+    assert (state.srtt, state.rttvar, state.rto) == (10.0, 5.0, PTO_MIN_MS)
+    probe = data_packets(sender.tick(now=20.0 + PTO_MIN_MS))  # a probe; the timeout doubles
+    assert [d.block_number for d in probe] == [3] and state.timed_at is None
+    sender.packet_in("B", Acknowledgement(tid, 2, ()), now=125.0)
+    assert (state.srtt, state.rttvar, state.rto) == (10.0, 5.0, 2 * PTO_MIN_MS)
+    assert sender.next_deadline() == 125.0 + 2 * PTO_MIN_MS
 
 
 def test_receiver_times_ack_cycles_and_resends_a_lost_ack_after_the_rto():
@@ -737,8 +839,10 @@ def test_peer_silent_mid_transfer_times_out_within_the_budget(silent):
     state = waiting.transfer(tid)
     assert Errored(tid, ErrorCode.TIMEOUT) in events and state.error is ErrorCode.TIMEOUT
     interval, attempts = SMALL.retransmit_interval_ms, SMALL.max_attempts
-    # the last valid inbound packet came at t=0: 200+400+800+1600, then 5 x 2000
-    assert state.finished_at == 13000.0
+    # the last valid inbound packet came at t=0; then the backoff up to the interval,
+    # from the sender's probe timeout 100+200+...+1600 or the receiver's 200+...+1600,
+    # then 5 x 2000
+    assert state.finished_at == {"receiver": 13100.0, "sender": 13000.0}[silent]
     assert attempts * interval <= state.finished_at <= (attempts + 2) * interval
     # the receiver settles FAILED either way, and keeps none of the blocks it had
     settled = receiver.transfer(tid)
@@ -777,8 +881,8 @@ def test_settled_transfers_retain_no_payload():
 def seeded_pair():
     """An engine pair after one 3-window transfer from A to B, 2 ms a round:
     each side has sampled cycles of a few ms, so a timeout seeded from them
-    sits at RTO_MIN_MS. Returns the engines and the settled sender and
-    receiver."""
+    sits at the floor, PTO_MIN_MS for a sender and RTO_MIN_MS for a receiver.
+    Returns the engines and the settled sender and receiver."""
     sender, receiver = make_pair()
     tid, out = sender.start_transfer("B", "x", bytes(range(20)), now=0.0)
     assert Complete(tid, sent=True) in pump(sender, receiver, out, hop=2.0)
@@ -791,14 +895,14 @@ def test_second_transfer_resends_a_lost_announcement_after_the_seeded_rto():
     sender, receiver, first, _ = seeded_pair()
     tid, _ = sender.start_transfer("B", "y", bytes(range(20)), now=100.0)
     state = sender.transfer(tid)
-    assert (state.srtt, state.rttvar, state.rto) == (first.srtt, first.rttvar, RTO_MIN_MS)
+    assert (state.srtt, state.rttvar, state.rto) == (first.srtt, first.rttvar, PTO_MIN_MS)
     # the announcement is lost: it goes again after the seeded timeout, not the interval
-    assert sender.tick(now=100.0 + RTO_MIN_MS - 0.1).packets == []
-    resent = sender.tick(now=100.0 + RTO_MIN_MS)
+    assert sender.tick(now=100.0 + PTO_MIN_MS - 0.1).packets == []
+    resent = sender.tick(now=100.0 + PTO_MIN_MS)
     assert [p for _, p in resent.packets] == [state.write_request]
     assert state.counters.wr_retransmits == 1 and state.attempts_left == SMALL.max_attempts
-    assert state.rto == 2 * RTO_MIN_MS  # Karn's rule and the backoff are unchanged
-    assert Complete(tid, sent=True) in pump(sender, receiver, resent, now=100.0 + RTO_MIN_MS)
+    assert state.rto == 2 * PTO_MIN_MS  # Karn's rule and the backoff are unchanged
+    assert Complete(tid, sent=True) in pump(sender, receiver, resent, now=100.0 + PTO_MIN_MS)
 
 
 def test_second_announcement_reacks_a_lost_closing_block_after_the_seeded_rto():
@@ -825,10 +929,10 @@ def test_only_the_same_peer_seeds_a_new_transfer():
     assert (receiver.transfer(7).srtt, receiver.transfer(7).rto) == (None, SMALL.retransmit_interval_ms)
     # one cache serves both roles: the engine that received from A now sends to A
     tid, _ = receiver.start_transfer("A", "back", bytes(20), now=100.0)
-    assert receiver.transfer(tid).rto == RTO_MIN_MS
+    assert receiver.transfer(tid).rto == PTO_MIN_MS  # a sender's timeout from a receiver's SRTT
     sender.cancel(other.id, now=101.0)
     tid, _ = sender.start_transfer("B", "again", bytes(20), now=101.0)
-    assert (sender.transfer(tid).srtt, sender.transfer(tid).rto) == (first.srtt, RTO_MIN_MS)
+    assert (sender.transfer(tid).srtt, sender.transfer(tid).rto) == (first.srtt, PTO_MIN_MS)
 
 
 def test_seeded_rto_is_clamped_to_the_new_transfers_interval():
@@ -838,19 +942,19 @@ def test_seeded_rto_is_clamped_to_the_new_transfers_interval():
     sender.packet_in("B", Acknowledgement(tid, 1, ()), now=50.0)  # one 40 ms sample
     sender.cancel(tid, now=60.0)  # a failed transfer seeds the next one as well
     assert sender.transfer(tid).phase is SenderPhase.FAILED
-    short = replace(SMALL, retransmit_interval_ms=150.0)
+    short = replace(SMALL, retransmit_interval_ms=60.0)
     tid, _ = sender.start_transfer("B", "y", bytes(16), params=short, now=100.0)
     state = sender.transfer(tid)
-    # SRTT + 4 RTTVAR = 120 ms lies below the floor, and the floor above this interval
-    assert (state.srtt, state.rttvar, state.rto) == (40.0, 20.0, 150.0)
-    assert sender.next_deadline() == 100.0 + 150.0
+    # 2 * SRTT = 80 ms lies below the floor, and the floor above this interval
+    assert (state.srtt, state.rttvar, state.rto) == (40.0, 20.0, 60.0)
+    assert sender.next_deadline() == 100.0 + 60.0
 
 
 def test_seeded_sender_with_a_silent_peer_still_times_out_within_the_budget():
     sender, _, _, _ = seeded_pair()
     tid, _ = sender.start_transfer("B", "y", bytes(range(20)), now=100.0)
     state = sender.transfer(tid)
-    assert state.rto == RTO_MIN_MS
+    assert state.rto == PTO_MIN_MS
     events = []
     while (deadline := sender.next_deadline()) is not None:
         events.extend(sender.tick(deadline).events)
@@ -894,8 +998,10 @@ class TimerOracle(RuleBasedStateMachine):
     """Engine "E" against peer engines over a wire that drops, duplicates and
     reorders at will, checking the timer heap against a scan of the live table.
 
-    With TIMED the interval lies below RTO_MIN_MS, so the timeout stays at the
-    interval; AdaptiveTimerOracle repeats this with one that samples shorten."""
+    With TIMED the interval lies below RTO_MIN_MS, so a receiver's timeout
+    stays at the interval while a sender's probe timeout can fall below it;
+    AdaptiveTimerOracle repeats this with an interval that samples shorten
+    on both sides."""
 
     params = TIMED
 
@@ -980,7 +1086,8 @@ class TimerOracle(RuleBasedStateMachine):
             for s in engine._live.values():
                 sent = s.last_send_time if isinstance(s, SenderState) else s.last_ack_time
                 assert s.deadline() == sent + s.rto
-                assert min(RTO_MIN_MS, s.interval_ms) <= s.rto <= s.interval_ms
+                floor = PTO_MIN_MS if isinstance(s, SenderState) else RTO_MIN_MS
+                assert min(floor, s.interval_ms) <= s.rto <= s.interval_ms
 
 
 class AdaptiveTimerOracle(TimerOracle):

@@ -350,6 +350,23 @@ def test_slow_link_transfer_sends_nothing_twice(rate_kbps):
     assert result.duration_ms > len(data) * 8 / rate_kbps
 
 
+def test_window_slower_than_the_interval_costs_one_probe_per_firing():
+    """1 MiB over a lossless 250 kbit/s, 20 ms link: each 80-block window
+    takes about 3.1 s to cross it, longer than the 2 s interval, so the
+    sender's timer fires during every window. Each firing sends one probe
+    block, not the window again, and the transfer runs at line rate."""
+    data = random.Random(3).randbytes(2**20)
+    rate_kbps = 250.0
+    model = LinkModel(latency_base_ms=20.0, rate_kbps=rate_kbps)
+    result = run_simulated_transfer(data, model, TransferParameters())
+    assert result.completed and result.data == data
+    c = result.sender.counters
+    assert c.window_retransmits > 0 and c.lost_blocks == 0
+    assert c.blocks_sent == result.sender.block_count + c.window_retransmits
+    line_rate_ms = len(data) * 8 / rate_kbps
+    assert line_rate_ms < result.duration_ms <= 1.1 * line_rate_ms
+
+
 def test_simulated_transfer_zero_size():
     result = run_simulated_transfer(b"", LinkModel(latency_base_ms=1.0, seed=5))
     assert result.completed
