@@ -126,17 +126,27 @@ class Errored:
 CallbackEvent = Union[Complete, Errored]
 
 
-@dataclass
 class EngineOutput:
     """Packets to transmit (peer, packet) and settlement events, in emission order."""
 
-    packets: list[tuple[Peer, Packet]] = field(default_factory=list)
-    events: list[CallbackEvent] = field(default_factory=list)
+    __slots__ = ("packets", "events")
+
+    def __init__(self):
+        self.packets: list[tuple[Peer, Packet]] = []
+        self.events: list[CallbackEvent] = []
 
     def extend(self, other: "EngineOutput") -> "EngineOutput":
         self.packets.extend(other.packets)
         self.events.extend(other.events)
         return self
+
+    def __eq__(self, other):
+        if not isinstance(other, EngineOutput):
+            return NotImplemented
+        return self.packets == other.packets and self.events == other.events
+
+    def __repr__(self) -> str:
+        return f"EngineOutput(packets={self.packets!r}, events={self.events!r})"
 
 
 class TransferRefused(Exception):
@@ -229,8 +239,10 @@ class SenderState:
     def interval_ms(self) -> float:
         return self.params.retransmit_interval_ms
 
-    def block_payload(self, n: int) -> bytes:
-        return self.data[n * self.params.block_size:(n + 1) * self.params.block_size]
+    def block_payload(self, n: int) -> memoryview:
+        """Block n as a view of the data: encoding copies it once, into the datagram."""
+        size = self.params.block_size
+        return memoryview(self.data)[n * size:(n + 1) * size]
 
     def deadline(self) -> float:
         """When the retransmit timer fires if nothing arrives first."""
@@ -312,11 +324,14 @@ class Engine:
     keeps answering duplicate data with that acknowledgement so a lost final
     ack cannot wedge the sender.
 
-    Cost model: the live table is keyed by peer and the finished table by
-    transfer id, and every lookup checks the other half of (peer, id), so
-    an inbound packet costs the same however many transfers are live or
-    finished. When two peers' finished transfers share an id, the newer
-    record replaces the older. Retransmit deadlines sit in a heap that
+    Cost model: each event builds one EngineOutput, a slotted record. The
+    live table is keyed by peer and the finished table by transfer id, and
+    every lookup checks the other half of (peer, id), so an inbound packet
+    costs the same however many transfers are live or finished. A Data for
+    a live receiver, the most common packet, is dispatched before any other
+    check, and a batch's blocks are views of the sender's snapshot of its
+    data, not copies. When two peers' finished transfers share an id, the
+    newer record replaces the older. Retransmit deadlines sit in a heap that
     next_deadline() peeks at and tick() pops only the due entries of; an
     entry goes stale when its transfer settles or re-arms, is dropped
     lazily, and the heap is rebuilt from the live table once it outgrows
@@ -365,7 +380,8 @@ class Engine:
             nonce=self.rng.getrandbits(64),
         )
         state = SenderState(
-            id=tid, peer=peer, info=info, data=data, params=params,
+            id=tid, peer=peer, info=info, params=params,
+            data=bytes(data),  # a snapshot: the caller may reuse its buffer; free for bytes
             block_count=block_count,
             total_windows=block_count_for(block_count, params.window_size),
             write_request=wr, attempts_left=params.max_attempts,
@@ -384,6 +400,9 @@ class Engine:
         state = self._live.get(peer)
         if state is not None and state.id != packet.id:
             state = None
+        if isinstance(packet, Data) and isinstance(state, ReceiverState):
+            self._receiver_data(state, packet, out, now)  # the common case, first
+            return out
 
         if isinstance(packet, WriteRequest):
             if isinstance(state, ReceiverState):
@@ -415,8 +434,6 @@ class Engine:
             return out
         if isinstance(state, SenderState) and isinstance(packet, Acknowledgement):
             self._sender_ack(state, packet, out, now)
-        elif isinstance(state, ReceiverState) and isinstance(packet, Data):
-            self._receiver_data(state, packet, out, now)
         # data addressed to a sender or acks to a receiver are dropped
         return out
 
@@ -701,8 +718,9 @@ class Engine:
         state.counters.lost_blocks += len(a.unreceived)
         state.pending = pending
         state.batch_log.append(BatchRecord(a.window_index, pending))
-        for n in pending:
-            out.packets.append((state.peer, Data(state.id, n, state.block_payload(n))))
+        peer, tid, size = state.peer, state.id, state.params.block_size
+        view = memoryview(state.data)
+        out.packets.extend([(peer, Data(tid, n, view[n * size:(n + 1) * size])) for n in pending])
         state.counters.blocks_sent += len(pending)
         state.last_send_time = state.timed_at = now
         self._arm(state)

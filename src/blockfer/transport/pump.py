@@ -86,15 +86,18 @@ class Pump:
         if arrived is None:
             return False
         now = self.transport.now()
+        engines, unpack = self.engines, self.unpack
         quiet = True
         for local, peer, datagram in arrived:
             quiet = False
             try:
-                packet = self.unpack(datagram)
+                packet = unpack(datagram)
             except (AuthenticationError, DecodeError):
                 continue  # noise on a public port is dropped, not fatal
             if accept is None or accept(peer, packet):
-                self.flush(local, self.engines[local].packet_in(peer, packet, now=now))
+                out = engines[local].packet_in(peer, packet, now=now)
+                if out.packets or out.events:  # a sender's Complete carries no packets
+                    self.flush(local, out)
         if quiet or (until is not None and now > until):
             for local, engine in self.engines.items():
                 self.flush(local, engine.tick(now))

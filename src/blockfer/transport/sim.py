@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import heapq
 import random
+from collections import deque
 from dataclasses import dataclass
 from typing import Any, Iterable, Optional
 
@@ -62,27 +63,49 @@ class LinkModel:
 
 
 class SimClock:
-    """Future-event queue ordered by (time, tie key, insertion sequence)."""
+    """Future-event queue ordered by (time, tie key, insertion sequence).
+
+    An entry whose (time, tie) is no smaller than that of the newest entry
+    in a FIFO joins that FIFO, at O(1); every other one, as jitter,
+    reordering or a rate-limited direction push them, goes to a heap. Each
+    structure stays sorted, and pop and peek_time take the smaller of the
+    two heads, so entries come out in the order one heap of all of them
+    gives. On a link of constant latency every push joins the FIFO.
+    """
 
     def __init__(self, start: float = 0.0):
         self.now = start
+        self._fifo: deque = deque()
         self._heap: list = []
         self._seq = 0
 
     def __len__(self) -> int:
-        return len(self._heap)
+        return len(self._fifo) + len(self._heap)
 
     def push(self, time: float, item: Any, tie: int = 0) -> None:
         if time < self.now:
             raise ValueError(f"cannot schedule at {time} before now={self.now}")
-        heapq.heappush(self._heap, (time, tie, self._seq, item))
+        entry = (time, tie, self._seq, item)
         self._seq += 1
+        fifo = self._fifo
+        # seq is unique and rising, so entry > fifo[-1] means (time, tie) >= its key
+        if not fifo or entry > fifo[-1]:
+            fifo.append(entry)
+        else:
+            heapq.heappush(self._heap, entry)
 
     def peek_time(self) -> Optional[float]:
-        return self._heap[0][0] if self._heap else None
+        fifo, heap = self._fifo, self._heap
+        if heap and (not fifo or heap[0] < fifo[0]):
+            return heap[0][0]
+        return fifo[0][0] if fifo else None
 
     def pop(self) -> tuple[float, Any]:
-        time, _, _, item = heapq.heappop(self._heap)
+        fifo, heap = self._fifo, self._heap
+        if heap and (not fifo or heap[0] < fifo[0]):
+            time, _, _, item = heapq.heappop(heap)
+        else:
+            time, _, _, item = fifo.popleft()
         self.now = time
         return time, item
 
@@ -101,35 +124,33 @@ class SimulatedLink:
         self._rng = random.Random(model.seed)
         self._free_at: dict = {}  # (src, dst) -> when that direction's bottleneck frees
 
-    def _delivery(self, now: float) -> tuple[float, int]:
-        jitter = self._rng.uniform(-self.model.latency_jitter_ms,
-                                   self.model.latency_jitter_ms)
-        time = now + max(0.0, self.model.latency_base_ms + jitter)
-        tie = 0
-        if self._rng.random() < self.model.reorder_probability:
-            tie = self._rng.getrandbits(32)
-        return time, tie
-
     def send(self, src, dst, datagram: bytes, now: float) -> list[float]:
-        """Schedule delivery; returns the delivery times (empty if lost)."""
-        if len(datagram) + self.model.header_tax_bytes > MTU:
+        """Schedule delivery; returns the delivery times (empty if lost).
+
+        The draws per send, in order: loss; then per delivery jitter,
+        reordering and, if reordered, the tie key; then after the first
+        delivery whether it is duplicated.
+        """
+        model, rng = self.model, self._rng
+        if len(datagram) + model.header_tax_bytes > MTU:
             raise MtuError(
-                f"datagram of {len(datagram)} bytes (+{self.model.header_tax_bytes} "
+                f"datagram of {len(datagram)} bytes (+{model.header_tax_bytes} "
                 f"header tax) exceeds the {MTU}-byte MTU")
-        if self.model.rate_kbps:
+        if model.rate_kbps:
             start = max(now, self._free_at.get((src, dst), now))
-            now = self._free_at[(src, dst)] = start + len(datagram) * 8 / self.model.rate_kbps
-        if self._rng.random() < self.model.loss_probability:
+            now = self._free_at[(src, dst)] = start + len(datagram) * 8 / model.rate_kbps
+        if rng.random() < model.loss_probability:
             return []
+        item = (dst, src, bytes(datagram))
         times = []
-        time, tie = self._delivery(now)
-        self.clock.push(time, (dst, src, bytes(datagram)), tie)
-        times.append(time)
-        if self._rng.random() < self.model.duplicate_probability:
-            time, tie = self._delivery(now)
-            self.clock.push(time, (dst, src, bytes(datagram)), tie)
+        while True:
+            jitter = rng.uniform(-model.latency_jitter_ms, model.latency_jitter_ms)
+            time = now + max(0.0, model.latency_base_ms + jitter)
+            tie = rng.getrandbits(32) if rng.random() < model.reorder_probability else 0
+            self.clock.push(time, item, tie)
             times.append(time)
-        return times
+            if len(times) == 2 or not rng.random() < model.duplicate_probability:
+                return times
 
 
 class _LinkTransport:

@@ -20,6 +20,12 @@ fields carry a u16 prefix (byte length, or entry count for block lists).
 The full layout with worked hex examples lives in docs/wire.md. Decoding is
 total: any input either yields a packet or raises DecodeError; whatever is
 accepted re-encodes to the identical bytes.
+
+Packets are slotted value records: they compare by value and list their
+fields through dataclasses.fields(), but are neither frozen nor hashable,
+and nothing keys a set or dict on one. Data.payload is any bytes-like
+object: the sender hands out views of its buffer, which encoding copies
+once into the datagram; decoding yields bytes.
 """
 
 from __future__ import annotations
@@ -91,7 +97,7 @@ def block_count_for(data_size: int, block_size: int) -> int:
     return (data_size + block_size - 1) // block_size
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class WriteRequest:
     id: int
     info: str
@@ -103,21 +109,21 @@ class WriteRequest:
     metadata: bytes = b""
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class Acknowledgement:
     id: int
     window_index: int
     unreceived: tuple[int, ...] = ()
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class Data:
     id: int
     block_number: int
     payload: bytes = field(repr=False, default=b"")
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class ErrorPacket:
     id: int
     code: ErrorCode

@@ -875,6 +875,25 @@ def test_settled_transfers_retain_no_payload():
     assert retained < 2 * 2**20, f"engines retain {retained / 2**20:.2f} MiB"
 
 
+def test_sender_sends_the_bytes_it_was_started_with():
+    """The sender keeps a snapshot of a bytearray it is handed: the caller may
+    overwrite and resize its buffer while blocks of a batch are still in
+    flight, and the original bytes arrive."""
+    sender, receiver = make_pair()
+    buffer = bytearray(b"0123456789")
+    tid, out = sender.start_transfer("B", "x", buffer, now=0.0)
+    buffer[:] = b"z" * len(buffer)
+
+    def change_mid_batch(packet):
+        if isinstance(packet, Data) and packet.block_number == 0:
+            buffer.extend(b"grown")  # with the rest of the batch still queued
+        return False
+
+    assert Complete(tid, data=b"0123456789") in pump(sender, receiver, out,
+                                                     drop=change_mid_batch)
+    assert buffer == b"z" * 10 + b"grown"
+
+
 # --- the per-peer RTT cache -----------------------------------------------------
 
 

@@ -51,6 +51,28 @@ def test_span_wrappers_see_the_simulated_transfer(spans):
     assert sim.encode_packet.__module__ == "blockfer.wire"
 
 
+def test_clock_spans_count_every_delivery_of_a_constant_latency_link(spans):
+    """On a lossless link of constant latency every delivery waits in the
+    clock's FIFO rather than its heap: the traced pop still sees each one,
+    and the traced depth reads the FIFO too."""
+    tracer = spans.Tracer()
+    restore = spans.install(tracer)
+    try:
+        data = random.Random(5).randbytes(50_000)
+        outcome = run_simulated_transfer(
+            data, LinkModel(latency_base_ms=5.0, seed=5),
+            TransferParameters(block_size=1000, window_size=16))
+    finally:
+        restore()
+    assert outcome.completed and outcome.data == data
+
+    summary = tracer.summary()
+    calls = {name: count for name, (count, _, _) in summary["spans"].items()}
+    decodes = sum(count for name, count in calls.items() if name.startswith("wire.decode."))
+    assert calls["sim.clock.pop"] == calls["sim.link.send"] == decodes > 0
+    assert summary["maxima"]["sim.clock.depth"] > 0
+
+
 def test_span_wrappers_see_every_datagram_of_a_loopback_transfer(spans, monkeypatch):
     methods = {name: udp.UdpEndpoint.__dict__[name] for name in ("send", "drain", "poll")}
     tracer = spans.Tracer()

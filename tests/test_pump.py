@@ -3,9 +3,9 @@
 import random
 
 from blockfer.crypto import PeerKeyPair, SealedCipher
-from blockfer.engine import Engine, TransferParameters
+from blockfer.engine import Complete, Engine, TransferParameters
 from blockfer.transport import Pump
-from blockfer.wire import decode_packet, encode_packet
+from blockfer.wire import Acknowledgement, decode_packet, encode_packet
 
 PARAMS = TransferParameters(block_size=100, window_size=4, retransmit_interval_ms=50.0)
 
@@ -77,3 +77,17 @@ def test_accept_filters_before_the_engine_sees_a_packet():
     assert seen == ["S1", "S2"]
     assert receiver.live_transfer_with("S1") is None
     assert [(local, peer) for local, peer, _ in transport.sent] == [("R", "S2")]
+
+
+def test_an_output_with_events_and_no_packets_still_reaches_take_events():
+    # an empty transfer: the final acknowledgement answers the announcement,
+    # and the sender settles with a Complete and nothing to send
+    sender = Engine(PARAMS, random.Random(5))
+    tid, out = sender.start_transfer("R", "x", b"", now=0.0)
+    final_ack = encode_packet(Acknowledgement(tid, 0, ()))
+    transport = ScriptedTransport([(1.0, [("S", "R", final_ack)])])
+    pump = Pump({"S": sender}, transport, encode_packet, decode_packet)
+    pump.flush("S", out)
+    assert pump.step()
+    assert len(transport.sent) == 1  # the announcement alone
+    assert pump.take_events() == [Complete(tid, sent=True)]

@@ -1,11 +1,13 @@
 """Simulated link determinism/statistics and real UDP endpoint behavior."""
 
 import errno
+import heapq
 import random
 import socket
 import time
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from blockfer.engine import (
     Engine,
@@ -63,6 +65,36 @@ def test_clock_tie_key_orders_before_insertion_sequence():
     clock.push(1.0, "a", tie=3)
     assert clock.pop() == (1.0, "a")
     assert clock.pop() == (1.0, "b")
+
+
+_PUSH = st.tuples(st.just("push"), st.integers(0, 4), st.sampled_from([0, 0, 1, 7, 2**32 - 1]))
+
+
+@settings(derandomize=True, max_examples=400, deadline=None)
+@given(st.lists(st.one_of(_PUSH, st.just(("pop",))), max_size=60))
+def test_clock_matches_a_reference_heap(steps):
+    """Any interleaving of pushes and pops, with equal times, tie keys and
+    times earlier than entries already queued, comes out in the order one
+    heapq of (time, tie, seq) gives; pushes that arrive in key order, as on
+    a link of constant latency, never enter the clock's heap."""
+    clock, reference, seq = SimClock(), [], 0
+    in_order, last_key = True, None
+    for step in steps:
+        if step[0] == "push":
+            _, offset, tie = step
+            time = clock.now + offset
+            clock.push(time, seq, tie)
+            heapq.heappush(reference, (time, tie, seq))
+            in_order = in_order and (last_key is None or (time, tie) >= last_key)
+            last_key, seq = (time, tie), seq + 1
+        elif reference:
+            time, _, item = heapq.heappop(reference)
+            assert clock.pop() == (time, item)
+            assert clock.now == time
+        assert clock.peek_time() == (reference[0][0] if reference else None)
+        assert len(clock) == len(reference)
+        if in_order:
+            assert not clock._heap
 
 
 def test_link_wait_delivers_one_instant_per_wait():
