@@ -3,8 +3,9 @@
 The protocol engine is sans-I/O: time, entropy, and packets are injected
 as events, so the same state machine runs deterministically under the
 bundled link simulator and over real UDP sockets. Lost blocks ride along
-with the next window instead of stalling it; a transfer that times out
-retries with a halved window.
+with the next window instead of stalling it. A transfer that times out
+fails with TIMEOUT, and the sender's failed record carries retry
+parameters with a halved window; retrying is up to the caller.
 """
 
 from .bench import (

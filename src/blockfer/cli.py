@@ -30,6 +30,7 @@ from .crypto import (
 from .engine import (
     Complete,
     Engine,
+    EngineOutput,
     Errored,
     TransferParameters,
     TransferRefused,
@@ -315,9 +316,9 @@ def _cmd_recv(args) -> int:
         if addr == peer:
             return True
         if isinstance(packet, WriteRequest):  # second sender: turn it away
-            wire = encode_packet(ErrorPacket(packet.id, ErrorCode.BUSY,
-                                             "receiver busy"))
-            endpoint.send(addr, cipher.seal(wire))
+            out = EngineOutput()
+            out.packets.append((addr, ErrorPacket(packet.id, ErrorCode.BUSY, "receiver busy")))
+            pump.flush(endpoint.address, out)
         return False
 
     started = time.monotonic()

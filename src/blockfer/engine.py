@@ -6,9 +6,10 @@ the packets to put on the wire plus an event when a transfer settles
 (Complete or Errored); progress is read from the transfer's state. A
 receiver's Complete carries the only copy of the payload: a settled
 transfer keeps its phase, counters and final acknowledgement, not bytes.
-Feeding the same events in the same order always produces byte-identical
-output; time and randomness only enter through the `now` arguments and the
-injected `random.Random`.
+The engine keeps no clock: every entry point takes the caller's reading
+as a required `now`. Feeding the same events in the same order always
+produces byte-identical output; time and randomness only enter through
+those `now` arguments and the injected `random.Random`.
 
 Protocol shape: the sender announces a transfer with a WriteRequest, then
 sends blocks in windows of `window_size`. The receiver acknowledges each
@@ -21,10 +22,15 @@ closes the transfer. An ack's window_index counts the windows the receiver
 has closed, i.e. names the next window it expects; the write-request ack is
 window 0 with an empty list.
 
+The receiver keeps one trigger: the block whose arrival sends its next
+fresh ack. Every ack it sends, fresh or re-sent, sets it. While windows
+remain it is the closing block of the expected window, whose arrival
+closes that window; in the drain it is the last block the ack lists.
+
 Both sides run a retransmit timer. A sender that hears nothing for one
 timeout re-sends its announcement, or after it sends a tail-loss probe:
-the last block of its pending batch alone (RFC 8985), i.e. the window's
-closing block or the drain trigger, whose arrival makes the receiver ack.
+the last block of its pending batch alone (RFC 8985), i.e. the receiver's
+trigger, whose arrival makes the receiver ack.
 A receiver re-sends its last acknowledgement when its own timer fires, and
 also when a duplicate arrives of the block that sent its last fresh ack,
 so a probe whose ack was lost draws that ack again. Each side times one
@@ -54,7 +60,7 @@ import heapq
 import random
 from dataclasses import dataclass, field, replace
 from enum import Enum
-from typing import Any, Callable, NamedTuple, Optional, Union
+from typing import Any, Callable, Optional, Union
 
 from .wire import (
     ACK_MAX_UNRECEIVED,
@@ -140,11 +146,6 @@ class EngineOutput:
         self.events.extend(other.events)
         return self
 
-    def __eq__(self, other):
-        if not isinstance(other, EngineOutput):
-            return NotImplemented
-        return self.packets == other.packets and self.events == other.events
-
     def __repr__(self) -> str:
         return f"EngineOutput(packets={self.packets!r}, events={self.events!r})"
 
@@ -153,9 +154,6 @@ class TransferRefused(Exception):
     """A transfer could not start; .code carries the protocol error."""
 
     code: ErrorCode = ErrorCode.BUSY
-
-    def __init__(self, message: str):
-        super().__init__(message)
 
 
 class BusyError(TransferRefused):
@@ -181,11 +179,6 @@ class ReceiverPhase(Enum):
     RECEIVING = "receiving"
     DONE = "done"
     FAILED = "failed"
-
-
-class BatchRecord(NamedTuple):
-    window_index: int  # window_index of the acknowledgement that opened it
-    blocks: tuple[int, ...]
 
 
 @dataclass
@@ -232,8 +225,6 @@ class SenderState:
     error: Optional[ErrorCode] = None  # the code it FAILED with
     retry_params: Optional[TransferParameters] = None
     counters: SenderCounters = field(default_factory=SenderCounters)
-    ack_log: list[Acknowledgement] = field(default_factory=list)
-    batch_log: list[BatchRecord] = field(default_factory=list)
 
     @property
     def interval_ms(self) -> float:
@@ -265,7 +256,7 @@ class ReceiverState:
     received_count: int = 0
     expected_window: int = 0
     missing: set = field(default_factory=set)  # unreceived below the closed boundary
-    drain_trigger: Optional[int] = None
+    trigger: Optional[int] = None  # the block whose arrival sends the next fresh ack
     acked_by: Optional[int] = None  # the block whose arrival sent the last fresh ack
     phase: ReceiverPhase = ReceiverPhase.RECEIVING
     attempts_left: int = 0
@@ -283,9 +274,6 @@ class ReceiverState:
     def deadline(self) -> float:
         """When the ack retransmit timer fires if nothing arrives first."""
         return self.last_ack_time + self.rto
-
-    def closing_block(self) -> int:
-        return min((self.expected_window + 1) * self.window_size, self.block_count) - 1
 
     def final_ack(self) -> Acknowledgement:
         return Acknowledgement(self.id, self.total_windows, ())
@@ -322,14 +310,17 @@ class Engine:
     over a finished one with the same id. A finished receiver keeps its
     phase, counters and final acknowledgement but none of the payload, and
     keeps answering duplicate data with that acknowledgement so a lost final
-    ack cannot wedge the sender.
+    ack cannot wedge the sender. A state holds only what the protocol rules,
+    the caller's progress reports and settlement read: no log of the acks a
+    sender took in or the batches it sent; those are in the packets.
 
     Cost model: each event builds one EngineOutput, a slotted record. The
     live table is keyed by peer and the finished table by transfer id, and
     every lookup checks the other half of (peer, id), so an inbound packet
     costs the same however many transfers are live or finished. A Data for
     a live receiver, the most common packet, is dispatched before any other
-    check, and a batch's blocks are views of the sender's snapshot of its
+    check and decides whether to ack by one comparison with the receiver's
+    trigger, and a batch's blocks are views of the sender's snapshot of its
     data, not copies. When two peers' finished transfers share an id, the
     newer record replaces the older. Retransmit deadlines sit in a heap that
     next_deadline() peeks at and tick() pops only the due entries of; an
@@ -355,15 +346,13 @@ class Engine:
         self._my_ids: set = set()   # ids of live transfers this side initiated
         self._timers: list = []     # heap of (deadline, start_seq, state)
         self._started = 0           # start_seq of the next state to go live
-        self._now = 0.0
 
     # -- event entry points
 
     def start_transfer(self, peer: Peer, info: str, data: bytes,
-                       params: Optional[TransferParameters] = None,
-                       now: Optional[float] = None) -> tuple[int, EngineOutput]:
+                       params: Optional[TransferParameters] = None, *,
+                       now: float) -> tuple[int, EngineOutput]:
         """Announce a transfer to peer. Raises BusyError/SizeExceededError."""
-        now = self._touch(now)
         params = params if params is not None else self.params
         if peer in self._live:
             raise BusyError(f"a transfer with {peer!r} is already live")
@@ -394,8 +383,7 @@ class Engine:
         out.packets.append((peer, wr))
         return tid, out
 
-    def packet_in(self, peer: Peer, packet: Packet, now: Optional[float] = None) -> EngineOutput:
-        now = self._touch(now)
+    def packet_in(self, peer: Peer, packet: Packet, now: float) -> EngineOutput:
         out = EngineOutput()
         state = self._live.get(peer)
         if state is not None and state.id != packet.id:
@@ -439,7 +427,6 @@ class Engine:
 
     def tick(self, now: float) -> EngineOutput:
         """Fire retransmit timers; a firing at the full interval costs one attempt."""
-        self._touch(now)
         out = EngineOutput()
         timers = self._timers
         if not timers or timers[0][0] > now:
@@ -479,9 +466,8 @@ class Engine:
                 self._arm(state)
         return out
 
-    def cancel(self, transfer_id: int, now: Optional[float] = None) -> EngineOutput:
+    def cancel(self, transfer_id: int, now: float) -> EngineOutput:
         """Abort a live transfer, telling the peer."""
-        now = self._touch(now)
         out = EngineOutput()
         for state in list(self._live.values()):
             if state.id == transfer_id:
@@ -514,12 +500,6 @@ class Engine:
         return self._finished.get(transfer_id)
 
     # -- internals
-
-    def _touch(self, now: Optional[float]) -> float:
-        if now is None:
-            return self._now
-        self._now = max(self._now, now)
-        return now
 
     def _go_live(self, state) -> None:
         cached = self._rtt.get(state.peer)
@@ -617,11 +597,14 @@ class Engine:
 
     def _emit_ack(self, state: ReceiverState, out: EngineOutput, now: float,
                   retransmit: bool = False) -> None:
+        window = state.expected_window
         listed = tuple(sorted(state.missing)[:state.window_size])
-        out.packets.append((state.peer, Acknowledgement(state.id, state.expected_window, listed)))
+        out.packets.append((state.peer, Acknowledgement(state.id, window, listed)))
         state.counters.acks_sent += 1
-        if listed and state.expected_window == state.total_windows:
-            state.drain_trigger = listed[-1]
+        if window < state.total_windows:  # the closing block of the expected window
+            state.trigger = min((window + 1) * state.window_size, state.block_count) - 1
+        elif listed:  # the drain: the last block this ack lists
+            state.trigger = listed[-1]
         if retransmit:
             state.counters.ack_retransmits += 1
             state.timed_at = None  # Karn's rule: the next fresh ack gives no sample
@@ -639,9 +622,7 @@ class Engine:
             self._fail(state, ErrorCode.DECODE_FAILURE, out, now,
                        notify_peer=True, message=f"block {n} out of range")
             return
-        tail = state.data_size - (state.block_count - 1) * state.block_size
-        expected_len = state.block_size if n < state.block_count - 1 else tail
-        if len(d.payload) != expected_len:
+        if len(d.payload) != min(state.block_size, state.data_size - n * state.block_size):
             self._fail(state, ErrorCode.DECODE_FAILURE, out, now,
                        notify_peer=True, message=f"block {n} has wrong length")
             return
@@ -665,16 +646,13 @@ class Engine:
             self._emit_ack(state, out, now)
             out.events.append(Complete(state.id, data=b"".join(blocks)))
             self._settle(state)
-        elif state.expected_window < state.total_windows and n == state.closing_block():
-            lo = state.expected_window * state.window_size
-            hi = min(lo + state.window_size, state.block_count)
-            for m in range(lo, hi):
-                if blocks[m] is None:
-                    state.missing.add(m)
-            state.expected_window += 1
-            state.acked_by = n
-            self._emit_ack(state, out, now)
-        elif state.expected_window == state.total_windows and n == state.drain_trigger:
+        elif n == state.trigger:
+            if state.expected_window < state.total_windows:
+                lo = state.expected_window * state.window_size
+                for m in range(lo, n + 1):
+                    if blocks[m] is None:
+                        state.missing.add(m)
+                state.expected_window += 1
             state.acked_by = n
             self._emit_ack(state, out, now)
 
@@ -688,12 +666,9 @@ class Engine:
         if a.window_index < state.window_index:
             state.counters.stale_acks += 1
             return
-        if a.window_index > state.total_windows or (
-                a.window_index > state.window_index
-                and state.phase is not SenderPhase.LAST_WINDOW_DRAIN):
+        if a.window_index > state.window_index:
             return  # an ack for windows never dispatched: drop
         state.counters.acks_received += 1
-        state.ack_log.append(a)
         if state.timed_at is not None:
             _sample_rtt(state, now - state.timed_at)
 
@@ -717,7 +692,6 @@ class Engine:
             state.window_index += 1
         state.counters.lost_blocks += len(a.unreceived)
         state.pending = pending
-        state.batch_log.append(BatchRecord(a.window_index, pending))
         peer, tid, size = state.peer, state.id, state.params.block_size
         view = memoryview(state.data)
         out.packets.extend([(peer, Data(tid, n, view[n * size:(n + 1) * size])) for n in pending])
@@ -773,7 +747,7 @@ class TransferScheduler:
                 blocked.add(request.peer)
                 continue
             tid, started_out = engine.start_transfer(
-                request.peer, request.info, request.data, request.params, now)
+                request.peer, request.info, request.data, request.params, now=now)
             out.extend(started_out)
             started.append(tid)
             blocked.add(request.peer)  # FIFO: later entries for this peer wait

@@ -73,8 +73,8 @@ class SimClock:
     gives. On a link of constant latency every push joins the FIFO.
     """
 
-    def __init__(self, start: float = 0.0):
-        self.now = start
+    def __init__(self):
+        self.now = 0.0
         self._fifo: deque = deque()
         self._heap: list = []
         self._seq = 0

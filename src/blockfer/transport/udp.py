@@ -42,10 +42,10 @@ class UdpEndpoint:
     recvfrom. The datagrams on the wire are the same either way.
     """
 
-    def __init__(self, bind=("127.0.0.1", 0), receive_buffer: int = RECEIVE_BUFFER):
+    def __init__(self, bind=("127.0.0.1", 0)):
         self._sock = socket.socket(socket.AF_INET, socket.SOCK_DGRAM)
         try:
-            self._sock.setsockopt(socket.SOL_SOCKET, socket.SO_RCVBUF, receive_buffer)
+            self._sock.setsockopt(socket.SOL_SOCKET, socket.SO_RCVBUF, RECEIVE_BUFFER)
             self._sock.bind(bind)
         except OSError as exc:
             self._sock.close()

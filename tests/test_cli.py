@@ -8,6 +8,16 @@ import subprocess
 import sys
 import time
 
+from blockfer.wire import (
+    Acknowledgement,
+    Data,
+    ErrorCode,
+    ErrorPacket,
+    WriteRequest,
+    decode_packet,
+    encode_packet,
+)
+
 CLI = [sys.executable, "-m", "blockfer.cli"]
 
 
@@ -190,3 +200,57 @@ def test_recv_refusal_keeps_waiting_for_a_valid_sender(tmp_path):
     assert "refused 'big.bin' (5000 bytes)" in recv_err
     assert "accepting 'ok.bin' (800 bytes)" in recv_err
     assert sink.read_bytes() == data
+
+
+def wait_until_bound(port: int, deadline_s: float = 20.0) -> None:
+    """Return once some socket is bound to the UDP port, read from /proc/net/udp."""
+    suffix = f":{port:04X}"
+    give_up = time.monotonic() + deadline_s
+    while True:
+        with open("/proc/net/udp") as table:
+            next(table)
+            if any(line.split()[1].endswith(suffix) for line in table):
+                return
+        assert time.monotonic() < give_up, f"nothing bound port {port}"
+        time.sleep(0.01)
+
+
+def test_recv_claims_the_first_announcement_and_times_out_when_it_goes_silent(tmp_path):
+    """Raw sockets against recv: a stray Data before any announcement is
+    ignored, the first WriteRequest claims the receiver, a second sender is
+    turned away BUSY, and the silent claimed sender ends recv with TIMEOUT."""
+    port = free_port()
+    recv = subprocess.Popen(
+        [*CLI, "recv", "--port", str(port), "--out", str(tmp_path / "o.bin"),
+         "--interval-ms", "100", "--attempts", "2", "--wait-s", "20"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True)
+    first = socket.socket(socket.AF_INET, socket.SOCK_DGRAM)
+    second = socket.socket(socket.AF_INET, socket.SOCK_DGRAM)
+    try:
+        for sock in (first, second):
+            sock.bind(("127.0.0.1", 0))
+            sock.settimeout(10.0)
+        wait_until_bound(port)
+        to = ("127.0.0.1", port)
+        announce = dict(info="doc", data_size=10, block_size=5, window_size=2,
+                        block_count=2, nonce=1)
+        # recv takes datagrams in order, so an answer to the stray Data
+        # would reach the first socket ahead of the announcement's ack
+        first.sendto(encode_packet(Data(id=6, block_number=0, payload=b"x" * 5)), to)
+        first.sendto(encode_packet(WriteRequest(id=7, **announce)), to)
+        assert decode_packet(first.recv(2048)) == Acknowledgement(7, 0, ())
+        second.sendto(encode_packet(WriteRequest(id=8, **announce)), to)
+        refusal = decode_packet(second.recv(2048))
+        assert isinstance(refusal, ErrorPacket)
+        assert (refusal.id, refusal.code) == (8, ErrorCode.BUSY)
+        _, recv_err = recv.communicate(timeout=20)
+    finally:
+        first.close()
+        second.close()
+        if recv.poll() is None:
+            recv.kill()
+            recv.communicate()
+    assert recv.returncode == 3, recv_err
+    assert "accepting 'doc' (10 bytes)" in recv_err
+    assert "transfer failed: TIMEOUT" in recv_err
+    assert not (tmp_path / "o.bin").exists()

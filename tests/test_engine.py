@@ -223,7 +223,7 @@ def test_lossless_counts_random_sizes():
 # --- loss, piggybacking, drain ----------------------------------------------
 
 
-def test_dropped_block_rides_next_window():
+def test_dropped_block_rides_next_window(sender_batches):
     sender, receiver = make_pair()
     data = bytes(range(20))
     tid, out = sender.start_transfer("B", "x", data, now=0.0)
@@ -238,12 +238,14 @@ def test_dropped_block_rides_next_window():
     assert s.counters.blocks_sent == 6  # 5 fresh + 1 piggybacked
     assert s.counters.window_retransmits == 0
     # ack closing window 0 listed block 0; the window 1 batch carried it
-    assert s.ack_log[1].unreceived == (0,)
-    assert s.batch_log[1].blocks == (0, 2, 3)
+    assert sender_batches == [(Acknowledgement(tid, 0, ()), (0, 1)),
+                              (Acknowledgement(tid, 1, (0,)), (0, 2, 3)),
+                              (Acknowledgement(tid, 2, ()), (4,)),
+                              (Acknowledgement(tid, 3, ()), ())]
     assert Complete(tid, data=data) in events
 
 
-def test_last_window_drain():
+def test_last_window_drain(sender_batches):
     sender, receiver = make_pair()
     data = bytes(range(20))
     tid, out = sender.start_transfer("B", "x", data, now=0.0)
@@ -262,27 +264,28 @@ def test_last_window_drain():
     assert s.counters.lost_blocks == 2
     assert s.counters.blocks_sent == 7  # 5 fresh + block 2 twice more
     # the final fresh window's ack still listed 2, forcing a drain round
-    assert s.ack_log[-2].unreceived == (2,)
-    assert s.batch_log[-1].blocks == (2,)
+    assert sender_batches[-2:] == [(Acknowledgement(tid, 3, (2,)), (2,)),
+                                   (Acknowledgement(tid, 3, ()), ())]
     assert Complete(tid, data=data) in events
     assert receiver.transfer(tid).phase is ReceiverPhase.DONE
 
 
-def test_every_listed_block_is_in_the_next_batch():
+def test_every_listed_block_is_in_the_next_batch(sender_batches):
     rng = random.Random(21)
     params = TransferParameters(block_size=8, window_size=4)
     for _ in range(10):
         sender, receiver = make_pair(params, seed=rng.randrange(10**6))
         data = rng.randbytes(rng.randrange(100, 1200))
         tid, out = sender.start_transfer("B", "x", data, now=0.0)
+        sender_batches.clear()
         events = pump(sender, receiver, out, allow_ticks=True,
                       drop=lambda p: isinstance(p, Data) and rng.random() < 0.25)
         s = sender.transfer(tid)
         assert s.phase is SenderPhase.DONE
-        assert len(s.batch_log) == len(s.ack_log) - 1  # final ack opens no batch
-        for ack, batch in zip(s.ack_log, s.batch_log):
-            assert ack.window_index == batch.window_index
-            assert set(ack.unreceived) <= set(batch.blocks)
+        opened = [(ack, blocks) for ack, blocks in sender_batches if blocks]
+        assert len(opened) == s.counters.acks_received - 1  # final ack opens no batch
+        for ack, blocks in opened:
+            assert set(ack.unreceived) <= set(blocks)
         assert Complete(tid, data=data) in events
 
 
@@ -612,7 +615,7 @@ def test_duplicate_drain_trigger_draws_the_last_ack_again():
     assert sent.phase is SenderPhase.LAST_WINDOW_DRAIN and sent.pending == (0, 2)
     # block 0 is lost again; block 2, the drain trigger, draws an ack that is lost
     [last] = acks(receiver.packet_in("A", b2, now=now + 1.0))
-    assert last == Acknowledgement(tid, 3, (0,)) and state.drain_trigger == 0
+    assert last == Acknowledgement(tid, 3, (0,)) and state.trigger == 0
     assert receiver.packet_in("A", Data(tid, 1, data[4:8]), now=now + 1.5).packets == []
 
     # the sender's probe is the drain trigger it sent last, which draws that ack again
@@ -626,6 +629,35 @@ def test_duplicate_drain_trigger_draws_the_last_ack_again():
     out = receiver.packet_in("A", resent, now=now + 302.0)
     assert Complete(tid, data=data) in out.events
     assert Complete(tid, sent=True) in sender.packet_in("B", acks(out)[0], now=now + 303.0).events
+
+
+def test_a_resent_drain_ack_moves_the_trigger_to_its_last_entry():
+    sender, receiver = make_pair()
+    data = bytes(range(24))  # 6 blocks, 3 windows
+    tid, out = sender.start_transfer("B", "x", data, now=0.0)
+    [(_, wr)] = out.packets
+    [ack] = acks(receiver.packet_in("A", wr, now=1.0))
+    now = 2.0
+    # the first block of every window is lost; each closing block arrives
+    for closing in (1, 3, 5):
+        batch = data_packets(sender.packet_in("B", ack, now=now))
+        [ack] = acks(receiver.packet_in("A", batch[-1], now=now + 1.0))
+        assert batch[-1].block_number == closing
+        now += 2.0
+    assert ack == Acknowledgement(tid, 3, (0, 2))  # 0, 2 and 4 are missing; W cuts it at 2
+    state = receiver.transfer(tid)
+    assert state.trigger == 2
+    b0, _ = data_packets(sender.packet_in("B", ack, now=now))
+    assert receiver.packet_in("A", b0, now=now + 1.0).packets == []  # block 2 is lost again
+
+    # the timer re-sends what is still missing, so its last entry is the trigger now
+    [resent] = acks(receiver.tick(now=receiver.next_deadline()))
+    assert resent == Acknowledgement(tid, 3, (2, 4)) and state.trigger == 4
+    b2, b4 = data_packets(sender.packet_in("B", resent, now=now + 2000.0))
+    assert receiver.packet_in("A", b2, now=now + 2001.0).packets == []
+    out = receiver.packet_in("A", b4, now=now + 2002.0)
+    assert acks(out) == [Acknowledgement(tid, 3, ())]
+    assert Complete(tid, data=data) in out.events
 
 
 def test_done_receiver_answers_a_probe_with_its_final_ack():

@@ -308,7 +308,7 @@ def test_simulated_transfer_dead_link_times_out():
     assert result.receiver is None
 
 
-def test_lost_packets_cost_a_fraction_of_the_interval():
+def test_lost_packets_cost_a_fraction_of_the_interval(sender_batches):
     """1 MiB at 1% loss and 20 ms with default parameters, over fixed seeds.
 
     Beyond the analytic bound, one round trip per window plus one for the
@@ -322,13 +322,14 @@ def test_lost_packets_cost_a_fraction_of_the_interval():
     data = random.Random(3).randbytes(2**20)
     for seed in range(1, 13):
         model = LinkModel(loss_probability=0.01, latency_base_ms=latency, seed=seed)
+        sender_batches.clear()
         result = run_simulated_transfer(data, model, params)
         assert result.completed and result.data == data
         sender, receiver = result.sender, result.receiver
         stall = result.duration_ms - (sender.total_windows + 1) * 2 * latency
         firings = sender.counters.window_retransmits + receiver.counters.ack_retransmits
-        drains = sum(1 for a in sender.ack_log
-                     if a.window_index == sender.total_windows and a.unreceived)
+        drains = sum(1 for a, blocks in sender_batches
+                     if a.window_index == sender.total_windows and blocks)
         allowed = (interval * sender.counters.wr_retransmits + interval / 4 * firings
                    + 2 * latency * drains)
         assert stall <= allowed, f"seed {seed}: {stall} ms stalled, {allowed} allowed"
