@@ -1,9 +1,19 @@
 """Operator entry points: file transfer over UDP, sweeps, and evaluation runs.
 
-Subcommands: send, recv, sweep, eval, keygen. Every tunable flag falls back
-to a BLOCKFER_<NAME> environment variable (dashes become underscores, upper
-case), e.g. BLOCKFER_BLOCK_SIZE=600. Standard output carries only requested
-data and reports; progress and diagnostics go to standard error.
+Subcommands: send, recv, sweep, eval, keygen. These flags fall back to a
+BLOCKFER_<NAME> environment variable (dashes become underscores, upper
+case), e.g. BLOCKFER_BLOCK_SIZE=600:
+
+  send, recv  --block-size --window --interval-ms --attempts --max-size
+              --cipher --key --peer-key --seed, and recv's --bind
+  sweep       --csv --seed
+  eval        --block-size --window --interval-ms --attempts --seed
+
+The others are set by flag only: --to, --port, --out, --info, --wait-s,
+the link flags, sweep's --blocks --windows --iterations --data-size
+--interval-ms --attempts, and eval's --mode --size --reps. Standard output
+carries only requested data and reports; progress and diagnostics go to
+standard error.
 
 Exit codes: 0 success, 2 usage error, 3 transfer failure (timeout or peer
 refusal), 4 input/output error.
@@ -428,10 +438,7 @@ def main(argv=None) -> int:
     except TransferRefused as exc:
         _err(str(exc))
         return 3
-    except _IoError as exc:
-        _err(str(exc))
-        return 4
-    except (TransportError, OSError) as exc:
+    except (_IoError, TransportError, OSError) as exc:
         _err(str(exc))
         return 4
     except KeyboardInterrupt:

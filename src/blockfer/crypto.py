@@ -48,27 +48,23 @@ def derive_public_key(private_key: bytes) -> bytes:
 
 
 class PeerKeyPair:
-    """32-byte X25519 key pair. repr never exposes the private half."""
+    """32-byte X25519 key pair, the public half always derived from the private
+    one. repr never exposes the private half."""
 
     __slots__ = ("private_key", "public_key")
 
-    def __init__(self, private_key: bytes, public_key: Optional[bytes] = None):
+    def __init__(self, private_key: bytes):
         if len(private_key) != 32:
             raise ValueError("private key must be 32 bytes")
         self.private_key = private_key
-        self.public_key = public_key if public_key is not None else derive_public_key(private_key)
+        self.public_key = derive_public_key(private_key)
 
     @classmethod
     def generate(cls, entropy: Optional[random.Random] = None) -> "PeerKeyPair":
-        raw = _draw_bytes(entropy, 32)
-        return cls(raw)
+        return cls(_draw_bytes(entropy, 32))
 
     def __eq__(self, other):
-        return (
-            isinstance(other, PeerKeyPair)
-            and self.private_key == other.private_key
-            and self.public_key == other.public_key
-        )
+        return isinstance(other, PeerKeyPair) and self.private_key == other.private_key
 
     def __repr__(self):
         return f"PeerKeyPair(public_key={self.public_key.hex()})"

@@ -22,6 +22,14 @@ closes the transfer. An ack's window_index counts the windows the receiver
 has closed, i.e. names the next window it expects; the write-request ack is
 window 0 with an empty list.
 
+Both roles share one record, TransferState: the transfer's identity and
+sizes, its retransmit timer and its outcome, each declared once;
+SenderState and ReceiverState add only what their own rules read. Each
+record holds the TransferParameters it runs by. A sender's are the ones it
+started with. A receiver's are its engine's, with the block and window size
+the announcement carried, so the validation that checks a caller's
+parameters also refuses an announcement out of range.
+
 The receiver keeps one trigger: the block whose arrival sends its next
 fresh ack. Every ack it sends, fresh or re-sent, sets it. While windows
 remain it is the closing block of the expected window, whose arrival
@@ -200,21 +208,18 @@ class ReceiverCounters:
     duplicate_blocks: int = 0
 
 
-@dataclass(slots=True)
-class SenderState:
+@dataclass(slots=True, kw_only=True)
+class TransferState:
+    """What both roles keep: identity, sizes, the retransmit timer and the outcome."""
+
     id: int
     peer: Peer
     info: str
-    data: bytes = field(repr=False)
     params: TransferParameters
     block_count: int
     total_windows: int
-    write_request: WriteRequest
-    phase: SenderPhase = SenderPhase.AWAITING_WR_ACK
-    window_index: int = 0  # next fresh window to dispatch
-    pending: tuple[int, ...] = ()
     attempts_left: int = 0
-    last_send_time: float = 0.0
+    last_sent: float = 0.0  # when the side last sent what its timer guards
     rto: float = 0.0  # current retransmit timeout; seeded from the peer, else the interval
     srtt: Optional[float] = None  # smoothed round trip, None before the first sample
     rttvar: float = 0.0
@@ -223,35 +228,35 @@ class SenderState:
     started_at: float = 0.0
     finished_at: Optional[float] = None
     error: Optional[ErrorCode] = None  # the code it FAILED with
-    retry_params: Optional[TransferParameters] = None
-    counters: SenderCounters = field(default_factory=SenderCounters)
 
     @property
     def interval_ms(self) -> float:
         return self.params.retransmit_interval_ms
+
+    def deadline(self) -> float:
+        """When the retransmit timer fires if nothing arrives first."""
+        return self.last_sent + self.rto
+
+
+@dataclass(slots=True, kw_only=True)
+class SenderState(TransferState):
+    data: bytes = field(repr=False)
+    write_request: WriteRequest
+    phase: SenderPhase = SenderPhase.AWAITING_WR_ACK
+    window_index: int = 0  # next fresh window to dispatch
+    pending: tuple[int, ...] = ()
+    retry_params: Optional[TransferParameters] = None
+    counters: SenderCounters = field(default_factory=SenderCounters)
 
     def block_payload(self, n: int) -> memoryview:
         """Block n as a view of the data: encoding copies it once, into the datagram."""
         size = self.params.block_size
         return memoryview(self.data)[n * size:(n + 1) * size]
 
-    def deadline(self) -> float:
-        """When the retransmit timer fires if nothing arrives first."""
-        return self.last_send_time + self.rto
 
-
-@dataclass(slots=True)
-class ReceiverState:
-    id: int
-    peer: Peer
-    info: str
+@dataclass(slots=True, kw_only=True)
+class ReceiverState(TransferState):
     data_size: int
-    block_size: int
-    window_size: int
-    block_count: int
-    total_windows: int
-    interval_ms: float
-    max_attempts: int
     blocks: Optional[list] = field(repr=False, default=None)  # None once settled
     received_count: int = 0
     expected_window: int = 0
@@ -259,21 +264,7 @@ class ReceiverState:
     trigger: Optional[int] = None  # the block whose arrival sends the next fresh ack
     acked_by: Optional[int] = None  # the block whose arrival sent the last fresh ack
     phase: ReceiverPhase = ReceiverPhase.RECEIVING
-    attempts_left: int = 0
-    last_ack_time: float = 0.0
-    rto: float = 0.0  # current retransmit timeout; seeded from the peer, else the interval
-    srtt: Optional[float] = None  # smoothed round trip, None before the first sample
-    rttvar: float = 0.0
-    timed_at: Optional[float] = None  # send time of the ack being timed, if any
-    start_seq: int = 0  # position in the engine's live table; orders same-instant timers
-    started_at: float = 0.0
-    finished_at: Optional[float] = None
-    error: Optional[ErrorCode] = None  # the code it FAILED with
     counters: ReceiverCounters = field(default_factory=ReceiverCounters)
-
-    def deadline(self) -> float:
-        """When the ack retransmit timer fires if nothing arrives first."""
-        return self.last_ack_time + self.rto
 
     def final_ack(self) -> Acknowledgement:
         return Acknowledgement(self.id, self.total_windows, ())
@@ -312,7 +303,11 @@ class Engine:
     keeps answering duplicate data with that acknowledgement so a lost final
     ack cannot wedge the sender. A state holds only what the protocol rules,
     the caller's progress reports and settlement read: no log of the acks a
-    sender took in or the batches it sent; those are in the packets.
+    sender took in or the batches it sent; those are in the packets. A
+    receiver takes its interval, attempt budget and size cap from the
+    engine's params and its block and window size from the announcement;
+    when those sizes equal the engine's own it holds the engine's params
+    object itself, so a settled receiver keeps no copy of them.
 
     Cost model: each event builds one EngineOutput, a slotted record. The
     live table is keyed by peer and the finished table by transfer id, and
@@ -374,7 +369,7 @@ class Engine:
             block_count=block_count,
             total_windows=block_count_for(block_count, params.window_size),
             write_request=wr, attempts_left=params.max_attempts,
-            last_send_time=now, rto=params.retransmit_interval_ms, started_at=now,
+            last_sent=now, rto=params.retransmit_interval_ms, started_at=now,
         )
         self._go_live(state)
         self._arm(state)
@@ -395,7 +390,7 @@ class Engine:
         if isinstance(packet, WriteRequest):
             if isinstance(state, ReceiverState):
                 # duplicate announcement for a live transfer: same ack again
-                state.attempts_left = state.max_attempts
+                state.attempts_left = state.params.max_attempts
                 self._emit_ack(state, out, now, retransmit=True)
             else:
                 finished = self._finished_with(peer, packet.id)
@@ -462,7 +457,7 @@ class Engine:
                     state.counters.window_retransmits += 1
                     state.counters.window_retransmit_blocks += 1
                     state.counters.blocks_sent += 1
-                state.last_send_time = now
+                state.last_sent = now
                 self._arm(state)
         return out
 
@@ -563,26 +558,27 @@ class Engine:
                 out.packets.append((peer, ErrorPacket(
                     wr.id, ErrorCode.BUSY, f"transfer {live.id} still live with this peer")))
             return
-        if not 1 <= wr.block_size <= PAYLOAD_MAX or not 1 <= wr.window_size <= ACK_MAX_UNRECEIVED:
-            out.packets.append((peer, ErrorPacket(
-                wr.id, ErrorCode.SIZE_EXCEEDED, "announced block or window size out of range")))
-            return
-        if wr.data_size > self.params.max_transfer_size:
+        params = self.params
+        if wr.block_size != params.block_size or wr.window_size != params.window_size:
+            try:  # the announced sizes, in the ranges TransferParameters allows
+                params = replace(params, block_size=wr.block_size, window_size=wr.window_size)
+            except ValueError:
+                out.packets.append((peer, ErrorPacket(
+                    wr.id, ErrorCode.SIZE_EXCEEDED, "announced block or window size out of range")))
+                return
+        if wr.data_size > params.max_transfer_size:
             out.packets.append((peer, ErrorPacket(
                 wr.id, ErrorCode.SIZE_EXCEEDED,
-                f"transfer size {wr.data_size} exceeds cap {self.params.max_transfer_size}")))
+                f"transfer size {wr.data_size} exceeds cap {params.max_transfer_size}")))
             return
 
         state = ReceiverState(
-            id=wr.id, peer=peer, info=wr.info, data_size=wr.data_size,
-            block_size=wr.block_size, window_size=wr.window_size,
+            id=wr.id, peer=peer, info=wr.info, params=params, data_size=wr.data_size,
             block_count=wr.block_count,
             total_windows=block_count_for(wr.block_count, wr.window_size),
-            interval_ms=self.params.retransmit_interval_ms,
-            max_attempts=self.params.max_attempts,
-            rto=self.params.retransmit_interval_ms,
+            rto=params.retransmit_interval_ms,
             blocks=[None] * wr.block_count,
-            attempts_left=self.params.max_attempts,
+            attempts_left=params.max_attempts,
             started_at=now,
         )
         self._go_live(state)
@@ -597,12 +593,12 @@ class Engine:
 
     def _emit_ack(self, state: ReceiverState, out: EngineOutput, now: float,
                   retransmit: bool = False) -> None:
-        window = state.expected_window
-        listed = tuple(sorted(state.missing)[:state.window_size])
+        window, window_size = state.expected_window, state.params.window_size
+        listed = tuple(sorted(state.missing)[:window_size])
         out.packets.append((state.peer, Acknowledgement(state.id, window, listed)))
         state.counters.acks_sent += 1
         if window < state.total_windows:  # the closing block of the expected window
-            state.trigger = min((window + 1) * state.window_size, state.block_count) - 1
+            state.trigger = min((window + 1) * window_size, state.block_count) - 1
         elif listed:  # the drain: the last block this ack lists
             state.trigger = listed[-1]
         if retransmit:
@@ -612,21 +608,22 @@ class Engine:
             if state.timed_at is not None:
                 _sample_rtt(state, now - state.timed_at)  # one whole ack-to-ack cycle
             state.timed_at = now
-        state.last_ack_time = now
+        state.last_sent = now
         self._arm(state)
 
     def _receiver_data(self, state: ReceiverState, d: Data,
                        out: EngineOutput, now: float) -> None:
-        n = d.block_number
+        n, params = d.block_number, state.params
         if n >= state.block_count:
             self._fail(state, ErrorCode.DECODE_FAILURE, out, now,
                        notify_peer=True, message=f"block {n} out of range")
             return
-        if len(d.payload) != min(state.block_size, state.data_size - n * state.block_size):
+        size = params.block_size
+        if len(d.payload) != min(size, state.data_size - n * size):
             self._fail(state, ErrorCode.DECODE_FAILURE, out, now,
                        notify_peer=True, message=f"block {n} has wrong length")
             return
-        state.attempts_left = state.max_attempts
+        state.attempts_left = params.max_attempts
         blocks = state.blocks
         if blocks[n] is not None:
             state.counters.duplicate_blocks += 1
@@ -648,7 +645,7 @@ class Engine:
             self._settle(state)
         elif n == state.trigger:
             if state.expected_window < state.total_windows:
-                lo = state.expected_window * state.window_size
+                lo = state.expected_window * params.window_size
                 for m in range(lo, n + 1):
                     if blocks[m] is None:
                         state.missing.add(m)
@@ -696,7 +693,7 @@ class Engine:
         view = memoryview(state.data)
         out.packets.extend([(peer, Data(tid, n, view[n * size:(n + 1) * size])) for n in pending])
         state.counters.blocks_sent += len(pending)
-        state.last_send_time = state.timed_at = now
+        state.last_sent = state.timed_at = now
         self._arm(state)
 
 

@@ -21,10 +21,11 @@ from .pump import Pump, TransferOutcome
 
 _SENDER_SALT = 0x9E3779B97F4A7C15
 _RECEIVER_SALT = 0xC2B2AE3D27D4EB4F
+MAX_SIM_MS = 86_400_000.0  # a simulated day: run_simulated_transfer stops past it
 
 
 class MtuError(ValueError):
-    """Datagram (plus any configured header tax) exceeds the 1500-byte MTU."""
+    """Datagram exceeds the 1500-byte MTU."""
 
 
 @dataclass(frozen=True)
@@ -32,12 +33,11 @@ class LinkModel:
     """One direction-agnostic description of an unreliable datagram link.
 
     latency_jitter_ms spreads delivery uniformly around the base; a draw
-    below zero clamps to immediate delivery. header_tax_bytes emulates the
-    overhead of a fatter encapsulation by counting against the MTU without
-    being transmitted. A positive rate_kbps gives each direction a
-    bottleneck of that many kilobits per second: datagrams queue and cross
-    it one after another, lost ones included, before the latency applies,
-    so a window takes time to arrive. Zero leaves the link unlimited.
+    below zero clamps to immediate delivery. A positive rate_kbps gives each
+    direction a bottleneck of that many kilobits per second: datagrams queue
+    and cross it one after another, lost ones included, before the latency
+    applies, so a window takes time to arrive. Zero leaves the link
+    unlimited.
     """
 
     loss_probability: float = 0.0
@@ -46,7 +46,6 @@ class LinkModel:
     reorder_probability: float = 0.0
     duplicate_probability: float = 0.0
     seed: int = 0
-    header_tax_bytes: int = 0
     rate_kbps: float = 0.0
 
     def __post_init__(self):
@@ -56,8 +55,6 @@ class LinkModel:
                 raise ValueError(f"{name} must be in [0, 1]")
         if self.latency_base_ms < 0 or self.latency_jitter_ms < 0:
             raise ValueError("latencies must not be negative")
-        if self.header_tax_bytes < 0:
-            raise ValueError("header_tax_bytes must not be negative")
         if self.rate_kbps < 0:
             raise ValueError("rate_kbps must not be negative")
 
@@ -132,10 +129,8 @@ class SimulatedLink:
         delivery whether it is duplicated.
         """
         model, rng = self.model, self._rng
-        if len(datagram) + model.header_tax_bytes > MTU:
-            raise MtuError(
-                f"datagram of {len(datagram)} bytes (+{model.header_tax_bytes} "
-                f"header tax) exceeds the {MTU}-byte MTU")
+        if len(datagram) > MTU:
+            raise MtuError(f"datagram of {len(datagram)} bytes exceeds the {MTU}-byte MTU")
         if model.rate_kbps:
             start = max(now, self._free_at.get((src, dst), now))
             now = self._free_at[(src, dst)] = start + len(datagram) * 8 / model.rate_kbps
@@ -201,8 +196,7 @@ class _LinkTransport:
 
 def run_simulated_transfer(data: bytes, model: Optional[LinkModel] = None,
                            params: Optional[TransferParameters] = None,
-                           info: str = "sim", record_trace: bool = False,
-                           max_sim_ms: float = 86_400_000.0) -> TransferOutcome:
+                           info: str = "sim", record_trace: bool = False) -> TransferOutcome:
     """Run one whole transfer between two engines over a simulated link.
 
     Deliveries and retransmit deadlines are handled in time order
@@ -213,7 +207,7 @@ def run_simulated_transfer(data: bytes, model: Optional[LinkModel] = None,
     model = model if model is not None else LinkModel()
     params = params if params is not None else TransferParameters()
     trace = [] if record_trace else None
-    transport = _LinkTransport(SimulatedLink(model, SimClock()), max_sim_ms, trace)
+    transport = _LinkTransport(SimulatedLink(model, SimClock()), MAX_SIM_MS, trace)
     pump = Pump({
         "A": Engine(params=params, rng=random.Random(model.seed ^ _SENDER_SALT)),
         "B": Engine(params=params, rng=random.Random(model.seed ^ _RECEIVER_SALT)),

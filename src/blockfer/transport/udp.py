@@ -17,6 +17,7 @@ from .sim import MtuError
 
 RECEIVE_BUFFER = 4 * 1024 * 1024  # absorbs whole window bursts
 MAX_WAIT_S = 0.2  # longest single wait, so callers regain control now and then
+WALL_TIMEOUT_S = 120.0  # bounds a wedged run_loopback_transfer
 
 # Linux UDP segmentation offload (linux/udp.h); the socket module has no names
 # for them. UDP_SEGMENT sends one buffer as a run of datagrams of a given size
@@ -92,7 +93,7 @@ class UdpEndpoint:
     def _send_run(self, to, run, size: int) -> None:
         if len(run) > 1 and self._gso:
             try:
-                self._sock.sendmsg([b"".join(run)], [(
+                self._sock.sendmsg(run, [(
                     socket.IPPROTO_UDP, UDP_SEGMENT, size.to_bytes(2, sys.byteorder))], 0, to)
                 return
             except OSError as exc:
@@ -174,12 +175,12 @@ class UdpTransport:
 
 
 def run_loopback_transfer(data: bytes, params: Optional[TransferParameters] = None,
-                          info: str = "loopback", seed: int = 0,
-                          wall_timeout_s: float = 120.0) -> TransferOutcome:
+                          info: str = "loopback", seed: int = 0) -> TransferOutcome:
     """Run one transfer between two engines on two local UDP sockets.
 
-    Real sockets, real clock; wall_timeout_s bounds a wedged run. Undecodable
-    datagrams are dropped, matching how a public port must treat noise.
+    Real sockets, real clock; a run still live after WALL_TIMEOUT_S gives up.
+    Undecodable datagrams are dropped, matching how a public port must treat
+    noise.
     """
     params = params if params is not None else TransferParameters()
     with UdpEndpoint() as a, UdpEndpoint() as b:
@@ -190,7 +191,7 @@ def run_loopback_transfer(data: bytes, params: Optional[TransferParameters] = No
         sender, receiver = pump.engines[a.address], pump.engines[b.address]
         tid, out = sender.start_transfer(b.address, info, data, now=pump.transport.now())
         pump.flush(a.address, out)
-        give_up_at = time.monotonic() + wall_timeout_s
+        give_up_at = time.monotonic() + WALL_TIMEOUT_S
         while time.monotonic() < give_up_at and (
                 sender.live_transfer_with(b.address) is not None
                 or receiver.live_transfer_with(a.address) is not None):

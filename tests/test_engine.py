@@ -335,10 +335,38 @@ def test_invalid_announced_parameters_refused():
                      block_count=3, nonce=1),
         WriteRequest(id=9, info="", data_size=10, block_size=4, window_size=0,
                      block_count=3, nonce=1),
+        WriteRequest(id=9, info="", data_size=10, block_size=0, window_size=2,
+                     block_count=3, nonce=1),
     ):
         out = receiver.packet_in("A", wr, now=0.0)
         [(_, err)] = out.packets
         assert isinstance(err, ErrorPacket) and err.code is ErrorCode.SIZE_EXCEEDED
+        assert receiver.transfer(9) is None
+
+
+def test_receiver_params_carry_the_announced_sizes():
+    """An accepted receiver runs by its engine's interval, attempts and cap with
+    the block and window size the announcement carried; when those match the
+    engine's own, it holds the engine's params object itself."""
+    receiver = Engine(params=SMALL, rng=random.Random(5))
+    wr = WriteRequest(id=9, info="", data_size=10, block_size=3, window_size=4,
+                      block_count=4, nonce=1)
+    receiver.packet_in("A", wr, now=0.0)
+    assert receiver.transfer(9).params == replace(SMALL, block_size=3, window_size=4)
+    wr = WriteRequest(id=10, info="", data_size=10, block_size=4, window_size=2,
+                      block_count=3, nonce=1)
+    receiver.packet_in("B", wr, now=0.0)
+    assert receiver.transfer(10).params is receiver.params
+
+
+def test_transfer_states_have_no_instance_dict():
+    """Every state field is a slot: a base record without slots would give
+    each live and settled state a __dict__ of its own."""
+    sender, receiver = make_pair()
+    tid, out = sender.start_transfer("B", "x", bytes(20), now=0.0)
+    pump(sender, receiver, out)
+    for state in (sender.transfer(tid), receiver.transfer(tid)):
+        assert not hasattr(state, "__dict__"), type(state).__name__
 
 
 def test_busy_second_transfer_same_peer():
@@ -551,7 +579,7 @@ def test_window_timeout_probes_with_the_closing_block():
 
     out = sender.tick(now=2001.9)
     assert out.packets == []
-    out = sender.tick(now=2002.0)  # last_send_time=2.0 + interval
+    out = sender.tick(now=2002.0)  # last_sent=2.0 + interval
     assert out.packets == [("B", b1)]  # the probe: the closing block alone, not the batch
     assert state.pending == (0, 1)
     assert state.counters.window_retransmits == 1
@@ -749,7 +777,7 @@ def test_timed_batch_timeout_backs_off_to_the_interval():
     assert state.rto == PTO_MIN_MS
 
     assert sender.tick(now=4.0 + PTO_MIN_MS - 0.1).packets == []
-    out = sender.tick(now=4.0 + PTO_MIN_MS)  # last_send_time=4.0 + PTO_MIN_MS
+    out = sender.tick(now=4.0 + PTO_MIN_MS)  # last_sent=4.0 + PTO_MIN_MS
     assert [d.block_number for d in data_packets(out)] == [3]  # the probe
     assert state.counters.window_retransmit_blocks == 1
     assert state.counters.blocks_sent == 5
@@ -1040,9 +1068,7 @@ PEERS = ["P0", "P1", "P2", "P3"]
 
 
 def brute_deadline(state):
-    if isinstance(state, SenderState):
-        return state.last_send_time + state.rto
-    return state.last_ack_time + state.rto
+    return state.last_sent + state.rto
 
 
 class TimerOracle(RuleBasedStateMachine):
@@ -1135,8 +1161,7 @@ class TimerOracle(RuleBasedStateMachine):
     def deadline_is_last_send_plus_rto(self):
         for engine in (self.engine, *self.peers.values()):
             for s in engine._live.values():
-                sent = s.last_send_time if isinstance(s, SenderState) else s.last_ack_time
-                assert s.deadline() == sent + s.rto
+                assert s.deadline() == s.last_sent + s.rto
                 floor = PTO_MIN_MS if isinstance(s, SenderState) else RTO_MIN_MS
                 assert min(floor, s.interval_ms) <= s.rto <= s.interval_ms
 

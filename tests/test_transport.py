@@ -199,15 +199,11 @@ def test_identical_seeds_identical_schedules():
     assert schedule(12) != schedule(13)
 
 
-def test_mtu_guard_counts_header_tax():
+def test_mtu_guard():
     link = make_link()
     link.send("A", "B", bytes(1500), now=0.0)
     with pytest.raises(MtuError):
         link.send("A", "B", bytes(1501), now=0.0)
-    taxed = make_link(header_tax_bytes=177)
-    taxed.send("A", "B", bytes(1323), now=0.0)
-    with pytest.raises(MtuError):
-        taxed.send("A", "B", bytes(1324), now=0.0)
 
 
 def test_link_model_validation():
@@ -217,8 +213,6 @@ def test_link_model_validation():
         LinkModel(reorder_probability=-0.1)
     with pytest.raises(ValueError):
         LinkModel(latency_base_ms=-1.0)
-    with pytest.raises(ValueError):
-        LinkModel(header_tax_bytes=-1)
     with pytest.raises(ValueError):
         LinkModel(rate_kbps=-1.0)
 
