@@ -6,9 +6,11 @@ transfer engine never sees key material. Two interchangeable ciphers:
   * IdentityCipher: no-op, zero overhead. Default for simulation and
     benchmarks.
   * SealedCipher: X25519 static-static agreement, HKDF-SHA256 key
-    derivation, ChaCha20-Poly1305 with an explicit random 96-bit nonce.
-    Constant 28 bytes of overhead (12 nonce + 16 tag), authenticated both
-    ways: only the holder of either private key can produce or open a box.
+    derivation, AES-256-GCM with an explicit random 96-bit nonce. Constant
+    28 bytes of overhead (12 nonce + 16 tag), authenticated both ways: only
+    the holder of either private key can produce or open a box. The key
+    derivation label names the construction, so a peer on an older one
+    fails authentication instead of being misread.
 
 Key files are raw 32-byte scalars; private files are written 0600.
 """
@@ -25,7 +27,7 @@ from cryptography.hazmat.primitives.asymmetric.x25519 import (
     X25519PrivateKey,
     X25519PublicKey,
 )
-from cryptography.hazmat.primitives.ciphers.aead import ChaCha20Poly1305
+from cryptography.hazmat.primitives.ciphers.aead import AESGCM
 from cryptography.hazmat.primitives.hashes import SHA256
 from cryptography.hazmat.primitives.kdf.hkdf import HKDF
 from cryptography.hazmat.primitives.serialization import Encoding, PublicFormat
@@ -35,7 +37,7 @@ from .wire import DATA_WIRE_OVERHEAD, DATAGRAM_BUDGET, PAYLOAD_MAX
 NONCE_SIZE = 12
 TAG_SIZE = 16
 SEALED_OVERHEAD = NONCE_SIZE + TAG_SIZE  # 28, well under the 41-byte budget
-_HKDF_INFO = b"blockfer datagram seal v1"
+_HKDF_INFO = b"blockfer datagram seal v2"
 
 
 class AuthenticationError(Exception):
@@ -76,12 +78,12 @@ def _draw_bytes(entropy: Optional[random.Random], n: int) -> bytes:
     return entropy.randbytes(n)
 
 
-def _pair_key(private_key: bytes, public_key: bytes) -> ChaCha20Poly1305:
+def _pair_key(private_key: bytes, public_key: bytes) -> AESGCM:
     shared = X25519PrivateKey.from_private_bytes(private_key).exchange(
         X25519PublicKey.from_public_bytes(public_key)
     )
     key = HKDF(algorithm=SHA256(), length=32, salt=None, info=_HKDF_INFO).derive(shared)
-    return ChaCha20Poly1305(key)
+    return AESGCM(key)
 
 
 class IdentityCipher:
@@ -97,7 +99,13 @@ class IdentityCipher:
 
 
 class SealedCipher:
-    """Cipher bound to one peer pair: our key pair plus their public key."""
+    """Cipher bound to one peer pair: our key pair plus their public key.
+
+    Both directions share one AES-256-GCM key, and every box carries a fresh
+    random 12-byte nonce. NIST SP 800-38D section 8.3 bounds random nonces
+    to 2**32 invocations per key, so one static key pair should seal no more
+    than about 2**32 datagrams.
+    """
 
     overhead = SEALED_OVERHEAD
 
@@ -116,7 +124,10 @@ class SealedCipher:
         return nonce + self._aead.encrypt(nonce, plaintext, None)
 
     def open(self, ciphertext: bytes) -> bytes:
-        """Reverse of seal. Raises AuthenticationError on any forgery or damage."""
+        """Reverse of seal. Raises AuthenticationError on any forgery or damage.
+
+        The length check also pins the nonce to 12 bytes: AESGCM itself
+        would take a shorter box's head as a shorter nonce."""
         if len(ciphertext) < SEALED_OVERHEAD:
             raise AuthenticationError("sealed payload shorter than its overhead")
         try:

@@ -8,6 +8,7 @@ import subprocess
 import sys
 import time
 
+from blockfer.crypto import PeerKeyPair, save_keypair
 from blockfer.wire import (
     Acknowledgement,
     Data,
@@ -128,6 +129,40 @@ def test_loopback_transfer_sealed(tmp_path):
                     "--peer-key", tmp_path / "bob.pub"],
         extra_recv=["--cipher", "sealed", "--key", tmp_path / "bob.key",
                     "--peer-key", tmp_path / "alice.pub"])
+
+
+def test_sealed_transfer_to_the_wrong_peer_key_fails_closed(tmp_path):
+    """A sender sealing to a key that is not the receiver's is noise to it:
+    every datagram fails authentication, both sides time out and no file
+    is written."""
+    rng = random.Random(13)
+    keys = {name: save_keypair(PeerKeyPair.generate(rng), tmp_path / name)
+            for name in ("alice", "bob", "carol")}
+    source, sink = tmp_path / "in.bin", tmp_path / "out.bin"
+    source.write_bytes(b"z" * 5000)
+    port = free_port()
+    started = time.monotonic()
+    recv = subprocess.Popen(
+        [*CLI, "recv", "--port", str(port), "--out", str(sink), "--wait-s", "2",
+         "--cipher", "sealed", "--key", str(keys["bob"][0]),
+         "--peer-key", str(keys["alice"][1])],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True)
+    try:
+        send = run_cli("send", "--to", f"127.0.0.1:{port}",
+                       "--interval-ms", "100", "--attempts", "2",
+                       "--cipher", "sealed", "--key", keys["alice"][0],
+                       "--peer-key", keys["carol"][1], source)
+        _, recv_err = recv.communicate(timeout=20)
+    finally:
+        if recv.poll() is None:
+            recv.kill()
+            recv.communicate()
+    assert send.returncode == 3, send.stderr
+    assert "TIMEOUT" in send.stderr
+    assert recv.returncode == 3, recv_err
+    assert "no transfer arrived in time" in recv_err
+    assert not sink.exists()
+    assert time.monotonic() - started < 10
 
 
 def test_sealed_requires_key_files():

@@ -3,6 +3,13 @@ import random
 import stat
 
 import pytest
+from cryptography.hazmat.primitives.asymmetric.x25519 import (
+    X25519PrivateKey,
+    X25519PublicKey,
+)
+from cryptography.hazmat.primitives.ciphers.aead import AESGCM, ChaCha20Poly1305
+from cryptography.hazmat.primitives.hashes import SHA256
+from cryptography.hazmat.primitives.kdf.hkdf import HKDF
 
 from blockfer.crypto import (
     SEALED_OVERHEAD,
@@ -153,3 +160,44 @@ def test_max_block_size_budget():
     # sealed datagrams must still fit the budget, so blocks shrink
     assert max_block_size(sealed) == min(1200, 1241 - 18 - SEALED_OVERHEAD)
     assert max_block_size(sealed) + 18 + sealed.overhead <= 1241
+
+
+def hand_built_aead(aead_class, label, private_key, public_key):
+    """The sealed construction rebuilt from cryptography primitives alone:
+    X25519 exchange, HKDF-SHA256 with no salt and the given label, then the
+    AEAD."""
+    shared = X25519PrivateKey.from_private_bytes(private_key).exchange(
+        X25519PublicKey.from_public_bytes(public_key))
+    key = HKDF(algorithm=SHA256(), length=32, salt=None, info=label).derive(shared)
+    return aead_class(key)
+
+
+def test_sealed_cipher_is_aes_256_gcm_under_the_v2_label():
+    rng = random.Random(11)
+    sender = PeerKeyPair.generate(rng)
+    recipient = PeerKeyPair.generate(rng)
+    reference = hand_built_aead(AESGCM, b"blockfer datagram seal v2",
+                                sender.private_key, recipient.public_key)
+    plaintext = rng.randbytes(1218)
+    nonce = rng.randbytes(12)
+    box = nonce + reference.encrypt(nonce, plaintext, None)
+    assert SealedCipher(recipient, sender.public_key).open(box) == plaintext
+
+    sealed = SealedCipher(sender, recipient.public_key, entropy=rng).seal(plaintext)
+    assert reference.decrypt(sealed[:12], sealed[12:], None) == plaintext
+
+
+def test_box_of_the_v1_framing_fails_authentication():
+    """ChaCha20-Poly1305 under the v1 label has the same layout and size, but
+    a v2 peer derives another key and drops it as noise."""
+    rng = random.Random(12)
+    sender = PeerKeyPair.generate(rng)
+    recipient = PeerKeyPair.generate(rng)
+    old = hand_built_aead(ChaCha20Poly1305, b"blockfer datagram seal v1",
+                          sender.private_key, recipient.public_key)
+    plaintext = rng.randbytes(100)
+    nonce = rng.randbytes(12)
+    box = nonce + old.encrypt(nonce, plaintext, None)
+    assert len(box) == len(plaintext) + SEALED_OVERHEAD
+    with pytest.raises(AuthenticationError):
+        SealedCipher(recipient, sender.public_key).open(box)

@@ -2,9 +2,10 @@
 
 perfbench/spans.py install() replaces the codec globals of
 blockfer.transport.sim and blockfer.cli and a set of class methods, and
-raises if one of them has been renamed away. This runs one small simulated
-transfer and one small loopback transfer under it and checks that the wire,
-simulator, engine and UDP spans all saw calls, then restores the patches.
+raises if one of them has been renamed away. This runs small simulated,
+loopback and sealed loopback transfers under it and checks that the wire,
+simulator, engine, UDP and crypto spans all saw calls, then restores the
+patches.
 """
 
 import random
@@ -13,8 +14,9 @@ from pathlib import Path
 
 import pytest
 
-from blockfer.engine import TransferParameters
-from blockfer.transport import LinkModel, run_loopback_transfer, run_simulated_transfer
+from blockfer.crypto import PeerKeyPair, SealedCipher
+from blockfer.engine import Complete, Engine, SenderPhase, TransferParameters
+from blockfer.transport import LinkModel, Pump, run_loopback_transfer, run_simulated_transfer
 from blockfer.transport import sim, udp
 
 PERFBENCH = str(Path(__file__).resolve().parent.parent / "perfbench")
@@ -99,3 +101,45 @@ def test_span_wrappers_see_every_datagram_of_a_loopback_transfer(spans, monkeypa
     assert summary["counters"]["udp.datagrams"] == decodes
     assert {name: udp.UdpEndpoint.__dict__[name] for name in methods} == methods
     assert udp.decode_packet.__module__ == "blockfer.wire"
+
+
+def test_crypto_spans_count_one_seal_and_one_open_per_datagram(spans):
+    """A sealed transfer between two Pumps, one UdpEndpoint and one
+    SealedCipher each: every encoded datagram is sealed once and, on a
+    lossless loopback, opened once, and none fails authentication."""
+    originals = {name: SealedCipher.__dict__[name] for name in ("seal", "open")}
+    rng = random.Random(6)
+    alice, bob = PeerKeyPair.generate(rng), PeerKeyPair.generate(rng)
+    params = TransferParameters(block_size=1000, window_size=16)
+    data = rng.randbytes(40_000)
+    tracer = spans.Tracer()
+    restore = spans.install(tracer)
+    try:
+        with udp.UdpEndpoint() as a, udp.UdpEndpoint() as b:
+            # built after install, so each Pump binds the traced seal and open
+            # and the simulator's traced codec
+            pumps = [
+                Pump({end.address: Engine(params=params, rng=random.Random(seed))},
+                     udp.UdpTransport(end), sim.encode_packet, sim.decode_packet,
+                     SealedCipher(ours, theirs.public_key))
+                for end, ours, theirs, seed in ((a, alice, bob, 1), (b, bob, alice, 2))]
+            sender, receiver = pumps[0].engines[a.address], pumps[1].engines[b.address]
+            tid, out = sender.start_transfer(b.address, "doc", data,
+                                             now=pumps[0].transport.now())
+            pumps[0].flush(a.address, out)
+            while (sender.live_transfer_with(b.address) is not None
+                   or receiver.live_transfer_with(a.address) is not None):
+                pumps[1].step()
+                pumps[0].step()
+    finally:
+        restore()
+    assert sender.transfer(tid).phase is SenderPhase.DONE
+    assert [e.data for e in pumps[1].take_events() if isinstance(e, Complete)] == [data]
+
+    summary = tracer.summary()
+    calls = {name: count for name, (count, _, _) in summary["spans"].items()}
+    encodes = sum(count for name, count in calls.items() if name.startswith("wire.encode."))
+    assert encodes > len(data) // 1000
+    assert calls["crypto.seal"] == calls["crypto.open"] == encodes
+    assert summary["counters"].get("crypto.auth_failures", 0) == 0
+    assert {name: SealedCipher.__dict__[name] for name in originals} == originals
