@@ -27,7 +27,6 @@ import random
 import sys
 import time
 
-from .bench import ExperimentConfig, evaluate_large, summarize, sweep
 from .crypto import (
     IdentityCipher,
     PeerKeyPair,
@@ -45,7 +44,8 @@ from .engine import (
     TransferParameters,
     TransferRefused,
 )
-from .transport import LinkModel, Pump, TransportError, UdpEndpoint, UdpTransport
+from .transport.pump import Pump
+from .transport.udp import TransportError, UdpEndpoint, UdpTransport
 from .wire import (
     INFO_MAX,
     ErrorCode,
@@ -227,7 +227,9 @@ def _add_link_flags(parser, loss_default: float, latency_default: float) -> None
     parser.add_argument("--duplicate", type=float, default=0.0)
 
 
-def _link_from(args) -> LinkModel:
+def _link_from(args):
+    from .transport.sim import LinkModel
+
     try:
         return LinkModel(loss_probability=args.loss, latency_base_ms=args.latency_ms,
                          latency_jitter_ms=args.jitter_ms,
@@ -357,7 +359,9 @@ def _cmd_recv(args) -> int:
                 state = engine.transfer(tid)
                 reported = _report(state.received_count, state.block_count, reported)
             elif args.wait_s is not None and time.monotonic() - started > args.wait_s:
-                _err("no transfer arrived in time")
+                failed = (f" ({pump.dropped} datagrams failed to open or decode)"
+                          if pump.dropped else "")
+                _err(f"no transfer arrived in time{failed}")
                 return 3
 
     try:
@@ -370,6 +374,8 @@ def _cmd_recv(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
+    from .bench import ExperimentConfig, summarize, sweep
+
     overrides = {}
     if args.blocks is not None:
         overrides["block_grid"] = args.blocks
@@ -398,6 +404,8 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_eval(args) -> int:
+    from .bench import evaluate_large
+
     try:
         report = evaluate_large(
             data_size=args.size, block_size=args.block_size,

@@ -13,6 +13,11 @@ transfer engine never sees key material. Two interchangeable ciphers:
     fails authentication instead of being misread.
 
 Key files are raw 32-byte scalars; private files are written 0600.
+
+The cryptography package is imported only where a key is made or derived:
+derive_public_key (so PeerKeyPair and the key loaders) and SealedCipher.
+Importing this module, the identity cipher and max_block_size need none of
+it, so a run with the identity cipher never loads it.
 """
 
 from __future__ import annotations
@@ -20,19 +25,12 @@ from __future__ import annotations
 import os
 import random
 from pathlib import Path
-from typing import Optional
-
-from cryptography.exceptions import InvalidTag
-from cryptography.hazmat.primitives.asymmetric.x25519 import (
-    X25519PrivateKey,
-    X25519PublicKey,
-)
-from cryptography.hazmat.primitives.ciphers.aead import AESGCM
-from cryptography.hazmat.primitives.hashes import SHA256
-from cryptography.hazmat.primitives.kdf.hkdf import HKDF
-from cryptography.hazmat.primitives.serialization import Encoding, PublicFormat
+from typing import TYPE_CHECKING, Optional
 
 from .wire import DATA_WIRE_OVERHEAD, DATAGRAM_BUDGET, PAYLOAD_MAX
+
+if TYPE_CHECKING:
+    from cryptography.hazmat.primitives.ciphers.aead import AESGCM
 
 NONCE_SIZE = 12
 TAG_SIZE = 16
@@ -45,6 +43,9 @@ class AuthenticationError(Exception):
 
 
 def derive_public_key(private_key: bytes) -> bytes:
+    from cryptography.hazmat.primitives.asymmetric.x25519 import X25519PrivateKey
+    from cryptography.hazmat.primitives.serialization import Encoding, PublicFormat
+
     priv = X25519PrivateKey.from_private_bytes(private_key)
     return priv.public_key().public_bytes(Encoding.Raw, PublicFormat.Raw)
 
@@ -79,6 +80,14 @@ def _draw_bytes(entropy: Optional[random.Random], n: int) -> bytes:
 
 
 def _pair_key(private_key: bytes, public_key: bytes) -> AESGCM:
+    from cryptography.hazmat.primitives.asymmetric.x25519 import (
+        X25519PrivateKey,
+        X25519PublicKey,
+    )
+    from cryptography.hazmat.primitives.ciphers.aead import AESGCM
+    from cryptography.hazmat.primitives.hashes import SHA256
+    from cryptography.hazmat.primitives.kdf.hkdf import HKDF
+
     shared = X25519PrivateKey.from_private_bytes(private_key).exchange(
         X25519PublicKey.from_public_bytes(public_key)
     )
@@ -115,7 +124,10 @@ class SealedCipher:
         remote_public_key: bytes,
         entropy: Optional[random.Random] = None,
     ):
+        from cryptography.exceptions import InvalidTag
+
         self._aead = _pair_key(local_keypair.private_key, remote_public_key)
+        self._invalid_tag = InvalidTag  # open's except clause reads it only on a failure
         self._entropy = entropy
 
     def seal(self, plaintext: bytes) -> bytes:
@@ -132,7 +144,7 @@ class SealedCipher:
             raise AuthenticationError("sealed payload shorter than its overhead")
         try:
             return self._aead.decrypt(ciphertext[:NONCE_SIZE], ciphertext[NONCE_SIZE:], None)
-        except InvalidTag:
+        except self._invalid_tag:
             raise AuthenticationError("sealed payload failed authentication") from None
 
 

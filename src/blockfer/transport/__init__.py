@@ -20,6 +20,10 @@ where the kernel offers both, so a window takes a few system calls rather
 than one per datagram; the datagrams on the wire are the same. Either way
 a transfer behaves identically; only delivery timing and loss differ.
 
+Each name in __all__ is imported from its own module on first access, as in
+the blockfer package, so the UDP path (pump.py and udp.py) never loads the
+simulator. MtuError is defined in blockfer.wire, next to MTU.
+
 perfbench/spans.py times the layers by replacing these names, so the
 drivers must keep reaching them: the codec globals encode_packet and
 decode_packet of blockfer.transport.sim and blockfer.cli (each driver hands
@@ -27,15 +31,14 @@ its own module's pair to the Pump), UdpEndpoint.send, .drain and .poll (a
 single-endpoint wait goes through poll), SimulatedLink.send and SimClock.pop.
 """
 
-from .pump import Pump, TransferOutcome
-from .sim import (
-    LinkModel,
-    MtuError,
-    SimClock,
-    SimulatedLink,
-    run_simulated_transfer,
-)
-from .udp import TransportError, UdpEndpoint, UdpTransport, run_loopback_transfer
+from .. import _lazy_exports
+
+__getattr__, __dir__ = _lazy_exports(globals(), {
+    ".pump": ("Pump", "TransferOutcome"),
+    ".sim": ("LinkModel", "SimClock", "SimulatedLink", "run_simulated_transfer"),
+    ".udp": ("TransportError", "UdpEndpoint", "UdpTransport", "run_loopback_transfer"),
+    "..wire": ("MtuError",),
+})
 
 __all__ = [
     "LinkModel",

@@ -40,7 +40,8 @@ class Pump:
     module globals sees every datagram. The identity cipher (the default)
     is skipped rather than called. The settlement events the engines emit
     collect in events until take_events(); outcome() reads the received
-    payload from them.
+    payload from them. dropped counts the datagrams that failed to open or
+    decode, so a wrong peer key can be told from silence.
     """
 
     def __init__(self, engines: dict, transport, encode, decode, cipher=None):
@@ -53,6 +54,7 @@ class Pump:
             self.pack = lambda packet: seal(encode(packet))
             self.unpack = lambda datagram: decode(open_(datagram))
         self.events: list = []
+        self.dropped = 0
 
     def flush(self, local, out) -> None:
         """Put every packet of an engine output on the wire from local.
@@ -75,10 +77,11 @@ class Pump:
     def step(self, accept=None) -> bool:
         """Wait for datagrams until the earliest deadline and feed them in.
 
-        Datagrams that fail to open or decode are dropped, as are those
-        accept(peer, packet) turns down. The engines tick when the wait
-        brought nothing, or when the transport's clock has passed the
-        deadline anyway. Returns False once nothing can arrive any more.
+        Datagrams that fail to open or decode are dropped and counted in
+        dropped; those accept(peer, packet) turns down are dropped too. The
+        engines tick when the wait brought nothing, or when the transport's
+        clock has passed the deadline anyway. Returns False once nothing can
+        arrive any more.
         """
         deadlines = [d for e in self.engines.values() if (d := e.next_deadline()) is not None]
         until = min(deadlines) if deadlines else None
@@ -93,6 +96,7 @@ class Pump:
             try:
                 packet = unpack(datagram)
             except (AuthenticationError, DecodeError):
+                self.dropped += 1
                 continue  # noise on a public port is dropped, not fatal
             if accept is None or accept(peer, packet):
                 out = engines[local].packet_in(peer, packet, now=now)

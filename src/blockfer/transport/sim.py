@@ -16,16 +16,12 @@ from dataclasses import dataclass
 from typing import Any, Iterable, Optional
 
 from ..engine import Engine, TransferParameters
-from ..wire import MTU, decode_packet, encode_packet
+from ..wire import MTU, MtuError, decode_packet, encode_packet
 from .pump import Pump, TransferOutcome
 
 _SENDER_SALT = 0x9E3779B97F4A7C15
 _RECEIVER_SALT = 0xC2B2AE3D27D4EB4F
 MAX_SIM_MS = 86_400_000.0  # a simulated day: run_simulated_transfer stops past it
-
-
-class MtuError(ValueError):
-    """Datagram exceeds the 1500-byte MTU."""
 
 
 @dataclass(frozen=True)

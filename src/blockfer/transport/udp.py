@@ -11,9 +11,8 @@ import time
 from typing import Optional
 
 from ..engine import Engine, TransferParameters
-from ..wire import MTU, decode_packet, encode_packet
+from ..wire import MTU, MtuError, decode_packet, encode_packet
 from .pump import Pump, TransferOutcome
-from .sim import MtuError
 
 RECEIVE_BUFFER = 4 * 1024 * 1024  # absorbs whole window bursts
 MAX_WAIT_S = 0.2  # longest single wait, so callers regain control now and then

@@ -55,6 +55,11 @@ DATA_WIRE_OVERHEAD = 18  # header 4 + id 8 + block_number 4 + length 2
 ACK_MAX_UNRECEIVED = (DATAGRAM_BUDGET - DATA_WIRE_OVERHEAD) // 4  # 305
 MTU = 1500
 
+
+class MtuError(ValueError):
+    """Datagram exceeds the 1500-byte MTU; both transports refuse to send it."""
+
+
 # One precompiled layout per fixed section. Data and Acknowledgement share
 # an 18-byte head: header, id, block_number or window_index, and the payload
 # length or entry count. WriteRequest and Error carry their u16 string

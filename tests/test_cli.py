@@ -2,6 +2,7 @@
 
 import os
 import random
+import re
 import socket
 import stat
 import subprocess
@@ -134,7 +135,8 @@ def test_loopback_transfer_sealed(tmp_path):
 def test_sealed_transfer_to_the_wrong_peer_key_fails_closed(tmp_path):
     """A sender sealing to a key that is not the receiver's is noise to it:
     every datagram fails authentication, both sides time out and no file
-    is written."""
+    is written. The receiver says how many datagrams it could not open, so
+    a wrong key can be told from silence."""
     rng = random.Random(13)
     keys = {name: save_keypair(PeerKeyPair.generate(rng), tmp_path / name)
             for name in ("alice", "bob", "carol")}
@@ -161,6 +163,8 @@ def test_sealed_transfer_to_the_wrong_peer_key_fails_closed(tmp_path):
     assert "TIMEOUT" in send.stderr
     assert recv.returncode == 3, recv_err
     assert "no transfer arrived in time" in recv_err
+    failed = re.search(r"\((\d+) datagrams failed to open or decode\)", recv_err)
+    assert failed is not None and int(failed[1]) >= 1, recv_err
     assert not sink.exists()
     assert time.monotonic() - started < 10
 

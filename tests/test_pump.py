@@ -50,9 +50,12 @@ def test_step_drops_what_fails_to_open_and_ticks_only_when_due():
     opener = SealedCipher(theirs, ours.public_key)
     assert decode_packet(opener.open(transport.sent[0][2])).info == "x"
 
+    assert pump.dropped == 0
     assert pump.step() and len(transport.sent) == 1
+    assert pump.dropped == 1
     assert pump.step() and len(transport.sent) == 1
     assert pump.step() and len(transport.sent) == 2  # the announcement again
+    assert pump.dropped == 2
     assert engine.transfer(out.packets[0][1].id).counters.wr_retransmits == 1
     assert not pump.step()  # the transport says nothing can arrive any more
     assert transport.waits == [50.0] * 3 + [120.0]

@@ -9,6 +9,9 @@ import time
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import blockfer
+import blockfer.transport.sim
+import blockfer.wire
 from blockfer.engine import (
     Engine,
     ReceiverPhase,
@@ -414,6 +417,7 @@ def test_udp_roundtrip_is_byte_identical():
 
 
 def test_udp_mtu_guard():
+    assert blockfer.MtuError is blockfer.transport.sim.MtuError is blockfer.wire.MtuError
     with UdpEndpoint() as a, UdpEndpoint() as b:
         a.send(b.address, bytes(1500))
         with pytest.raises(MtuError):
