@@ -19,7 +19,7 @@ __version__ = "0.1.0"
 
 
 def _lazy_exports(namespace: dict, modules: dict):
-    """PEP 562 __getattr__ and __dir__ for the package whose globals are namespace.
+    """__getattr__ and __dir__ (PEP 562) and __all__ of the package whose globals are namespace.
 
     modules maps each module, named relative to the package, to the names it
     exports through the package. The first access to a name imports its
@@ -39,10 +39,10 @@ def _lazy_exports(namespace: dict, modules: dict):
     def __dir__():
         return sorted({*namespace, *origins})
 
-    return __getattr__, __dir__
+    return __getattr__, __dir__, sorted(origins)
 
 
-__getattr__, __dir__ = _lazy_exports(globals(), {
+__getattr__, __dir__, __all__ = _lazy_exports(globals(), {
     ".bench": (
         "ExperimentConfig",
         "LargeEvalReport",
@@ -86,46 +86,4 @@ __getattr__, __dir__ = _lazy_exports(globals(), {
         "encode_packet",
     ),
 })
-
-__all__ = [
-    "Acknowledgement",
-    "AuthenticationError",
-    "BusyError",
-    "Complete",
-    "Data",
-    "DecodeError",
-    "Engine",
-    "ErrorCode",
-    "ErrorPacket",
-    "Errored",
-    "ExperimentConfig",
-    "IdentityCipher",
-    "LargeEvalReport",
-    "LinkModel",
-    "MtuError",
-    "PeerKeyPair",
-    "SealedCipher",
-    "SimClock",
-    "SimulatedLink",
-    "SizeExceededError",
-    "TransferOutcome",
-    "TransferParameters",
-    "TransferRefused",
-    "TransferScheduler",
-    "TransferStats",
-    "TransportError",
-    "UdpEndpoint",
-    "WriteRequest",
-    "decode_packet",
-    "encode_packet",
-    "evaluate_large",
-    "load_private_key",
-    "load_public_key",
-    "max_block_size",
-    "run_loopback_transfer",
-    "run_simulated_transfer",
-    "save_keypair",
-    "summarize",
-    "sweep",
-    "__version__",
-]
+__all__.append("__version__")

@@ -23,9 +23,8 @@ it, so a run with the identity cipher never loads it.
 from __future__ import annotations
 
 import os
-import random
 from pathlib import Path
-from typing import TYPE_CHECKING, Optional
+from typing import TYPE_CHECKING
 
 from .wire import DATA_WIRE_OVERHEAD, DATAGRAM_BUDGET, PAYLOAD_MAX
 
@@ -63,20 +62,14 @@ class PeerKeyPair:
         self.public_key = derive_public_key(private_key)
 
     @classmethod
-    def generate(cls, entropy: Optional[random.Random] = None) -> "PeerKeyPair":
-        return cls(_draw_bytes(entropy, 32))
+    def generate(cls) -> "PeerKeyPair":
+        return cls(os.urandom(32))
 
     def __eq__(self, other):
         return isinstance(other, PeerKeyPair) and self.private_key == other.private_key
 
     def __repr__(self):
         return f"PeerKeyPair(public_key={self.public_key.hex()})"
-
-
-def _draw_bytes(entropy: Optional[random.Random], n: int) -> bytes:
-    if entropy is None:
-        return os.urandom(n)
-    return entropy.randbytes(n)
 
 
 def _pair_key(private_key: bytes, public_key: bytes) -> AESGCM:
@@ -118,21 +111,15 @@ class SealedCipher:
 
     overhead = SEALED_OVERHEAD
 
-    def __init__(
-        self,
-        local_keypair: PeerKeyPair,
-        remote_public_key: bytes,
-        entropy: Optional[random.Random] = None,
-    ):
+    def __init__(self, local_keypair: PeerKeyPair, remote_public_key: bytes):
         from cryptography.exceptions import InvalidTag
 
         self._aead = _pair_key(local_keypair.private_key, remote_public_key)
         self._invalid_tag = InvalidTag  # open's except clause reads it only on a failure
-        self._entropy = entropy
 
     def seal(self, plaintext: bytes) -> bytes:
         """nonce || ciphertext+tag: always len(plaintext) + SEALED_OVERHEAD."""
-        nonce = _draw_bytes(self._entropy, NONCE_SIZE)
+        nonce = os.urandom(NONCE_SIZE)
         return nonce + self._aead.encrypt(nonce, plaintext, None)
 
     def open(self, ciphertext: bytes) -> bytes:

@@ -248,11 +248,6 @@ class SenderState(TransferState):
     retry_params: Optional[TransferParameters] = None
     counters: SenderCounters = field(default_factory=SenderCounters)
 
-    def block_payload(self, n: int) -> memoryview:
-        """Block n as a view of the data: encoding copies it once, into the datagram."""
-        size = self.params.block_size
-        return memoryview(self.data)[n * size:(n + 1) * size]
-
 
 @dataclass(slots=True, kw_only=True)
 class ReceiverState(TransferState):
@@ -265,9 +260,6 @@ class ReceiverState(TransferState):
     acked_by: Optional[int] = None  # the block whose arrival sent the last fresh ack
     phase: ReceiverPhase = ReceiverPhase.RECEIVING
     counters: ReceiverCounters = field(default_factory=ReceiverCounters)
-
-    def final_ack(self) -> Acknowledgement:
-        return Acknowledgement(self.id, self.total_windows, ())
 
 
 def _set_rto(state) -> None:
@@ -296,12 +288,17 @@ def _sample_rtt(state, rtt: float) -> None:
 class Engine:
     """Event-driven transfer engine for any number of peers.
 
-    At most one live transfer per peer, in either direction. Finished
-    transfers stay inspectable via transfer(), which prefers a live state
-    over a finished one with the same id. A finished receiver keeps its
-    phase, counters and final acknowledgement but none of the payload, and
-    keeps answering duplicate data with that acknowledgement so a lost final
-    ack cannot wedge the sender. A state holds only what the protocol rules,
+    At most one live transfer per peer, in either direction. _settle is the
+    one place a transfer ends: it sets the DONE or FAILED phase and
+    finished_at, emits the Complete or Errored event, drops the payload and
+    moves the state to the finished table. Finished transfers stay
+    inspectable via transfer(), which prefers a live state over a finished
+    one with the same id. A packet with no live transfer behind it meets one
+    rule: a DONE receiver answers Data or a WriteRequest of its transfer with
+    its final acknowledgement, so a lost final ack cannot wedge the sender;
+    any other WriteRequest is judged as a new announcement; Data or an ack
+    with no settled record from that peer draws UNKNOWN_TRANSFER; anything
+    else is dropped. A state holds only what the protocol rules,
     the caller's progress reports and settlement read: no log of the acks a
     sender took in or the batches it sent; those are in the packets. A
     receiver takes its interval, attempt budget and size cap from the
@@ -387,35 +384,31 @@ class Engine:
             self._receiver_data(state, packet, out, now)  # the common case, first
             return out
 
+        if state is None:  # no live transfer: the one rule for stragglers
+            settled = self._finished.get(packet.id)
+            if settled is not None and settled.peer != peer:
+                settled = None
+            if (isinstance(settled, ReceiverState) and settled.phase is ReceiverPhase.DONE
+                    and isinstance(packet, (Data, WriteRequest))):
+                # the final ack again: were it lost, the sender would wait on it
+                out.packets.append((peer, Acknowledgement(settled.id, settled.total_windows, ())))
+            elif isinstance(packet, WriteRequest):
+                self._accept_or_refuse(peer, packet, out, now)
+            elif settled is None and isinstance(packet, (Data, Acknowledgement)):
+                out.packets.append((peer, ErrorPacket(
+                    packet.id, ErrorCode.UNKNOWN_TRANSFER, f"no transfer {packet.id}")))
+            return out
+
         if isinstance(packet, WriteRequest):
             if isinstance(state, ReceiverState):
                 # duplicate announcement for a live transfer: same ack again
                 state.attempts_left = state.params.max_attempts
                 self._emit_ack(state, out, now, retransmit=True)
             else:
-                finished = self._finished_with(peer, packet.id)
-                if isinstance(finished, ReceiverState) and finished.phase is ReceiverPhase.DONE:
-                    out.packets.append((peer, finished.final_ack()))
-                else:
-                    self._accept_or_refuse(peer, packet, out, now)
-            return out
-
-        if state is None:
-            finished = self._finished_with(peer, packet.id)
-            if finished is not None:
-                if (isinstance(packet, Data) and isinstance(finished, ReceiverState)
-                        and finished.phase is ReceiverPhase.DONE):
-                    out.packets.append((peer, finished.final_ack()))
-                return out
-            if isinstance(packet, (Data, Acknowledgement)):
-                out.packets.append((peer, ErrorPacket(
-                    packet.id, ErrorCode.UNKNOWN_TRANSFER, f"no transfer {packet.id}")))
-            return out
-
-        if isinstance(packet, ErrorPacket):
+                self._accept_or_refuse(peer, packet, out, now)
+        elif isinstance(packet, ErrorPacket):
             self._fail(state, packet.code, out, now)
-            return out
-        if isinstance(state, SenderState) and isinstance(packet, Acknowledgement):
+        elif isinstance(state, SenderState) and isinstance(packet, Acknowledgement):
             self._sender_ack(state, packet, out, now)
         # data addressed to a sender or acks to a receiver are dropped
         return out
@@ -452,8 +445,9 @@ class Engine:
                     state.counters.wr_retransmits += 1
                 else:
                     # the probe: the block whose arrival makes the receiver ack
-                    n = state.pending[-1]
-                    out.packets.append((state.peer, Data(state.id, n, state.block_payload(n))))
+                    n, size = state.pending[-1], state.params.block_size
+                    view = memoryview(state.data)[n * size:(n + 1) * size]
+                    out.packets.append((state.peer, Data(state.id, n, view)))
                     state.counters.window_retransmits += 1
                     state.counters.window_retransmit_blocks += 1
                     state.counters.blocks_sent += 1
@@ -466,9 +460,7 @@ class Engine:
         out = EngineOutput()
         for state in list(self._live.values()):
             if state.id == transfer_id:
-                out.packets.append((state.peer, ErrorPacket(
-                    state.id, ErrorCode.TIMEOUT, "cancelled")))
-                self._fail(state, ErrorCode.TIMEOUT, out, now)
+                self._fail(state, ErrorCode.TIMEOUT, out, now, message="cancelled")
         return out
 
     # -- inspection
@@ -515,16 +507,19 @@ class Engine:
             self._timers[:] = [(s.deadline(), s.start_seq, s) for s in self._live.values()]
             heapq.heapify(self._timers)
 
-    def _finished_with(self, peer: Peer, transfer_id: int):
-        state = self._finished.get(transfer_id)
-        return state if state is not None and state.peer == peer else None
-
-    def _settle(self, state) -> None:
+    def _settle(self, state, event: CallbackEvent, out: EngineOutput, now: float) -> None:
+        """End a live transfer with event, its Complete or Errored; nothing else does."""
         # no payload stays behind: the caller owns what it sent or got in Complete
-        if isinstance(state, ReceiverState):
-            state.blocks = None
+        if isinstance(state, SenderState):
+            phases, state.data = SenderPhase, b""
         else:
-            state.data = b""
+            phases, state.blocks = ReceiverPhase, None
+        if isinstance(event, Errored):
+            state.phase, state.error = phases.FAILED, event.code
+        else:
+            state.phase = phases.DONE
+        state.finished_at = now
+        out.events.append(event)
         del self._live[state.peer]
         self._finished[state.id] = state
         if state.srtt is not None:
@@ -537,14 +532,11 @@ class Engine:
         self._bound_timers()
 
     def _fail(self, state, code: ErrorCode, out: EngineOutput, now: float,
-              notify_peer: bool = False, message: str = "") -> None:
-        if notify_peer:
+              message: Optional[str] = None) -> None:
+        """Settle as FAILED; with a message the peer is told in an Error packet."""
+        if message is not None:
             out.packets.append((state.peer, ErrorPacket(state.id, code, message)))
-        state.phase = SenderPhase.FAILED if isinstance(state, SenderState) else ReceiverPhase.FAILED
-        state.finished_at = now
-        state.error = code
-        out.events.append(Errored(state.id, code))
-        self._settle(state)
+        self._settle(state, Errored(state.id, code), out, now)
 
     def _accept_or_refuse(self, peer: Peer, wr: WriteRequest,
                           out: EngineOutput, now: float) -> None:
@@ -583,11 +575,7 @@ class Engine:
         )
         self._go_live(state)
         if wr.block_count == 0:
-            state.phase = ReceiverPhase.DONE
-            state.finished_at = now
-            self._emit_ack(state, out, now)
-            out.events.append(Complete(state.id, data=b""))
-            self._settle(state)
+            self._receiver_done(state, out, now)
         else:
             self._emit_ack(state, out, now)
 
@@ -615,13 +603,11 @@ class Engine:
                        out: EngineOutput, now: float) -> None:
         n, params = d.block_number, state.params
         if n >= state.block_count:
-            self._fail(state, ErrorCode.DECODE_FAILURE, out, now,
-                       notify_peer=True, message=f"block {n} out of range")
+            self._fail(state, ErrorCode.DECODE_FAILURE, out, now, f"block {n} out of range")
             return
         size = params.block_size
         if len(d.payload) != min(size, state.data_size - n * size):
-            self._fail(state, ErrorCode.DECODE_FAILURE, out, now,
-                       notify_peer=True, message=f"block {n} has wrong length")
+            self._fail(state, ErrorCode.DECODE_FAILURE, out, now, f"block {n} has wrong length")
             return
         state.attempts_left = params.max_attempts
         blocks = state.blocks
@@ -636,13 +622,7 @@ class Engine:
         state.counters.blocks_received += 1
 
         if state.received_count == state.block_count:
-            state.missing.clear()
-            state.expected_window = state.total_windows
-            state.phase = ReceiverPhase.DONE
-            state.finished_at = now
-            self._emit_ack(state, out, now)
-            out.events.append(Complete(state.id, data=b"".join(blocks)))
-            self._settle(state)
+            self._receiver_done(state, out, now)
         elif n == state.trigger:
             if state.expected_window < state.total_windows:
                 lo = state.expected_window * params.window_size
@@ -653,11 +633,17 @@ class Engine:
             state.acked_by = n
             self._emit_ack(state, out, now)
 
+    def _receiver_done(self, state: ReceiverState, out: EngineOutput, now: float) -> None:
+        """Every block is in: send the final ack and hand the payload over."""
+        state.missing.clear()
+        state.expected_window = state.total_windows
+        self._emit_ack(state, out, now)
+        self._settle(state, Complete(state.id, data=b"".join(state.blocks)), out, now)
+
     def _sender_ack(self, state: SenderState, a: Acknowledgement,
                     out: EngineOutput, now: float) -> None:
         if a.unreceived and max(a.unreceived) >= state.block_count:
-            self._fail(state, ErrorCode.DECODE_FAILURE, out, now,
-                       notify_peer=True, message="unreceived list out of range")
+            self._fail(state, ErrorCode.DECODE_FAILURE, out, now, "unreceived list out of range")
             return
         state.attempts_left = state.params.max_attempts
         if a.window_index < state.window_index:
@@ -671,10 +657,7 @@ class Engine:
 
         if a.window_index == state.total_windows:
             if not a.unreceived:
-                state.phase = SenderPhase.DONE
-                state.finished_at = now
-                out.events.append(Complete(state.id, sent=True))
-                self._settle(state)
+                self._settle(state, Complete(state.id, sent=True), out, now)
                 return
             state.phase = SenderPhase.LAST_WINDOW_DRAIN
             pending = tuple(a.unreceived)

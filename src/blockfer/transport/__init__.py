@@ -7,9 +7,9 @@ A Pump (pump.py) runs engines over any object with three methods:
     over each run of consecutive packets to one peer in one call;
   * wait(until): block until datagrams arrive or the clock reaches until
     (None: no deadline), and return them as an iterable of (local, peer,
-    datagram) triples that the Pump walks once, [] when the time came with
-    nothing, or None once nothing can ever arrive; now() must already read
-    the arrival time when wait returns;
+    datagram) triples that the Pump walks once, an empty one when the time
+    came with nothing, or None once nothing can ever arrive; now() must
+    already read the arrival time when wait returns;
   * now(): the clock the engines run on, in milliseconds.
 
 The simulated link (sim.py) delivers every datagram due at one instant of
@@ -33,23 +33,9 @@ single-endpoint wait goes through poll), SimulatedLink.send and SimClock.pop.
 
 from .. import _lazy_exports
 
-__getattr__, __dir__ = _lazy_exports(globals(), {
+__getattr__, __dir__, __all__ = _lazy_exports(globals(), {
     ".pump": ("Pump", "TransferOutcome"),
     ".sim": ("LinkModel", "SimClock", "SimulatedLink", "run_simulated_transfer"),
     ".udp": ("TransportError", "UdpEndpoint", "UdpTransport", "run_loopback_transfer"),
     "..wire": ("MtuError",),
 })
-
-__all__ = [
-    "LinkModel",
-    "MtuError",
-    "Pump",
-    "SimClock",
-    "SimulatedLink",
-    "TransferOutcome",
-    "TransportError",
-    "UdpEndpoint",
-    "UdpTransport",
-    "run_loopback_transfer",
-    "run_simulated_transfer",
-]

@@ -8,7 +8,7 @@ import select
 import socket
 import sys
 import time
-from typing import Optional
+from typing import Iterable, Optional
 
 from ..engine import Engine, TransferParameters
 from ..wire import MTU, MtuError, decode_packet, encode_packet
@@ -161,13 +161,15 @@ class UdpTransport:
     def now(self) -> float:
         return time.monotonic() * 1000.0
 
-    def wait(self, until: Optional[float]) -> list:
+    def wait(self, until: Optional[float]) -> Iterable:
         timeout = MAX_WAIT_S
         if until is not None:
             timeout = min(max((until - self.now()) / 1000.0, 0.0), MAX_WAIT_S)
         if len(self.endpoints) == 1:
             [(local, endpoint)] = self.endpoints.items()
-            return [(local, addr, datagram) for addr, datagram in endpoint.poll(timeout)]
+            received = endpoint.poll(timeout)  # here, so now() reads after the arrival
+            return ((local, addr, datagram) for addr, datagram in received)
+        # drained here too: a lazy drain would run after the Pump reads the clock
         readable, _, _ = select.select(list(self.endpoints.values()), [], [], timeout)
         return [(endpoint.address, addr, datagram)
                 for endpoint in readable for addr, datagram in endpoint.drain()]

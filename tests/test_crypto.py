@@ -35,18 +35,17 @@ def test_identity_cipher_is_passthrough():
 
 
 def test_keypair_generation_and_derivation():
-    rng = random.Random(1)
-    pair = PeerKeyPair.generate(rng)
+    pair = PeerKeyPair.generate()
     assert len(pair.private_key) == 32
     assert len(pair.public_key) == 32
     assert derive_public_key(pair.private_key) == pair.public_key
-    # same entropy stream, same keys
-    assert PeerKeyPair.generate(random.Random(1)) == pair
-    assert PeerKeyPair.generate(random.Random(2)) != pair
+    # fresh os.urandom keys each time; the same private key, the same pair
+    assert PeerKeyPair.generate() != pair
+    assert PeerKeyPair(pair.private_key) == pair
 
 
 def test_keypair_repr_hides_private_key():
-    pair = PeerKeyPair.generate(random.Random(1))
+    pair = PeerKeyPair(random.Random(1).randbytes(32))
     shown = repr(pair)
     assert pair.private_key.hex() not in shown
     assert pair.private_key not in shown.encode()
@@ -54,9 +53,9 @@ def test_keypair_repr_hides_private_key():
 
 def test_seal_open_roundtrip_all_lengths():
     rng = random.Random(2)
-    sender = PeerKeyPair.generate(rng)
-    recipient = PeerKeyPair.generate(rng)
-    sealer = SealedCipher(sender, recipient.public_key, entropy=rng)
+    sender = PeerKeyPair(rng.randbytes(32))
+    recipient = PeerKeyPair(rng.randbytes(32))
+    sealer = SealedCipher(sender, recipient.public_key)
     opener = SealedCipher(recipient, sender.public_key)
     for length in range(0, 1301):
         plaintext = bytes(length * b"\xa5")[:length]
@@ -68,9 +67,9 @@ def test_seal_open_roundtrip_all_lengths():
 def test_overhead_is_constant_and_within_budget():
     assert SEALED_OVERHEAD <= 41
     rng = random.Random(3)
-    sender = PeerKeyPair.generate(rng)
-    recipient = PeerKeyPair.generate(rng)
-    sealer = SealedCipher(sender, recipient.public_key, entropy=rng)
+    sender = PeerKeyPair(rng.randbytes(32))
+    recipient = PeerKeyPair(rng.randbytes(32))
+    sealer = SealedCipher(sender, recipient.public_key)
     for length in (0, 1, 17, 1200, 1300):
         box = sealer.seal(os.urandom(length))
         assert len(box) - length == SEALED_OVERHEAD
@@ -78,9 +77,9 @@ def test_overhead_is_constant_and_within_budget():
 
 def test_single_byte_tamper_rejected():
     rng = random.Random(4)
-    sender = PeerKeyPair.generate(rng)
-    recipient = PeerKeyPair.generate(rng)
-    sealer = SealedCipher(sender, recipient.public_key, entropy=rng)
+    sender = PeerKeyPair(rng.randbytes(32))
+    recipient = PeerKeyPair(rng.randbytes(32))
+    sealer = SealedCipher(sender, recipient.public_key)
     opener = SealedCipher(recipient, sender.public_key)
     for length in range(0, 1301, 101):
         box = bytearray(sealer.seal(os.urandom(length)))
@@ -96,10 +95,10 @@ def test_auth_error_distinct_from_decode_error():
 
 def test_wrong_recipient_cannot_open():
     rng = random.Random(5)
-    sender = PeerKeyPair.generate(rng)
-    recipient = PeerKeyPair.generate(rng)
-    other = PeerKeyPair.generate(rng)
-    box = SealedCipher(sender, recipient.public_key, entropy=rng).seal(b"secret")
+    sender = PeerKeyPair(rng.randbytes(32))
+    recipient = PeerKeyPair(rng.randbytes(32))
+    other = PeerKeyPair(rng.randbytes(32))
+    box = SealedCipher(sender, recipient.public_key).seal(b"secret")
     with pytest.raises(AuthenticationError):
         SealedCipher(other, sender.public_key).open(box)
     with pytest.raises(AuthenticationError):
@@ -108,10 +107,10 @@ def test_wrong_recipient_cannot_open():
 
 def test_sealed_cipher_objects_pair_up():
     rng = random.Random(6)
-    alice = PeerKeyPair.generate(rng)
-    bob = PeerKeyPair.generate(rng)
-    a_side = SealedCipher(alice, bob.public_key, entropy=rng)
-    b_side = SealedCipher(bob, alice.public_key, entropy=rng)
+    alice = PeerKeyPair(rng.randbytes(32))
+    bob = PeerKeyPair(rng.randbytes(32))
+    a_side = SealedCipher(alice, bob.public_key)
+    b_side = SealedCipher(bob, alice.public_key)
     assert a_side.overhead == SEALED_OVERHEAD
     for blob in (b"", b"hello", os.urandom(1218)):
         assert b_side.open(a_side.seal(blob)) == blob
@@ -122,18 +121,18 @@ def test_sealed_cipher_objects_pair_up():
 
 def test_sealing_never_repeats_nonces_bitwise():
     rng = random.Random(7)
-    sender = PeerKeyPair.generate(rng)
-    recipient = PeerKeyPair.generate(rng)
-    sealer = SealedCipher(sender, recipient.public_key, entropy=rng)
+    sender = PeerKeyPair(rng.randbytes(32))
+    recipient = PeerKeyPair(rng.randbytes(32))
+    sealer = SealedCipher(sender, recipient.public_key)
     boxes = {sealer.seal(b"same message")[:12] for _ in range(200)}
     assert len(boxes) == 200
 
 
 def test_truncated_box_rejected():
     rng = random.Random(8)
-    sender = PeerKeyPair.generate(rng)
-    recipient = PeerKeyPair.generate(rng)
-    box = SealedCipher(sender, recipient.public_key, entropy=rng).seal(b"payload")
+    sender = PeerKeyPair(rng.randbytes(32))
+    recipient = PeerKeyPair(rng.randbytes(32))
+    box = SealedCipher(sender, recipient.public_key).seal(b"payload")
     opener = SealedCipher(recipient, sender.public_key)
     for cut in (0, 5, 11, len(box) - 1):
         with pytest.raises(AuthenticationError):
@@ -141,7 +140,7 @@ def test_truncated_box_rejected():
 
 
 def test_key_files_roundtrip_and_mode(tmp_path):
-    pair = PeerKeyPair.generate(random.Random(9))
+    pair = PeerKeyPair(random.Random(9).randbytes(32))
     base = tmp_path / "peer"
     private_path, public_path = save_keypair(pair, base)
     assert private_path.read_bytes() == pair.private_key
@@ -155,8 +154,8 @@ def test_key_files_roundtrip_and_mode(tmp_path):
 def test_max_block_size_budget():
     assert max_block_size(IdentityCipher()) == 1200
     rng = random.Random(10)
-    pair = PeerKeyPair.generate(rng)
-    sealed = SealedCipher(pair, PeerKeyPair.generate(rng).public_key)
+    pair = PeerKeyPair(rng.randbytes(32))
+    sealed = SealedCipher(pair, PeerKeyPair(rng.randbytes(32)).public_key)
     # sealed datagrams must still fit the budget, so blocks shrink
     assert max_block_size(sealed) == min(1200, 1241 - 18 - SEALED_OVERHEAD)
     assert max_block_size(sealed) + 18 + sealed.overhead <= 1241
@@ -174,8 +173,8 @@ def hand_built_aead(aead_class, label, private_key, public_key):
 
 def test_sealed_cipher_is_aes_256_gcm_under_the_v2_label():
     rng = random.Random(11)
-    sender = PeerKeyPair.generate(rng)
-    recipient = PeerKeyPair.generate(rng)
+    sender = PeerKeyPair(rng.randbytes(32))
+    recipient = PeerKeyPair(rng.randbytes(32))
     reference = hand_built_aead(AESGCM, b"blockfer datagram seal v2",
                                 sender.private_key, recipient.public_key)
     plaintext = rng.randbytes(1218)
@@ -183,7 +182,7 @@ def test_sealed_cipher_is_aes_256_gcm_under_the_v2_label():
     box = nonce + reference.encrypt(nonce, plaintext, None)
     assert SealedCipher(recipient, sender.public_key).open(box) == plaintext
 
-    sealed = SealedCipher(sender, recipient.public_key, entropy=rng).seal(plaintext)
+    sealed = SealedCipher(sender, recipient.public_key).seal(plaintext)
     assert reference.decrypt(sealed[:12], sealed[12:], None) == plaintext
 
 
@@ -191,8 +190,8 @@ def test_box_of_the_v1_framing_fails_authentication():
     """ChaCha20-Poly1305 under the v1 label has the same layout and size, but
     a v2 peer derives another key and drops it as noise."""
     rng = random.Random(12)
-    sender = PeerKeyPair.generate(rng)
-    recipient = PeerKeyPair.generate(rng)
+    sender = PeerKeyPair(rng.randbytes(32))
+    recipient = PeerKeyPair(rng.randbytes(32))
     old = hand_built_aead(ChaCha20Poly1305, b"blockfer datagram seal v1",
                           sender.private_key, recipient.public_key)
     plaintext = rng.randbytes(100)

@@ -536,6 +536,68 @@ def test_transfer_lookup_prefers_live_and_checks_peer():
     assert receiver.transfer(tid) is live
 
 
+# (role, outcome, packet) -> (answer to the settled transfer's own peer,
+# answer to another peer). "final": the receiver's final ack; "unknown":
+# UNKNOWN_TRANSFER; "accept": the WriteRequest goes live as a new receiver,
+# which acks window 0; None: dropped without an answer.
+STRAGGLERS = {
+    ("receiver", "done", "data"): ("final", "unknown"),
+    ("receiver", "done", "ack"): (None, "unknown"),
+    ("receiver", "done", "write_request"): ("final", "accept"),
+    ("receiver", "done", "error"): (None, None),
+    ("receiver", "failed", "data"): (None, "unknown"),
+    ("receiver", "failed", "ack"): (None, "unknown"),
+    ("receiver", "failed", "write_request"): ("accept", "accept"),
+    ("receiver", "failed", "error"): (None, None),
+    ("sender", "done", "data"): (None, "unknown"),
+    ("sender", "done", "ack"): (None, "unknown"),
+    # the peer echoing the sender's own announcement makes it a receiver
+    ("sender", "done", "write_request"): ("accept", "accept"),
+    ("sender", "done", "error"): (None, None),
+    ("sender", "failed", "data"): (None, "unknown"),
+    ("sender", "failed", "ack"): (None, "unknown"),
+    ("sender", "failed", "write_request"): ("accept", "accept"),
+    ("sender", "failed", "error"): (None, None),
+}
+
+
+@pytest.mark.parametrize("source", ["same_peer", "other_peer"])
+@pytest.mark.parametrize("role, outcome, kind", list(STRAGGLERS))
+def test_settled_transfer_answers_one_straggler(role, outcome, kind, source):
+    """One packet for a settled transfer, from its peer or another address:
+    the answer and whether it makes a transfer live are pinned row by row."""
+    sender, receiver = make_pair()
+    data = bytes(range(8))  # 2 blocks, 1 window
+    tid, out = sender.start_transfer("B", "x", data, now=0.0)
+    [(_, wr)] = out.packets
+    engine, peer = (sender, "B") if role == "sender" else (receiver, "A")
+    if outcome == "done":
+        pump(sender, receiver, out)
+    else:
+        receiver.packet_in("A", wr, now=1.0)
+        engine.cancel(tid, now=2.0)
+    settled = engine.transfer(tid)
+    assert settled.finished_at is not None and settled.phase.value == outcome
+
+    packet = {
+        "data": Data(tid, 0, data[:4]),
+        "ack": Acknowledgement(tid, 1, ()),
+        "write_request": wr,
+        "error": ErrorPacket(tid, ErrorCode.BUSY, "busy"),
+    }[kind]
+    src = peer if source == "same_peer" else "C"
+    answer = STRAGGLERS[role, outcome, kind][source == "other_peer"]
+    out = engine.packet_in(src, packet, now=10.0)
+    assert out.packets == {
+        "final": [(src, Acknowledgement(tid, 1, ()))],
+        "unknown": [(src, ErrorPacket(tid, ErrorCode.UNKNOWN_TRANSFER, f"no transfer {tid}"))],
+        "accept": [(src, Acknowledgement(tid, 0, ()))],
+        None: [],
+    }[answer]
+    assert out.events == []
+    assert engine.live_transfer_with(src) == (tid if answer == "accept" else None)
+
+
 # --- timers -------------------------------------------------------------------
 
 

@@ -35,8 +35,8 @@ class ScriptedTransport:
 
 def test_step_drops_what_fails_to_open_and_ticks_only_when_due():
     rng = random.Random(1)
-    ours, theirs = PeerKeyPair.generate(rng), PeerKeyPair.generate(rng)
-    cipher = SealedCipher(ours, theirs.public_key, entropy=rng)
+    ours, theirs = PeerKeyPair(rng.randbytes(32)), PeerKeyPair(rng.randbytes(32))
+    cipher = SealedCipher(ours, theirs.public_key)
     engine = Engine(PARAMS, random.Random(2))
     transport = ScriptedTransport([
         (10.0, [("A", "B", b"\x00" * 40)]),   # fails authentication: dropped
