@@ -15,7 +15,6 @@ from typing import Optional
 
 from .engine import TransferParameters
 from .transport import LinkModel, run_loopback_transfer, run_simulated_transfer
-from .wire import block_count_for
 
 CSV_HEADER = ("B,W,iteration,seed,duration_ms,throughput_Bps,"
               "lost_blocks,retx_windows,retx_acks,completed")
@@ -116,8 +115,7 @@ def _stats_from(outcome, data_size: int, block_size: int, window_size: int,
     sender = outcome.sender.counters
     receiver = outcome.receiver.counters if outcome.receiver is not None else None
     if outcome.completed:
-        expected = block_count_for(data_size, block_size) \
-            + sender.lost_blocks + sender.window_retransmit_blocks
+        expected = sender.blocks_due(outcome.sender.block_count)
         if sender.blocks_sent != expected:
             raise RuntimeError(
                 f"block conservation violated: sent {sender.blocks_sent}, "

@@ -56,7 +56,7 @@ from .wire import (
 )
 
 ENV_PREFIX = "BLOCKFER_"
-LINGER_S = 1.0  # keep answering duplicate data after completion
+LINGER_S = 1.0  # recv answers stragglers this long after completion, plus its interval
 
 
 class UsageError(ValueError):
@@ -334,8 +334,7 @@ def _cmd_recv(args) -> int:
         return False
 
     started = time.monotonic()
-    finished_at = None
-    received = None
+    linger_until = None
     code = None
     reported = -1
     with endpoint:
@@ -344,15 +343,22 @@ def _cmd_recv(args) -> int:
             judge_offer()
             for event in pump.take_events():
                 if isinstance(event, Complete):
-                    received = event.data
-                    finished_at = time.monotonic()
+                    try:
+                        with open(args.out, "wb") as handle:
+                            handle.write(event.data)
+                    except OSError as exc:
+                        raise _IoError(f"cannot write {args.out}: {exc}") from exc
+                    _err(f"received {len(event.data)} bytes into {args.out}")
+                    # linger so a lost final ack still gets answered: a sender
+                    # with no RTT sample probes only after its whole interval
+                    linger_until = (time.monotonic() + LINGER_S
+                                    + params.retransmit_interval_ms / 1000.0)
                 elif isinstance(event, Errored):
                     _err(f"transfer failed: {event.code.name}")
                     code = 3
-            if received is not None:
-                # linger so a lost final ack still gets answered
-                if time.monotonic() - finished_at >= LINGER_S:
-                    break
+            if linger_until is not None:
+                if time.monotonic() >= linger_until:
+                    return 0
             elif code is not None:
                 return code
             elif tid is not None:
@@ -363,14 +369,6 @@ def _cmd_recv(args) -> int:
                           if pump.dropped else "")
                 _err(f"no transfer arrived in time{failed}")
                 return 3
-
-    try:
-        with open(args.out, "wb") as handle:
-            handle.write(received)
-    except OSError as exc:
-        raise _IoError(f"cannot write {args.out}: {exc}") from exc
-    _err(f"received {len(received)} bytes into {args.out}")
-    return 0
 
 
 def _cmd_sweep(args) -> int:

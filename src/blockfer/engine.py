@@ -199,6 +199,11 @@ class SenderCounters:
     acks_received: int = 0
     stale_acks: int = 0
 
+    def blocks_due(self, block_count: int) -> int:
+        """Block conservation: a completed sender's blocks_sent equals this,
+        each block once, each listed loss once more and one block per probe."""
+        return block_count + self.lost_blocks + self.window_retransmit_blocks
+
 
 @dataclass
 class ReceiverCounters:
@@ -288,23 +293,25 @@ def _sample_rtt(state, rtt: float) -> None:
 class Engine:
     """Event-driven transfer engine for any number of peers.
 
-    At most one live transfer per peer, in either direction. _settle is the
-    one place a transfer ends: it sets the DONE or FAILED phase and
-    finished_at, emits the Complete or Errored event, drops the payload and
-    moves the state to the finished table. Finished transfers stay
-    inspectable via transfer(), which prefers a live state over a finished
-    one with the same id. A packet with no live transfer behind it meets one
-    rule: a DONE receiver answers Data or a WriteRequest of its transfer with
-    its final acknowledgement, so a lost final ack cannot wedge the sender;
-    any other WriteRequest is judged as a new announcement; Data or an ack
-    with no settled record from that peer draws UNKNOWN_TRANSFER; anything
-    else is dropped. A state holds only what the protocol rules,
-    the caller's progress reports and settlement read: no log of the acks a
-    sender took in or the batches it sent; those are in the packets. A
-    receiver takes its interval, attempt budget and size cap from the
-    engine's params and its block and window size from the announcement;
-    when those sizes equal the engine's own it holds the engine's params
-    object itself, so a settled receiver keeps no copy of them.
+    At most one live transfer per peer, in either direction, and one per
+    id: an announcement whose id is live with another peer is refused with
+    COLLISION. _settle is the one place a transfer ends: it sets the DONE or
+    FAILED phase and finished_at, emits the Complete or Errored event, drops
+    the payload and moves the state to the finished table, which transfer()
+    reads when no live state has the id. A WriteRequest that meets a record
+    of its own peer and id is answered only by a receiver, a live one with
+    its last ack and a DONE one with its final ack, and dropped by any other;
+    only one with no record from that peer is judged as a new announcement.
+    A DONE receiver also answers Data of its transfer with its final ack, so
+    a lost final ack cannot wedge the sender; Data or an ack with no record
+    from that peer draws UNKNOWN_TRANSFER; anything else is dropped. A state
+    holds only what the protocol rules, the caller's progress reports and
+    settlement read: no log of the acks a sender took in or the batches it
+    sent; those are in the packets. A receiver takes its interval, attempt
+    budget and size cap from the engine's params and its block and window
+    size from the announcement; when those sizes equal the engine's own it
+    holds the engine's params object itself, so a settled receiver keeps no
+    copy of them.
 
     Cost model: each event builds one EngineOutput, a slotted record. The
     live table is keyed by peer and the finished table by transfer id, and
@@ -319,13 +326,12 @@ class Engine:
     entry goes stale when its transfer settles or re-arms, is dropped
     lazily, and the heap is rebuilt from the live table once it outgrows
     twice the live count. Timers due at the same instant fire in the order
-    their transfers went live. transfer() and cancel() scan only the live
-    table, which holds one state per peer; transfer() then indexes the
-    finished table by id. Going live costs one lookup in the RTT cache, and
-    settling with an RTT estimate one store; the cache is keyed by peer,
-    shared by both roles, and drops its least recently settled peer beyond
-    RTT_CACHE_PEERS, so spoofed source addresses cannot grow it without
-    bound.
+    their transfers went live. transfer() and cancel() look the id up in
+    the live states indexed by id, and transfer() then in the finished
+    table. Going live costs one lookup in the RTT cache, and settling with
+    an RTT estimate one store; the cache is keyed by peer, shared by both
+    roles, and drops its least recently settled peer beyond RTT_CACHE_PEERS,
+    so spoofed source addresses cannot grow it without bound.
     """
 
     def __init__(self, params: Optional[TransferParameters] = None,
@@ -335,7 +341,7 @@ class Engine:
         self._live: dict = {}       # peer -> its live state, in the order they went live
         self._finished: dict = {}   # transfer id -> settled state
         self._rtt: dict = {}        # peer -> (srtt, rttvar) of its last settled transfer
-        self._my_ids: set = set()   # ids of live transfers this side initiated
+        self._ids: dict = {}        # transfer id -> its live state, either role
         self._timers: list = []     # heap of (deadline, start_seq, state)
         self._started = 0           # start_seq of the next state to go live
 
@@ -352,7 +358,7 @@ class Engine:
             raise SizeExceededError(
                 f"transfer size {len(data)} exceeds cap {params.max_transfer_size}")
         tid = self.rng.getrandbits(64)
-        while tid == 0 or tid in self._my_ids:
+        while tid == 0 or tid in self._ids:
             tid = self.rng.getrandbits(64)
         block_count = block_count_for(len(data), params.block_size)
         wr = WriteRequest(
@@ -370,7 +376,6 @@ class Engine:
         )
         self._go_live(state)
         self._arm(state)
-        self._my_ids.add(tid)
         out = EngineOutput()
         out.packets.append((peer, wr))
         return tid, out
@@ -392,25 +397,22 @@ class Engine:
                     and isinstance(packet, (Data, WriteRequest))):
                 # the final ack again: were it lost, the sender would wait on it
                 out.packets.append((peer, Acknowledgement(settled.id, settled.total_windows, ())))
-            elif isinstance(packet, WriteRequest):
+            elif settled is None and isinstance(packet, WriteRequest):
                 self._accept_or_refuse(peer, packet, out, now)
             elif settled is None and isinstance(packet, (Data, Acknowledgement)):
                 out.packets.append((peer, ErrorPacket(
                     packet.id, ErrorCode.UNKNOWN_TRANSFER, f"no transfer {packet.id}")))
             return out
 
-        if isinstance(packet, WriteRequest):
-            if isinstance(state, ReceiverState):
-                # duplicate announcement for a live transfer: same ack again
-                state.attempts_left = state.params.max_attempts
-                self._emit_ack(state, out, now, retransmit=True)
-            else:
-                self._accept_or_refuse(peer, packet, out, now)
+        if isinstance(state, ReceiverState) and isinstance(packet, WriteRequest):
+            # duplicate announcement for a live transfer: same ack again
+            state.attempts_left = state.params.max_attempts
+            self._emit_ack(state, out, now, retransmit=True)
         elif isinstance(packet, ErrorPacket):
             self._fail(state, packet.code, out, now)
         elif isinstance(state, SenderState) and isinstance(packet, Acknowledgement):
             self._sender_ack(state, packet, out, now)
-        # data addressed to a sender or acks to a receiver are dropped
+        # a sender's own announcement, data to a sender or acks to a receiver: dropped
         return out
 
     def tick(self, now: float) -> EngineOutput:
@@ -458,9 +460,9 @@ class Engine:
     def cancel(self, transfer_id: int, now: float) -> EngineOutput:
         """Abort a live transfer, telling the peer."""
         out = EngineOutput()
-        for state in list(self._live.values()):
-            if state.id == transfer_id:
-                self._fail(state, ErrorCode.TIMEOUT, out, now, message="cancelled")
+        state = self._ids.get(transfer_id)
+        if state is not None:
+            self._fail(state, ErrorCode.TIMEOUT, out, now, message="cancelled")
         return out
 
     # -- inspection
@@ -481,10 +483,7 @@ class Engine:
 
     def transfer(self, transfer_id: int):
         """The live state for an id, else the finished one; None if unknown."""
-        for state in self._live.values():
-            if state.id == transfer_id:
-                return state
-        return self._finished.get(transfer_id)
+        return self._ids.get(transfer_id) or self._finished.get(transfer_id)
 
     # -- internals
 
@@ -495,7 +494,7 @@ class Engine:
             _set_rto(state)
         state.start_seq = self._started
         self._started += 1
-        self._live[state.peer] = state
+        self._live[state.peer] = self._ids[state.id] = state
 
     def _arm(self, state) -> None:
         """Queue the state's current deadline; its older entries go stale."""
@@ -520,7 +519,7 @@ class Engine:
             state.phase = phases.DONE
         state.finished_at = now
         out.events.append(event)
-        del self._live[state.peer]
+        del self._live[state.peer], self._ids[state.id]
         self._finished[state.id] = state
         if state.srtt is not None:
             rtt = self._rtt
@@ -528,7 +527,6 @@ class Engine:
             rtt[state.peer] = state.srtt, state.rttvar
             if len(rtt) > RTT_CACHE_PEERS:
                 del rtt[next(iter(rtt))]
-        self._my_ids.discard(state.id)
         self._bound_timers()
 
     def _fail(self, state, code: ErrorCode, out: EngineOutput, now: float,
@@ -541,27 +539,25 @@ class Engine:
     def _accept_or_refuse(self, peer: Peer, wr: WriteRequest,
                           out: EngineOutput, now: float) -> None:
         live = self._live.get(peer)
-        if live is not None:
-            if isinstance(live, SenderState) and live.phase is SenderPhase.AWAITING_WR_ACK:
-                # both ends announced at once; each refuses the other's
-                out.packets.append((peer, ErrorPacket(
-                    wr.id, ErrorCode.COLLISION, "simultaneous transfer announcements")))
-            else:
-                out.packets.append((peer, ErrorPacket(
-                    wr.id, ErrorCode.BUSY, f"transfer {live.id} still live with this peer")))
-            return
         params = self.params
-        if wr.block_size != params.block_size or wr.window_size != params.window_size:
+        refusal = None
+        if isinstance(live, SenderState) and live.phase is SenderPhase.AWAITING_WR_ACK:
+            # both ends announced at once; each refuses the other's
+            refusal = ErrorCode.COLLISION, "simultaneous transfer announcements"
+        elif live is not None:
+            refusal = ErrorCode.BUSY, f"transfer {live.id} still live with this peer"
+        elif wr.id in self._ids:  # one live transfer per id: two would share its slot
+            refusal = ErrorCode.COLLISION, "transfer id in use"
+        elif wr.block_size != params.block_size or wr.window_size != params.window_size:
             try:  # the announced sizes, in the ranges TransferParameters allows
                 params = replace(params, block_size=wr.block_size, window_size=wr.window_size)
             except ValueError:
-                out.packets.append((peer, ErrorPacket(
-                    wr.id, ErrorCode.SIZE_EXCEEDED, "announced block or window size out of range")))
-                return
-        if wr.data_size > params.max_transfer_size:
-            out.packets.append((peer, ErrorPacket(
-                wr.id, ErrorCode.SIZE_EXCEEDED,
-                f"transfer size {wr.data_size} exceeds cap {params.max_transfer_size}")))
+                refusal = ErrorCode.SIZE_EXCEEDED, "announced block or window size out of range"
+        if refusal is None and wr.data_size > params.max_transfer_size:
+            refusal = (ErrorCode.SIZE_EXCEEDED,
+                       f"transfer size {wr.data_size} exceeds cap {params.max_transfer_size}")
+        if refusal is not None:
+            out.packets.append((peer, ErrorPacket(wr.id, *refusal)))
             return
 
         state = ReceiverState(

@@ -293,3 +293,41 @@ def test_recv_claims_the_first_announcement_and_times_out_when_it_goes_silent(tm
     assert "accepting 'doc' (10 bytes)" in recv_err
     assert "transfer failed: TIMEOUT" in recv_err
     assert not (tmp_path / "o.bin").exists()
+
+
+def test_recv_lingers_a_whole_interval_for_a_lost_final_ack(tmp_path):
+    """A sender with no RTT sample probes only after its whole interval, so
+    recv keeps answering for that long after completion: a block re-sent about
+    2 s after the final ack, against a 3 s interval, draws the final ack
+    again. The file is already written while recv lingers."""
+    port = free_port()
+    sink = tmp_path / "o.bin"
+    recv = subprocess.Popen(
+        [*CLI, "recv", "--port", str(port), "--out", str(sink),
+         "--interval-ms", "3000", "--wait-s", "20"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True)
+    sock = socket.socket(socket.AF_INET, socket.SOCK_DGRAM)
+    try:
+        sock.bind(("127.0.0.1", 0))
+        sock.settimeout(10.0)
+        wait_until_bound(port)
+        to = ("127.0.0.1", port)
+        sock.sendto(encode_packet(WriteRequest(id=7, info="doc", data_size=10, block_size=5,
+                                               window_size=2, block_count=2, nonce=1)), to)
+        assert decode_packet(sock.recv(2048)) == Acknowledgement(7, 0, ())
+        last = Data(id=7, block_number=1, payload=b"y" * 5)
+        sock.sendto(encode_packet(Data(id=7, block_number=0, payload=b"x" * 5)), to)
+        sock.sendto(encode_packet(last), to)
+        assert decode_packet(sock.recv(2048)) == Acknowledgement(7, 1, ())
+        time.sleep(2.0)  # the final ack was lost; the sender's probe comes late
+        sock.sendto(encode_packet(last), to)
+        assert decode_packet(sock.recv(2048)) == Acknowledgement(7, 1, ())
+        assert recv.poll() is None and sink.read_bytes() == b"x" * 5 + b"y" * 5
+        _, recv_err = recv.communicate(timeout=20)
+    finally:
+        sock.close()
+        if recv.poll() is None:
+            recv.kill()
+            recv.communicate()
+    assert recv.returncode == 0, recv_err
+    assert sink.read_bytes() == b"x" * 5 + b"y" * 5

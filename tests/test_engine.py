@@ -315,6 +315,12 @@ def test_duplicate_write_request_is_idempotent():
     assert first == again == [Acknowledgement(tid, 0, ())]
     # no duplicate receiver state, no extra callbacks
     assert receiver.transfer(tid).phase is ReceiverPhase.RECEIVING
+    # the sender's own announcement echoed back is dropped: only a receiver answers one
+    state = sender.transfer(tid)
+    before = repr(state)
+    out = sender.packet_in("B", wr, now=3.0)
+    assert out.packets == [] and out.events == []
+    assert repr(state) == before and sender.live_transfer_with("B") == tid
 
 
 def test_oversize_write_request_refused():
@@ -470,6 +476,11 @@ def test_stale_ack_ignored_but_resets_attempts():
     assert state.attempts_left == SMALL.max_attempts
     assert state.window_index == 1
     assert state.counters.stale_acks == 1
+    # an ack for a window never dispatched is dropped and changes nothing
+    before = repr(state)
+    out = sender.packet_in("B", Acknowledgement(tid, 2, ()), now=4200.0)
+    assert out.packets == [] and out.events == []
+    assert repr(state) == before
 
 
 def test_wrong_payload_length_fails_transfer():
@@ -493,6 +504,13 @@ def test_out_of_range_block_number_fails_transfer():
     [(_, err)] = out.packets
     assert err.code is ErrorCode.DECODE_FAILURE
     assert receiver.transfer(tid).phase is ReceiverPhase.FAILED
+    # so does an ack listing a block at or beyond the sender's block_count
+    sender.packet_in("B", Acknowledgement(tid, 0, ()), now=3.0)
+    out = sender.packet_in("B", Acknowledgement(tid, 1, (5,)), now=4.0)
+    assert out.packets == [("B", ErrorPacket(tid, ErrorCode.DECODE_FAILURE,
+                                             "unreceived list out of range"))]
+    assert out.events == [Errored(tid, ErrorCode.DECODE_FAILURE)]
+    assert sender.transfer(tid).phase is SenderPhase.FAILED
 
 
 def test_done_receiver_reacks_duplicate_data():
@@ -529,6 +547,12 @@ def test_transfer_lookup_prefers_live_and_checks_peer():
     receiver.packet_in("C", wr, now=2.0)
     live = receiver.transfer(tid)
     assert live is not finished and live.peer == "C" and live.finished_at is None
+    # while it is live, an announcement of its id from a third address is refused
+    before = repr(live)
+    out = receiver.packet_in("D", wr, now=2.5)
+    assert out.packets == [("D", ErrorPacket(tid, ErrorCode.COLLISION, "transfer id in use"))]
+    assert out.events == [] and receiver.live_transfer_with("D") is None
+    assert receiver.transfer(tid) is live and repr(live) == before
     # once it settles, the newer record replaces the older one
     for d in (Data(tid, 0, data[:4]), Data(tid, 1, data[4:])):
         out = receiver.packet_in("C", d, now=3.0)
@@ -547,16 +571,16 @@ STRAGGLERS = {
     ("receiver", "done", "error"): (None, None),
     ("receiver", "failed", "data"): (None, "unknown"),
     ("receiver", "failed", "ack"): (None, "unknown"),
-    ("receiver", "failed", "write_request"): ("accept", "accept"),
+    # from its own peer, only a DONE receiver answers its transfer's announcement
+    ("receiver", "failed", "write_request"): (None, "accept"),
     ("receiver", "failed", "error"): (None, None),
     ("sender", "done", "data"): (None, "unknown"),
     ("sender", "done", "ack"): (None, "unknown"),
-    # the peer echoing the sender's own announcement makes it a receiver
-    ("sender", "done", "write_request"): ("accept", "accept"),
+    ("sender", "done", "write_request"): (None, "accept"),
     ("sender", "done", "error"): (None, None),
     ("sender", "failed", "data"): (None, "unknown"),
     ("sender", "failed", "ack"): (None, "unknown"),
-    ("sender", "failed", "write_request"): ("accept", "accept"),
+    ("sender", "failed", "write_request"): (None, "accept"),
     ("sender", "failed", "error"): (None, None),
 }
 
@@ -1174,6 +1198,13 @@ class TimerOracle(RuleBasedStateMachine):
         for _ in range(copies):
             self.send(dst, engine.packet_in(src, packet, now=self.now))
 
+    @rule(index=st.integers(0, 1000), src=st.sampled_from(PEERS))
+    def spoof(self, index, src):
+        """Deliver a copy of a packet bound for E as if src had sent it."""
+        inbound = [packet for _, dst, packet in self.wire if dst == "E"]
+        if inbound:
+            self.send("E", self.engine.packet_in(src, inbound[index % len(inbound)], now=self.now))
+
     @rule(step=st.sampled_from([0.0, 1.0, 40.0, 99.0, 100.0, 250.0]))
     def tick(self, step):
         self.advance(step)
@@ -1209,6 +1240,15 @@ class TimerOracle(RuleBasedStateMachine):
     def next_deadline_is_the_live_minimum(self):
         expected = min((brute_deadline(s) for s in self.engine._live.values()), default=None)
         assert self.engine.next_deadline() == expected
+
+    @invariant()
+    def live_transfers_are_indexed_by_id(self):
+        """transfer(id) returns each live state, and no two share an id."""
+        for engine in (self.engine, *self.peers.values()):
+            live = list(engine._live.values())
+            assert len({s.id for s in live}) == len(live)
+            for s in live:
+                assert engine.transfer(s.id) is s
 
     @invariant()
     def timer_heap_stays_bounded(self):
@@ -1264,6 +1304,10 @@ def test_cancel_notifies_peer_and_fails():
     out = receiver.packet_in("A", err, now=3.0)
     assert Errored(tid, ErrorCode.TIMEOUT) in out.events
     assert receiver.transfer(tid).phase is ReceiverPhase.FAILED
+    # an id with no live transfer, unknown or settled, cancels nothing
+    for unknown in (tid ^ 1, tid):
+        out = sender.cancel(unknown, now=4.0)
+        assert out.packets == [] and out.events == []
 
 
 def test_start_transfer_refusals():

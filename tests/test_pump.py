@@ -3,24 +3,28 @@
 import random
 
 from blockfer.crypto import PeerKeyPair, SealedCipher
-from blockfer.engine import Complete, Engine, TransferParameters
+from blockfer.engine import Complete, Engine, EngineOutput, TransferParameters
 from blockfer.transport import Pump
-from blockfer.wire import Acknowledgement, decode_packet, encode_packet
+from blockfer.wire import Acknowledgement, Data, decode_packet, encode_packet
 
 PARAMS = TransferParameters(block_size=100, window_size=4, retransmit_interval_ms=50.0)
 
 
 class ScriptedTransport:
-    """Hands out one scripted (time, arrivals) entry per wait; sends go to a list."""
+    """Hands out one scripted (time, arrivals) entry per wait; records each send call."""
 
     def __init__(self, script):
         self.script = list(script)
-        self.sent = []
+        self.calls = []  # (local, peer, datagrams) per send
         self.waits = []
         self.clock = 0.0
 
     def send(self, local, peer, datagrams):
-        self.sent.extend((local, peer, datagram) for datagram in datagrams)
+        self.calls.append((local, peer, list(datagrams)))
+
+    @property
+    def sent(self):
+        return [(local, peer, d) for local, peer, datagrams in self.calls for d in datagrams]
 
     def wait(self, until):
         self.waits.append(until)
@@ -94,3 +98,17 @@ def test_an_output_with_events_and_no_packets_still_reaches_take_events():
     assert pump.step()
     assert len(transport.sent) == 1  # the announcement alone
     assert pump.take_events() == [Complete(tid, sent=True)]
+
+
+def test_flush_sends_each_run_to_one_peer_in_one_call():
+    out = EngineOutput()
+    blocks = [Data(1, n, b"b") for n in range(3)] + [Data(2, 0, b"c")]
+    out.packets.extend(zip(["B", "B", "C", "B"], blocks))
+    out.events.append(Complete(3, sent=True))
+    transport = ScriptedTransport([])
+    pump = Pump({"A": Engine(PARAMS)}, transport, encode_packet, decode_packet)
+    pump.flush("A", out)
+    assert transport.calls == [("A", "B", [encode_packet(blocks[0]), encode_packet(blocks[1])]),
+                               ("A", "C", [encode_packet(blocks[2])]),
+                               ("A", "B", [encode_packet(blocks[3])])]
+    assert pump.take_events() == [Complete(3, sent=True)]

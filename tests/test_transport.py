@@ -272,8 +272,7 @@ def test_simulated_transfer_survives_loss_reorder_duplication():
         assert result.data == data
         assert result.sender.counters.lost_blocks > 0
         c = result.sender.counters
-        assert c.blocks_sent == block_count_for(len(data), 600) \
-            + c.lost_blocks + c.window_retransmit_blocks
+        assert c.blocks_sent == c.blocks_due(block_count_for(len(data), 600))
 
 
 def test_simulated_transfer_is_deterministic():
