@@ -8,6 +8,7 @@ CSV. Metrics come straight from the engine counters rather than parsed logs.
 
 from __future__ import annotations
 
+import math
 import random
 import statistics
 from dataclasses import dataclass, replace
@@ -203,14 +204,24 @@ def summarize(rows) -> str:
     return "\n".join(lines)
 
 
+def percentile(values, q: float) -> float:
+    """Nearest-rank percentile of a non-empty sequence, q in (0, 100]."""
+    ordered = sorted(values)
+    return ordered[max(1, math.ceil(q / 100.0 * len(ordered))) - 1]
+
+
 @dataclass(frozen=True)
 class LargeEvalReport:
-    """Aggregate of repeated identical large transfers."""
+    """Aggregate of repeated identical large transfers; completion times are
+    nearest-rank percentiles over the completed ones."""
 
     stats: tuple
     mean_throughput_Bps: float
     min_throughput_Bps: float
     max_throughput_Bps: float
+    completion_ms_p50: float
+    completion_ms_p90: float
+    completion_ms_p99: float
     total_lost_blocks: int
     total_retx_windows: int
     total_retx_acks: int
@@ -222,6 +233,9 @@ class LargeEvalReport:
             f"throughput mean Bps  {self.mean_throughput_Bps:.1f}",
             f"throughput min Bps   {self.min_throughput_Bps:.1f}",
             f"throughput max Bps   {self.max_throughput_Bps:.1f}",
+            f"completion p50 ms    {self.completion_ms_p50:.1f}",
+            f"completion p90 ms    {self.completion_ms_p90:.1f}",
+            f"completion p99 ms    {self.completion_ms_p99:.1f}",
             f"lost blocks total    {self.total_lost_blocks}",
             f"window retransmits   {self.total_retx_windows}",
             f"ack retransmits      {self.total_retx_acks}",
@@ -267,11 +281,15 @@ def evaluate_large(data_size: int = 250 * 2**20, block_size: int = 1200,
         collected.append(stats)
 
     throughputs = [s.throughput_Bps for s in collected if s.completed] or [0.0]
+    durations = [s.duration_ms for s in collected if s.completed] or [0.0]
     return LargeEvalReport(
         stats=tuple(collected),
         mean_throughput_Bps=statistics.fmean(throughputs),
         min_throughput_Bps=min(throughputs),
         max_throughput_Bps=max(throughputs),
+        completion_ms_p50=percentile(durations, 50),
+        completion_ms_p90=percentile(durations, 90),
+        completion_ms_p99=percentile(durations, 99),
         total_lost_blocks=sum(s.lost_blocks for s in collected),
         total_retx_windows=sum(s.retx_windows for s in collected),
         total_retx_acks=sum(s.retx_acks for s in collected))

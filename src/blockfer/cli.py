@@ -48,6 +48,7 @@ from .transport.pump import Pump
 from .transport.udp import TransportError, UdpEndpoint, UdpTransport
 from .wire import (
     INFO_MAX,
+    Data,
     ErrorCode,
     ErrorPacket,
     WriteRequest,
@@ -323,8 +324,8 @@ def _cmd_recv(args) -> int:
         if peer is None:
             if isinstance(packet, WriteRequest):
                 offer = (addr, packet)
-                return True
-            return False  # strays before any transfer: ignore
+            # Data may outrun its announcement: the engine notes it, never answers it
+            return isinstance(packet, (WriteRequest, Data))
         if addr == peer:
             return True
         if isinstance(packet, WriteRequest):  # second sender: turn it away

@@ -11,16 +11,20 @@ as a required `now`. Feeding the same events in the same order always
 produces byte-identical output; time and randomness only enter through
 those `now` arguments and the injected `random.Random`.
 
-Protocol shape: the sender announces a transfer with a WriteRequest, then
-sends blocks in windows of `window_size`. The receiver acknowledges each
-completed window, listing every block number below the window boundary it
-has not seen; the sender puts exactly those blocks into the next window's
-batch (piggybacked recovery), so a lost block costs no extra round trip.
-After the last fresh window the exchange keeps draining the leftover
-missing blocks until the receiver's final acknowledgement (empty list)
-closes the transfer. An ack's window_index counts the windows the receiver
-has closed, i.e. names the next window it expects; the write-request ack is
-window 0 with an empty list.
+Protocol shape: the sender announces a transfer with a WriteRequest and
+puts window 0 on the wire right behind it, so a transfer of one window
+takes one round trip (data rides with the handshake, as in TCP Fast Open
+and QUIC 0-RTT); later windows of `window_size` blocks each wait for the
+ack of the one before. The receiver acknowledges each completed window,
+listing every block number below the window boundary it has not seen; the
+sender puts exactly those blocks into the next window's batch (piggybacked
+recovery), so a lost block costs no extra round trip. After the last fresh
+window the exchange keeps draining the leftover missing blocks until the
+receiver's final acknowledgement (empty list) closes the transfer. An ack's
+window_index counts the windows the receiver has closed, i.e. names the
+next window it expects; the write-request ack is window 0 with an empty
+list, and only moves the sender from AWAITING_WR_ACK to SENDING. An ack of
+window 1 is accepted in either phase.
 
 Both roles share one record, TransferState: the transfer's identity and
 sizes, its retransmit timer and its outcome, each declared once;
@@ -36,7 +40,8 @@ remain it is the closing block of the expected window, whose arrival
 closes that window; in the drain it is the last block the ack lists.
 
 Both sides run a retransmit timer. A sender that hears nothing for one
-timeout re-sends its announcement, or after it sends a tail-loss probe:
+timeout re-sends its announcement (not window 0), or after it sends a
+tail-loss probe:
 the last block of its pending batch alone (RFC 8985), i.e. the receiver's
 trigger, whose arrival makes the receiver ack.
 A receiver re-sends its last acknowledgement when its own timer fires, and
@@ -49,8 +54,9 @@ one block, so the sender's timeout is 2 * SRTT clamped to [PTO_MIN_MS,
 retransmit interval] (RFC 9002's PTO); the receiver's is SRTT + 4 * RTTVAR
 clamped to [RTO_MIN_MS, retransmit interval]. Every sample thus spans the
 time a whole batch takes to cross the link, which is what a deadline has
-to cover; the announcement and its ack are one small datagram each way and
-are not timed. A transfer starts from the SRTT and RTTVAR of the last
+to cover: the sender times window 0 from the start, and the receiver does
+not time the ack that accepts the announcement, since window 0 arrives
+right behind it. A transfer starts from the SRTT and RTTVAR of the last
 settled transfer with the same peer, in either direction (RFC 9040's
 temporal sharing), and its timeout from those; with no such transfer it
 starts at the interval. Each firing doubles the timeout up to the
@@ -287,6 +293,14 @@ def _sample_rtt(state, rtt: float) -> None:
     state.timed_at = None
 
 
+def _remember(table: dict, peer: Peer, value) -> None:
+    """Store value as peer's newest entry; past RTT_CACHE_PEERS peers the oldest goes."""
+    table.pop(peer, None)  # re-inserted last: the dict stays in the order of stores
+    table[peer] = value
+    if len(table) > RTT_CACHE_PEERS:
+        del table[next(iter(table))]
+
+
 # --- the engine ----------------------------------------------------------------
 
 
@@ -303,15 +317,19 @@ class Engine:
     its last ack and a DONE one with its final ack, and dropped by any other;
     only one with no record from that peer is judged as a new announcement.
     A DONE receiver also answers Data of its transfer with its final ack, so
-    a lost final ack cannot wedge the sender; Data or an ack with no record
-    from that peer draws UNKNOWN_TRANSFER; anything else is dropped. A state
-    holds only what the protocol rules, the caller's progress reports and
-    settlement read: no log of the acks a sender took in or the batches it
-    sent; those are in the packets. A receiver takes its interval, attempt
-    budget and size cap from the engine's params and its block and window
-    size from the announcement; when those sizes equal the engine's own it
-    holds the engine's params object itself, so a settled receiver keeps no
-    copy of them.
+    a lost final ack cannot wedge the sender; an ack with no record from
+    that peer draws UNKNOWN_TRANSFER; anything else is dropped. Data with no
+    record is dropped because it may have outrun its announcement, or
+    followed a lost one; the engine notes the id of the last such Data per
+    peer, and accepting that peer's WriteRequest with that id closes window
+    0 at once, as the window's closing block would. A state holds only what
+    the protocol rules, the caller's progress reports and settlement read:
+    no log of the acks a sender took in or the batches it sent; those are in
+    the packets. A receiver takes its interval, attempt budget and size cap
+    from the engine's params and its block and window size from the
+    announcement; when those sizes equal the engine's own it holds the
+    engine's params object itself, so a settled receiver keeps no copy of
+    them.
 
     Cost model: each event builds one EngineOutput, a slotted record. The
     live table is keyed by peer and the finished table by transfer id, and
@@ -331,7 +349,9 @@ class Engine:
     table. Going live costs one lookup in the RTT cache, and settling with
     an RTT estimate one store; the cache is keyed by peer, shared by both
     roles, and drops its least recently settled peer beyond RTT_CACHE_PEERS,
-    so spoofed source addresses cannot grow it without bound.
+    so spoofed source addresses cannot grow it without bound. The notes of
+    stray Data are bounded the same way, and an accepted announcement takes
+    its peer's note out.
     """
 
     def __init__(self, params: Optional[TransferParameters] = None,
@@ -341,6 +361,7 @@ class Engine:
         self._live: dict = {}       # peer -> its live state, in the order they went live
         self._finished: dict = {}   # transfer id -> settled state
         self._rtt: dict = {}        # peer -> (srtt, rttvar) of its last settled transfer
+        self._strays: dict = {}     # peer -> id of the last Data it sent that met no record
         self._ids: dict = {}        # transfer id -> its live state, either role
         self._timers: list = []     # heap of (deadline, start_seq, state)
         self._started = 0           # start_seq of the next state to go live
@@ -375,9 +396,12 @@ class Engine:
             last_sent=now, rto=params.retransmit_interval_ms, started_at=now,
         )
         self._go_live(state)
-        self._arm(state)
         out = EngineOutput()
         out.packets.append((peer, wr))
+        if block_count:
+            self._dispatch(state, (), out, now)  # window 0 rides with the announcement
+        else:
+            self._arm(state)
         return tid, out
 
     def packet_in(self, peer: Peer, packet: Packet, now: float) -> EngineOutput:
@@ -399,7 +423,10 @@ class Engine:
                 out.packets.append((peer, Acknowledgement(settled.id, settled.total_windows, ())))
             elif settled is None and isinstance(packet, WriteRequest):
                 self._accept_or_refuse(peer, packet, out, now)
-            elif settled is None and isinstance(packet, (Data, Acknowledgement)):
+            elif settled is None and isinstance(packet, Data):
+                # a stray, perhaps ahead of its announcement: noted, never answered
+                _remember(self._strays, peer, packet.id)
+            elif settled is None and isinstance(packet, Acknowledgement):
                 out.packets.append((peer, ErrorPacket(
                     packet.id, ErrorCode.UNKNOWN_TRANSFER, f"no transfer {packet.id}")))
             return out
@@ -522,11 +549,7 @@ class Engine:
         del self._live[state.peer], self._ids[state.id]
         self._finished[state.id] = state
         if state.srtt is not None:
-            rtt = self._rtt
-            rtt.pop(state.peer, None)  # re-inserted last: the dict stays in settle order
-            rtt[state.peer] = state.srtt, state.rttvar
-            if len(rtt) > RTT_CACHE_PEERS:
-                del rtt[next(iter(rtt))]
+            _remember(self._rtt, state.peer, (state.srtt, state.rttvar))
         self._bound_timers()
 
     def _fail(self, state, code: ErrorCode, out: EngineOutput, now: float,
@@ -570,10 +593,14 @@ class Engine:
             started_at=now,
         )
         self._go_live(state)
+        noted = self._strays.pop(peer, None)
         if wr.block_count == 0:
             self._receiver_done(state, out, now)
-        else:
-            self._emit_ack(state, out, now)
+            return
+        self._emit_ack(state, out, now)
+        state.timed_at = None  # window 0 is right behind it: no ack-to-ack cycle to time
+        if noted == wr.id:  # window 0 outran the announcement, or followed a lost one
+            self._close_window(state, out, now)
 
     def _emit_ack(self, state: ReceiverState, out: EngineOutput, now: float,
                   retransmit: bool = False) -> None:
@@ -620,14 +647,20 @@ class Engine:
         if state.received_count == state.block_count:
             self._receiver_done(state, out, now)
         elif n == state.trigger:
-            if state.expected_window < state.total_windows:
-                lo = state.expected_window * params.window_size
-                for m in range(lo, n + 1):
-                    if blocks[m] is None:
-                        state.missing.add(m)
-                state.expected_window += 1
-            state.acked_by = n
-            self._emit_ack(state, out, now)
+            self._close_window(state, out, now)
+
+    def _close_window(self, state: ReceiverState, out: EngineOutput, now: float) -> None:
+        """The trigger arrived, or window 0 met no record: list what is missing
+        below the trigger and send a fresh ack."""
+        n = state.trigger
+        if state.expected_window < state.total_windows:
+            blocks = state.blocks
+            for m in range(state.expected_window * state.params.window_size, n + 1):
+                if blocks[m] is None:
+                    state.missing.add(m)
+            state.expected_window += 1
+        state.acked_by = n
+        self._emit_ack(state, out, now)
 
     def _receiver_done(self, state: ReceiverState, out: EngineOutput, now: float) -> None:
         """Every block is in: send the final ack and hand the payload over."""
@@ -643,7 +676,10 @@ class Engine:
             return
         state.attempts_left = state.params.max_attempts
         if a.window_index < state.window_index:
-            state.counters.stale_acks += 1
+            if state.phase is SenderPhase.AWAITING_WR_ACK:
+                state.phase = SenderPhase.SENDING  # the announcement's ack: window 0 is out
+            else:
+                state.counters.stale_acks += 1
             return
         if a.window_index > state.window_index:
             return  # an ack for windows never dispatched: drop
@@ -656,17 +692,24 @@ class Engine:
                 self._settle(state, Complete(state.id, sent=True), out, now)
                 return
             state.phase = SenderPhase.LAST_WINDOW_DRAIN
-            pending = tuple(a.unreceived)
         else:
             state.phase = SenderPhase.SENDING
-            lo = a.window_index * state.params.window_size
+        state.counters.lost_blocks += len(a.unreceived)
+        self._dispatch(state, a.unreceived, out, now)
+
+    def _dispatch(self, state: SenderState, listed: tuple, out: EngineOutput,
+                  now: float) -> None:
+        """Send the listed blocks and the next fresh window, if one is left, as one timed batch."""
+        if state.window_index < state.total_windows:
+            lo = state.window_index * state.params.window_size
             hi = min(lo + state.params.window_size, state.block_count)
-            if a.unreceived:
-                pending = tuple(sorted(set(a.unreceived) | set(range(lo, hi))))
+            if listed:
+                pending = tuple(sorted(set(listed) | set(range(lo, hi))))
             else:
                 pending = tuple(range(lo, hi))
             state.window_index += 1
-        state.counters.lost_blocks += len(a.unreceived)
+        else:
+            pending = tuple(listed)
         state.pending = pending
         peer, tid, size = state.peer, state.id, state.params.block_size
         view = memoryview(state.data)

@@ -3,7 +3,8 @@
 Lets the processes the tests start import blockfer from a checkout: the
 pythonpath setting in pyproject.toml puts src/ on this process's sys.path
 only; the CLI tests run `python -m blockfer.cli` as children, which read
-PYTHONPATH instead. Also records what senders do with the acks they take in.
+PYTHONPATH instead. Also records the batches senders open, and starts a
+transfer by hand with its announcement and window 0 apart.
 """
 
 import os
@@ -12,7 +13,7 @@ from pathlib import Path
 import pytest
 
 from blockfer.engine import Engine
-from blockfer.wire import Acknowledgement, Data
+from blockfer.wire import Acknowledgement, Data, WriteRequest
 
 SRC = str(Path(__file__).resolve().parent.parent / "src")
 
@@ -21,19 +22,46 @@ if SRC not in _paths:
     os.environ["PYTHONPATH"] = os.pathsep.join([SRC, *_paths])
 
 
+def _blocks(out):
+    return tuple(p.block_number for _, p in out.packets if isinstance(p, Data))
+
+
 @pytest.fixture
 def sender_batches(monkeypatch):
-    """Each ack any Engine takes in during the test, in order, as (ack, block
-    numbers of the Data in that call's output): the batch the ack opened."""
+    """Each batch any Engine opens during the test, in order, as (opener, block
+    numbers of the Data sent with it): start_transfer's WriteRequest and window
+    0, then each ack the engine takes in and the batch it opened (empty if none)."""
     taken = []
-    packet_in = Engine.packet_in
+    start_transfer, packet_in = Engine.start_transfer, Engine.packet_in
+
+    def starting(self, *args, **kwargs):
+        tid, out = start_transfer(self, *args, **kwargs)
+        taken.append((out.packets[0][1], _blocks(out)))
+        return tid, out
 
     def recording(self, peer, packet, now):
         out = packet_in(self, peer, packet, now)
         if isinstance(packet, Acknowledgement):
-            taken.append((packet, tuple(p.block_number for _, p in out.packets
-                                        if isinstance(p, Data))))
+            taken.append((packet, _blocks(out)))
         return out
 
+    monkeypatch.setattr(Engine, "start_transfer", starting)
     monkeypatch.setattr(Engine, "packet_in", recording)
     return taken
+
+
+@pytest.fixture
+def announce():
+    """start(engine, peer, data, info="x", params=None, now=0.0) starts a transfer
+    and returns (id, its WriteRequest, the Data packets of window 0), checking
+    that the output holds those alone, all bound for peer, in that order."""
+
+    def start(engine, peer, data, info="x", params=None, now=0.0):
+        tid, out = engine.start_transfer(peer, info, data, params, now=now)
+        (to, wr), *window = out.packets
+        assert to == peer and isinstance(wr, WriteRequest) and wr.id == tid
+        assert all(to == peer and isinstance(d, Data) for to, d in window)
+        assert out.events == []
+        return tid, wr, [d for _, d in window]
+
+    return start

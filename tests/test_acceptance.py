@@ -110,9 +110,12 @@ def test_criterion_2_loss_recovery_piggyback(sender_batches):
         assert outcome.data == data
         moved += size
 
-        # every block reported missing rides in the very next batch; every
-        # ack the sender accepts opens one, except the final ack
-        opened = [(ack, blocks) for ack, blocks in sender_batches if blocks]
+        # every block reported missing rides in the very next batch; the start
+        # opens the first batch, with the announcement, and every ack the
+        # sender accepts opens one, except the final ack
+        (first, _), *opened = [(opener, blocks) for opener, blocks in sender_batches
+                               if blocks]
+        assert isinstance(first, WriteRequest), trial
         assert len(opened) == outcome.sender.counters.acks_received - 1, trial
         for ack, blocks in opened:
             assert set(ack.unreceived) <= set(blocks), trial
@@ -129,10 +132,12 @@ def test_criterion_3_golden_trace():
                                      record_trace=True)
     assert outcome.completed and outcome.data == data
 
+    # window 0 rides right behind the announcement: one round trip in all
     kinds = [k for _, k in _trace_types(outcome.trace)]
-    assert kinds == [WriteRequest, Acknowledgement, Data, Data, Data,
+    assert kinds == [WriteRequest, Data, Data, Data, Acknowledgement,
                      Acknowledgement]
-    first = decode_packet(bytes.fromhex(outcome.trace[1].split(" ")[2]))
+    assert outcome.duration_ms == 2 * model.latency_base_ms
+    first = decode_packet(bytes.fromhex(outcome.trace[4].split(" ")[2]))
     last = decode_packet(bytes.fromhex(outcome.trace[-1].split(" ")[2]))
     assert (first.window_index, first.unreceived) == (0, ())
     assert (last.window_index, last.unreceived) == (1, ())

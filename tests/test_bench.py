@@ -10,6 +10,7 @@ from blockfer.bench import (
     TransferStats,
     cell_seed,
     evaluate_large,
+    percentile,
     run_experiment,
     summarize,
     sweep,
@@ -147,6 +148,20 @@ def test_evaluate_large_scaled_down_sim():
     assert report.total_lost_blocks == 0
     assert report.min_throughput_Bps <= report.mean_throughput_Bps <= report.max_throughput_Bps
     assert "throughput" in report.text()
+
+
+def test_evaluate_large_reports_completion_percentiles():
+    """Nearest rank over the completed repetitions: on a lossless 20 ms link a
+    one-window transfer takes one round trip, every time."""
+    report = evaluate_large(data_size=65536, repetitions=3, mode="sim",
+                            link=LinkModel(latency_base_ms=20.0), seed=5)
+    assert [s.duration_ms for s in report.stats] == [40.0] * 3
+    assert (report.completion_ms_p50, report.completion_ms_p90,
+            report.completion_ms_p99) == (40.0, 40.0, 40.0)
+    assert "completion p90 ms    40.0" in report.text()
+    assert percentile([5.0, 1.0, 3.0, 2.0, 4.0], 50) == 3.0
+    assert [percentile(range(1, 101), q) for q in (50, 90, 99, 100)] == [50, 90, 99, 100]
+    assert percentile([7.0], 99) == 7.0
 
 
 def test_evaluate_large_scaled_down_loopback():

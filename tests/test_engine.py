@@ -20,6 +20,7 @@ from blockfer.engine import (
     TIMER_SLACK,
     Complete,
     Engine,
+    EngineOutput,
     Errored,
     ReceiverPhase,
     ScheduledTransfer,
@@ -134,27 +135,30 @@ def test_parameter_validation():
 # --- lossless walkthrough ----------------------------------------------------
 
 
-def test_lossless_five_block_walkthrough():
+def test_lossless_five_block_walkthrough(announce):
     sender, receiver = make_pair()
     data = bytes(range(20))  # 5 blocks of 4, 3 windows of 2
 
-    tid, out = sender.start_transfer("B", "demo", data, now=0.0)
-    [(to, wr)] = out.packets
-    assert to == "B"
+    tid, wr, window = announce(sender, "B", data, info="demo")
     assert wr == WriteRequest(id=tid, info="demo", data_size=20, block_size=4,
                               window_size=2, block_count=5, nonce=wr.nonce)
+    # window 0 rides right behind the announcement
+    assert window == [Data(tid, 0, data[0:4]), Data(tid, 1, data[4:8])]
+    assert sender.transfer(tid).window_index == 1
+    assert sender.transfer(tid).phase is SenderPhase.AWAITING_WR_ACK
     out = receiver.packet_in("A", wr, now=1.0)
     assert acks(out) == [Acknowledgement(id=tid, window_index=0, unreceived=())]
     assert receiver.transfer(tid).phase is ReceiverPhase.RECEIVING
 
+    # the announcement's ack only moves the sender on: window 0 is already out
     out = sender.packet_in("B", acks(out)[0], now=2.0)
-    assert data_packets(out) == [Data(tid, 0, data[0:4]), Data(tid, 1, data[4:8])]
-    assert sender.transfer(tid).window_index == 1
+    assert out.packets == [] and out.events == []
+    assert sender.transfer(tid).phase is SenderPhase.SENDING
 
-    out1 = receiver.packet_in("A", data_packets(out)[0], now=3.0)
+    out1 = receiver.packet_in("A", window[0], now=3.0)
     assert out1.packets == [] and out1.events == []
     assert receiver.transfer(tid).received_count == 1
-    out2 = receiver.packet_in("A", data_packets(out)[1], now=3.5)
+    out2 = receiver.packet_in("A", window[1], now=3.5)
     assert acks(out2) == [Acknowledgement(tid, 1, ())]
     assert out2.events == [] and receiver.transfer(tid).received_count == 2
 
@@ -237,8 +241,10 @@ def test_dropped_block_rides_next_window(sender_batches):
     assert s.counters.lost_blocks == 1
     assert s.counters.blocks_sent == 6  # 5 fresh + 1 piggybacked
     assert s.counters.window_retransmits == 0
-    # ack closing window 0 listed block 0; the window 1 batch carried it
-    assert sender_batches == [(Acknowledgement(tid, 0, ()), (0, 1)),
+    # window 0 went out with the announcement, whose ack opened nothing; the ack
+    # closing window 0 listed block 0; the window 1 batch carried it
+    assert sender_batches == [(s.write_request, (0, 1)),
+                              (Acknowledgement(tid, 0, ()), ()),
                               (Acknowledgement(tid, 1, (0,)), (0, 2, 3)),
                               (Acknowledgement(tid, 2, ()), (4,)),
                               (Acknowledgement(tid, 3, ()), ())]
@@ -276,13 +282,15 @@ def test_every_listed_block_is_in_the_next_batch(sender_batches):
     for _ in range(10):
         sender, receiver = make_pair(params, seed=rng.randrange(10**6))
         data = rng.randbytes(rng.randrange(100, 1200))
-        tid, out = sender.start_transfer("B", "x", data, now=0.0)
         sender_batches.clear()
+        tid, out = sender.start_transfer("B", "x", data, now=0.0)
         events = pump(sender, receiver, out, allow_ticks=True,
                       drop=lambda p: isinstance(p, Data) and rng.random() < 0.25)
         s = sender.transfer(tid)
         assert s.phase is SenderPhase.DONE
-        opened = [(ack, blocks) for ack, blocks in sender_batches if blocks]
+        # the start opens the first batch, every accepted ack but the final one the rest
+        (start, _), *opened = [(ack, blocks) for ack, blocks in sender_batches if blocks]
+        assert start == s.write_request
         assert len(opened) == s.counters.acks_received - 1  # final ack opens no batch
         for ack, blocks in opened:
             assert set(ack.unreceived) <= set(blocks)
@@ -306,10 +314,9 @@ def test_zero_size_transfer():
     assert sender.transfer(tid).phase is SenderPhase.DONE
 
 
-def test_duplicate_write_request_is_idempotent():
+def test_duplicate_write_request_is_idempotent(announce):
     sender, receiver = make_pair()
-    tid, out = sender.start_transfer("B", "x", bytes(range(20)), now=0.0)
-    [(_, wr)] = out.packets
+    tid, wr, _ = announce(sender, "B", bytes(range(20)))
     first = acks(receiver.packet_in("A", wr, now=1.0))
     again = acks(receiver.packet_in("A", wr, now=2.0))
     assert first == again == [Acknowledgement(tid, 0, ())]
@@ -375,10 +382,9 @@ def test_transfer_states_have_no_instance_dict():
         assert not hasattr(state, "__dict__"), type(state).__name__
 
 
-def test_busy_second_transfer_same_peer():
+def test_busy_second_transfer_same_peer(announce):
     sender, receiver = make_pair()
-    tid, out = sender.start_transfer("B", "x", bytes(20), now=0.0)
-    [(_, wr)] = out.packets
+    tid, wr, _ = announce(sender, "B", bytes(20))
     receiver.packet_in("A", wr, now=1.0)
     wr2 = WriteRequest(id=tid + 1, info="x", data_size=8, block_size=4, window_size=2,
                        block_count=2, nonce=2)
@@ -391,12 +397,10 @@ def test_busy_second_transfer_same_peer():
     assert sender.transfer(tid).phase is SenderPhase.FAILED
 
 
-def test_collision_crossing_write_requests():
+def test_collision_crossing_write_requests(announce):
     a, b = make_pair()
-    tid_a, out_a = a.start_transfer("B", "x", bytes(20), now=0.0)
-    tid_b, out_b = b.start_transfer("A", "y", bytes(20), now=0.0)
-    [(_, wr_a)] = out_a.packets
-    [(_, wr_b)] = out_b.packets
+    tid_a, wr_a, window_a = announce(a, "B", bytes(20))
+    tid_b, wr_b, window_b = announce(b, "A", bytes(20), info="y")
     # each side sees the other's request while awaiting its own first ack
     out = a.packet_in("B", wr_b, now=1.0)
     [(_, err_a)] = out.packets
@@ -404,6 +408,11 @@ def test_collision_crossing_write_requests():
     out = b.packet_in("A", wr_a, now=1.0)
     [(_, err_b)] = out.packets
     assert err_b.code is ErrorCode.COLLISION and err_b.id == tid_a
+    # the refused windows behind them meet no record: dropped, not answered
+    for engine, peer, window in ((a, "B", window_b), (b, "A", window_a)):
+        for d in window:
+            out = engine.packet_in(peer, d, now=1.5)
+            assert out.packets == [] and out.events == []
     # the crossing error packets kill both transfers
     out = a.packet_in("B", err_b, now=2.0)
     assert out.events == [Errored(tid_a, ErrorCode.COLLISION)]
@@ -418,8 +427,9 @@ def test_collision_crossing_write_requests():
 
 def test_unknown_transfer_answered():
     engine = Engine(params=SMALL, rng=random.Random(3))
+    # Data with no record may be ahead of its announcement: dropped, not answered
     out = engine.packet_in("A", Data(id=77, block_number=0, payload=b"abcd"), now=0.0)
-    assert out.packets == [("A", ErrorPacket(77, ErrorCode.UNKNOWN_TRANSFER, "no transfer 77"))]
+    assert out.packets == [] and out.events == []
     out = engine.packet_in("A", Acknowledgement(id=78, window_index=0), now=0.0)
     [(_, err)] = out.packets
     assert err.code is ErrorCode.UNKNOWN_TRANSFER
@@ -428,13 +438,11 @@ def test_unknown_transfer_answered():
     assert out.packets == [] and out.events == []
 
 
-def test_duplicate_block_no_double_progress():
+def test_duplicate_block_no_double_progress(announce):
     sender, receiver = make_pair()
-    tid, out = sender.start_transfer("B", "x", bytes(range(20)), now=0.0)
-    [(_, wr)] = out.packets
-    ack0 = acks(receiver.packet_in("A", wr, now=1.0))[0]
-    out = sender.packet_in("B", ack0, now=2.0)
-    block0 = data_packets(out)[0]
+    tid, wr, window = announce(sender, "B", bytes(range(20)))
+    receiver.packet_in("A", wr, now=1.0)
+    block0 = window[0]
     receiver.packet_in("A", block0, now=3.0)
     assert receiver.transfer(tid).received_count == 1
     second = receiver.packet_in("A", block0, now=4.0)
@@ -443,10 +451,9 @@ def test_duplicate_block_no_double_progress():
     assert receiver.transfer(tid).counters.duplicate_blocks == 1
 
 
-def test_early_block_stored_quietly():
+def test_early_block_stored_quietly(announce):
     sender, receiver = make_pair()
-    tid, out = sender.start_transfer("B", "x", bytes(range(16)), now=0.0)  # 4 blocks
-    [(_, wr)] = out.packets
+    tid, wr, _ = announce(sender, "B", bytes(range(16)))  # 4 blocks
     receiver.packet_in("A", wr, now=1.0)
     out = receiver.packet_in("A", Data(tid, 2, bytes(range(8, 12))), now=2.0)
     assert acks(out) == []  # stored, but window 0 is still open
@@ -459,10 +466,72 @@ def test_early_block_stored_quietly():
     assert receiver.transfer(tid).phase is ReceiverPhase.DONE
 
 
-def test_stale_ack_ignored_but_resets_attempts():
+# --- window 0 with the announcement -------------------------------------------
+
+
+def test_closing_block_ahead_of_its_announcement_closes_window_0_at_once(announce):
+    """Window 0's closing block outruns the WriteRequest and meets no record:
+    it is dropped and noted, and accepting the announcement closes window 0
+    at once, listing every block the receiver lacks, so no timer fires."""
     sender, receiver = make_pair()
-    tid, out = sender.start_transfer("B", "x", bytes(range(20)), now=0.0)
-    [(_, wr)] = out.packets
+    data = bytes(range(20))  # 5 blocks, 3 windows
+    tid, wr, (b0, b1) = announce(sender, "B", data)
+    out = receiver.packet_in("A", b1, now=1.0)
+    assert out.packets == [] and out.events == []
+    out = receiver.packet_in("A", wr, now=1.5)
+    assert acks(out) == [Acknowledgement(tid, 0, ()), Acknowledgement(tid, 1, (0, 1))]
+    assert receiver.packet_in("A", b0, now=2.0).packets == []  # stored; window 1 is open
+    batch = EngineOutput()
+    for ack in acks(out):
+        batch.extend(sender.packet_in("B", ack, now=3.0))
+    assert [d.block_number for d in data_packets(batch)] == [0, 1, 2, 3]
+    events = pump(sender, receiver, batch, now=3.0)  # no ticks: any timer would stall it
+    assert Complete(tid, data=data) in events and Complete(tid, sent=True) in events
+    s, r = sender.transfer(tid).counters, receiver.transfer(tid).counters
+    assert s.blocks_sent == s.blocks_due(5) == 7 and s.lost_blocks == 2
+    assert (s.wr_retransmits, s.window_retransmits, r.ack_retransmits) == (0, 0, 0)
+
+
+@pytest.mark.parametrize("size", [8, 20])  # one window of 2 blocks; 3 windows
+def test_lost_announcement_recovers_window_0_without_a_probe(size):
+    """Only the WriteRequest is lost. Window 0 behind it meets no record and
+    is noted; the re-sent announcement closes window 0 at once, and the
+    transfer ends no later than when window 0 waited for the announcement's
+    ack: the interval plus one round trip per window and one more."""
+    sender, receiver = make_pair()
+    hop = 10.0
+    data = bytes(range(size))
+    tid, out = sender.start_transfer("B", "x", data, now=0.0)
+    lost = [True]
+    events = pump(sender, receiver, out, hop=hop, allow_ticks=True,
+                  drop=lambda p: isinstance(p, WriteRequest) and lost and lost.pop())
+    s = sender.transfer(tid)
+    assert Complete(tid, data=data) in events and Complete(tid, sent=True) in events
+    assert s.counters.blocks_sent == s.counters.blocks_due(s.block_count)
+    assert (s.counters.wr_retransmits, s.counters.window_retransmits) == (1, 0)
+    assert s.counters.lost_blocks == 2  # window 0 once more, in the next batch
+    assert s.finished_at <= SMALL.retransmit_interval_ms + (s.total_windows + 1) * 2 * hop
+
+
+@pytest.mark.parametrize("ahead", [False, True])
+def test_refused_announcement_and_its_window_draw_one_error(announce, ahead):
+    """The window behind a refused announcement, or ahead of it, meets no
+    record: only the refusal answers, so the sender fails with its code."""
+    sender = Engine(params=SMALL, rng=random.Random(1))
+    receiver = Engine(params=replace(SMALL, max_transfer_size=10), rng=random.Random(2))
+    tid, wr, window = announce(sender, "B", bytes(range(20)))
+    answers = EngineOutput()
+    for packet in ([*window, wr] if ahead else [wr, *window]):
+        answers.extend(receiver.packet_in("A", packet, now=1.0))
+    [(to, err)] = answers.packets
+    assert to == "A" and (err.id, err.code) == (tid, ErrorCode.SIZE_EXCEEDED)
+    assert answers.events == [] and receiver.live_transfer_with("A") is None
+    assert sender.packet_in("B", err, now=2.0).events == [Errored(tid, ErrorCode.SIZE_EXCEEDED)]
+
+
+def test_stale_ack_ignored_but_resets_attempts(announce):
+    sender, receiver = make_pair()
+    tid, wr, _ = announce(sender, "B", bytes(range(20)))
     ack0 = acks(receiver.packet_in("A", wr, now=1.0))[0]
     sender.packet_in("B", ack0, now=2.0)
     state = sender.transfer(tid)
@@ -483,10 +552,9 @@ def test_stale_ack_ignored_but_resets_attempts():
     assert repr(state) == before
 
 
-def test_wrong_payload_length_fails_transfer():
+def test_wrong_payload_length_fails_transfer(announce):
     sender, receiver = make_pair()
-    tid, out = sender.start_transfer("B", "x", bytes(range(20)), now=0.0)
-    [(_, wr)] = out.packets
+    tid, wr, _ = announce(sender, "B", bytes(range(20)))
     receiver.packet_in("A", wr, now=1.0)
     out = receiver.packet_in("A", Data(tid, 0, b"toolong-"), now=2.0)
     [(_, err)] = out.packets
@@ -495,10 +563,9 @@ def test_wrong_payload_length_fails_transfer():
     assert Errored(tid, ErrorCode.DECODE_FAILURE) in out.events
 
 
-def test_out_of_range_block_number_fails_transfer():
+def test_out_of_range_block_number_fails_transfer(announce):
     sender, receiver = make_pair()
-    tid, out = sender.start_transfer("B", "x", bytes(range(20)), now=0.0)
-    [(_, wr)] = out.packets
+    tid, wr, _ = announce(sender, "B", bytes(range(20)))
     receiver.packet_in("A", wr, now=1.0)
     out = receiver.packet_in("A", Data(tid, 5, b"abcd"), now=2.0)
     [(_, err)] = out.packets
@@ -513,14 +580,12 @@ def test_out_of_range_block_number_fails_transfer():
     assert sender.transfer(tid).phase is SenderPhase.FAILED
 
 
-def test_done_receiver_reacks_duplicate_data():
+def test_done_receiver_reacks_duplicate_data(announce):
     sender, receiver = make_pair()
     data = bytes(range(8))  # 2 blocks, 1 window
-    tid, out = sender.start_transfer("B", "x", data, now=0.0)
-    [(_, wr)] = out.packets
-    ack0 = acks(receiver.packet_in("A", wr, now=1.0))[0]
-    out = sender.packet_in("B", ack0, now=2.0)
-    for d in data_packets(out):
+    tid, wr, window = announce(sender, "B", data)
+    receiver.packet_in("A", wr, now=1.0)
+    for d in window:
         final = receiver.packet_in("A", d, now=3.0)
     assert acks(final) == [Acknowledgement(tid, 1, ())]
     # final ack lost; sender retransmits; the finished receiver answers again
@@ -538,10 +603,9 @@ def test_transfer_lookup_prefers_live_and_checks_peer():
     assert finished.phase is ReceiverPhase.DONE and finished.peer == "A"
     assert receiver.transfer(tid ^ 1) is None
 
-    # another address reusing the id gets no final ack for A's transfer
+    # another address reusing the id gets no final ack for A's transfer, nor an answer
     out = receiver.packet_in("C", Data(tid, 0, data[:4]), now=1.0)
-    assert out.packets == [("C", ErrorPacket(tid, ErrorCode.UNKNOWN_TRANSFER,
-                                             f"no transfer {tid}"))]
+    assert out.packets == [] and out.events == []
     # a live transfer with the same id is preferred over the finished one
     wr = WriteRequest(tid, "y", len(data), 4, 2, 2, nonce=1)
     receiver.packet_in("C", wr, now=2.0)
@@ -563,22 +627,23 @@ def test_transfer_lookup_prefers_live_and_checks_peer():
 # (role, outcome, packet) -> (answer to the settled transfer's own peer,
 # answer to another peer). "final": the receiver's final ack; "unknown":
 # UNKNOWN_TRANSFER; "accept": the WriteRequest goes live as a new receiver,
-# which acks window 0; None: dropped without an answer.
+# which acks window 0; None: dropped without an answer. Data that meets no
+# record may be ahead of its announcement, so it is dropped too.
 STRAGGLERS = {
-    ("receiver", "done", "data"): ("final", "unknown"),
+    ("receiver", "done", "data"): ("final", None),
     ("receiver", "done", "ack"): (None, "unknown"),
     ("receiver", "done", "write_request"): ("final", "accept"),
     ("receiver", "done", "error"): (None, None),
-    ("receiver", "failed", "data"): (None, "unknown"),
+    ("receiver", "failed", "data"): (None, None),
     ("receiver", "failed", "ack"): (None, "unknown"),
     # from its own peer, only a DONE receiver answers its transfer's announcement
     ("receiver", "failed", "write_request"): (None, "accept"),
     ("receiver", "failed", "error"): (None, None),
-    ("sender", "done", "data"): (None, "unknown"),
+    ("sender", "done", "data"): (None, None),
     ("sender", "done", "ack"): (None, "unknown"),
     ("sender", "done", "write_request"): (None, "accept"),
     ("sender", "done", "error"): (None, None),
-    ("sender", "failed", "data"): (None, "unknown"),
+    ("sender", "failed", "data"): (None, None),
     ("sender", "failed", "ack"): (None, "unknown"),
     ("sender", "failed", "write_request"): (None, "accept"),
     ("sender", "failed", "error"): (None, None),
@@ -587,16 +652,17 @@ STRAGGLERS = {
 
 @pytest.mark.parametrize("source", ["same_peer", "other_peer"])
 @pytest.mark.parametrize("role, outcome, kind", list(STRAGGLERS))
-def test_settled_transfer_answers_one_straggler(role, outcome, kind, source):
+def test_settled_transfer_answers_one_straggler(role, outcome, kind, source, announce):
     """One packet for a settled transfer, from its peer or another address:
     the answer and whether it makes a transfer live are pinned row by row."""
     sender, receiver = make_pair()
     data = bytes(range(8))  # 2 blocks, 1 window
-    tid, out = sender.start_transfer("B", "x", data, now=0.0)
-    [(_, wr)] = out.packets
+    tid, wr, window = announce(sender, "B", data)
     engine, peer = (sender, "B") if role == "sender" else (receiver, "A")
     if outcome == "done":
-        pump(sender, receiver, out)
+        for packet in (wr, *window):
+            got = receiver.packet_in("A", packet, now=1.0)
+        sender.packet_in("B", acks(got)[-1], now=2.0)  # the final ack: taken while awaiting
     else:
         receiver.packet_in("A", wr, now=1.0)
         engine.cancel(tid, now=2.0)
@@ -652,20 +718,18 @@ def test_sender_timeout_after_exactly_max_attempts_intervals():
     assert state.retry_params.window_size == 2
 
 
-def test_window_timeout_probes_with_the_closing_block():
+def test_window_timeout_probes_with_the_closing_block(announce):
     sender, receiver = make_pair()
-    tid, out = sender.start_transfer("B", "x", bytes(range(20)), now=0.0)
-    [(_, wr)] = out.packets
+    tid, wr, (b0, b1) = announce(sender, "B", bytes(range(20)))
     ack0 = acks(receiver.packet_in("A", wr, now=1.0))[0]
-    out = sender.packet_in("B", ack0, now=2.0)
-    b0, b1 = data_packets(out)
+    assert sender.packet_in("B", ack0, now=2.0).packets == []
     assert (b0.block_number, b1.block_number) == (0, 1)
     state = sender.transfer(tid)
     receiver.packet_in("A", b0, now=3.0)  # block 1, which closes window 0, is lost
 
-    out = sender.tick(now=2001.9)
+    out = sender.tick(now=1999.9)
     assert out.packets == []
-    out = sender.tick(now=2002.0)  # last_sent=2.0 + interval
+    out = sender.tick(now=2000.0)  # last_sent=0.0, when window 0 went out, + interval
     assert out.packets == [("B", b1)]  # the probe: the closing block alone, not the batch
     assert state.pending == (0, 1)
     assert state.counters.window_retransmits == 1
@@ -678,12 +742,11 @@ def test_window_timeout_probes_with_the_closing_block():
     assert [d.block_number for d in data_packets(sender.packet_in("B", ack1, now=2004.0))] == [2, 3]
 
 
-def test_duplicate_closing_block_draws_the_last_ack_again():
+def test_duplicate_closing_block_draws_the_last_ack_again(announce):
     sender, receiver = make_pair()
-    tid, out = sender.start_transfer("B", "x", bytes(range(20)), now=0.0)  # 3 windows
-    [(_, wr)] = out.packets
+    tid, wr, (b0, b1) = announce(sender, "B", bytes(range(20)))  # 3 windows
     ack0 = acks(receiver.packet_in("A", wr, now=1.0))[0]
-    b0, b1 = data_packets(sender.packet_in("B", ack0, now=2.0))
+    assert sender.packet_in("B", ack0, now=2.0).packets == []
     receiver.packet_in("A", b0, now=3.0)
     [ack1] = acks(receiver.packet_in("A", b1, now=4.0))  # closes window 0; then lost
     state = receiver.transfer(tid)
@@ -708,24 +771,23 @@ def test_duplicate_closing_block_draws_the_last_ack_again():
     assert state.counters.ack_retransmits == 1
 
 
-def test_duplicate_drain_trigger_draws_the_last_ack_again():
+def test_duplicate_drain_trigger_draws_the_last_ack_again(announce):
     sender, receiver = make_pair()
     data = bytes(range(24))  # 6 blocks, 3 windows
-    tid, out = sender.start_transfer("B", "x", data, now=0.0)
-    [(_, wr)] = out.packets
-    [ack] = acks(receiver.packet_in("A", wr, now=1.0))
+    tid, wr, batch = announce(sender, "B", data)
+    receiver.packet_in("A", wr, now=1.0)
     now = 2.0
     # blocks 0 and 2 are lost every time; each window's closing block arrives
     for delivered in ((1,), (3,), (4, 5)):
-        batch = data_packets(sender.packet_in("B", ack, now=now))
         for d in batch:
             if d.block_number in delivered:
                 got = receiver.packet_in("A", d, now=now + 1.0)
         [ack] = acks(got)
         now += 2.0
+        batch = data_packets(sender.packet_in("B", ack, now=now))
     assert ack == Acknowledgement(tid, 3, (0, 2))
     state, sent = receiver.transfer(tid), sender.transfer(tid)
-    b0, b2 = data_packets(sender.packet_in("B", ack, now=now))
+    b0, b2 = batch
     assert sent.phase is SenderPhase.LAST_WINDOW_DRAIN and sent.pending == (0, 2)
     # block 0 is lost again; block 2, the drain trigger, draws an ack that is lost
     [last] = acks(receiver.packet_in("A", b2, now=now + 1.0))
@@ -745,23 +807,22 @@ def test_duplicate_drain_trigger_draws_the_last_ack_again():
     assert Complete(tid, sent=True) in sender.packet_in("B", acks(out)[0], now=now + 303.0).events
 
 
-def test_a_resent_drain_ack_moves_the_trigger_to_its_last_entry():
+def test_a_resent_drain_ack_moves_the_trigger_to_its_last_entry(announce):
     sender, receiver = make_pair()
     data = bytes(range(24))  # 6 blocks, 3 windows
-    tid, out = sender.start_transfer("B", "x", data, now=0.0)
-    [(_, wr)] = out.packets
-    [ack] = acks(receiver.packet_in("A", wr, now=1.0))
+    tid, wr, batch = announce(sender, "B", data)
+    receiver.packet_in("A", wr, now=1.0)
     now = 2.0
     # the first block of every window is lost; each closing block arrives
     for closing in (1, 3, 5):
-        batch = data_packets(sender.packet_in("B", ack, now=now))
         [ack] = acks(receiver.packet_in("A", batch[-1], now=now + 1.0))
         assert batch[-1].block_number == closing
         now += 2.0
+        batch = data_packets(sender.packet_in("B", ack, now=now))
     assert ack == Acknowledgement(tid, 3, (0, 2))  # 0, 2 and 4 are missing; W cuts it at 2
     state = receiver.transfer(tid)
     assert state.trigger == 2
-    b0, _ = data_packets(sender.packet_in("B", ack, now=now))
+    b0, _ = batch
     assert receiver.packet_in("A", b0, now=now + 1.0).packets == []  # block 2 is lost again
 
     # the timer re-sends what is still missing, so its last entry is the trigger now
@@ -774,13 +835,12 @@ def test_a_resent_drain_ack_moves_the_trigger_to_its_last_entry():
     assert Complete(tid, data=data) in out.events
 
 
-def test_done_receiver_answers_a_probe_with_its_final_ack():
+def test_done_receiver_answers_a_probe_with_its_final_ack(announce):
     sender, receiver = make_pair()
     data = bytes(range(8))  # 2 blocks, 1 window
-    tid, out = sender.start_transfer("B", "x", data, now=0.0)
-    [(_, wr)] = out.packets
+    tid, wr, (b0, b1) = announce(sender, "B", data)
     ack0 = acks(receiver.packet_in("A", wr, now=1.0))[0]
-    b0, b1 = data_packets(sender.packet_in("B", ack0, now=2.0))
+    assert sender.packet_in("B", ack0, now=2.0).packets == []
     receiver.packet_in("A", b0, now=3.0)
     out = receiver.packet_in("A", b1, now=4.0)
     assert Complete(tid, data=data) in out.events  # the final ack is lost
@@ -795,10 +855,9 @@ def test_done_receiver_answers_a_probe_with_its_final_ack():
     assert Complete(tid, sent=True) in sender.packet_in("B", final, now=2005.0).events
 
 
-def test_receiver_timeout_and_reack():
+def test_receiver_timeout_and_reack(announce):
     sender, receiver = make_pair()
-    tid, out = sender.start_transfer("B", "x", bytes(range(20)), now=0.0)
-    [(_, wr)] = out.packets
+    tid, wr, _ = announce(sender, "B", bytes(range(20)))
     receiver.packet_in("A", wr, now=1.0)
     state = receiver.transfer(tid)
 
@@ -836,9 +895,9 @@ def test_next_deadline_tracks_live_states():
 ])
 def test_sender_rto_follows_rfc6298(samples, expected):
     sender = Engine(params=SMALL, rng=random.Random(2))
-    tid, _ = sender.start_transfer("B", "x", bytes(8 * (len(samples) + 1)), now=0.0)
+    tid, _ = sender.start_transfer("B", "x", bytes(8 * (len(samples) + 1)), now=30.0)
     state = sender.transfer(tid)
-    # the announcement is not timed: its ack opens batch 0 and gives no sample
+    # the announcement is not timed: its ack moves the sender on and gives no sample
     sender.packet_in("B", Acknowledgement(tid, 0, ()), now=30.0)
     assert (state.srtt, state.rto) == (None, SMALL.retransmit_interval_ms)
     now = 30.0
@@ -849,15 +908,14 @@ def test_sender_rto_follows_rfc6298(samples, expected):
         assert sender.next_deadline() == now + rto
 
 
-def test_timed_batch_timeout_backs_off_to_the_interval():
+def test_timed_batch_timeout_backs_off_to_the_interval(announce):
     sender, receiver = make_pair()
-    tid, out = sender.start_transfer("B", "x", bytes(range(20)), now=0.0)
-    [(_, wr)] = out.packets
+    tid, wr, (b0, b1) = announce(sender, "B", bytes(range(20)))
     ack0 = acks(receiver.packet_in("A", wr, now=1.0))[0]
-    b0, b1 = data_packets(sender.packet_in("B", ack0, now=2.0))
+    assert sender.packet_in("B", ack0, now=2.0).packets == []
     receiver.packet_in("A", b0, now=3.0)
     [ack1] = acks(receiver.packet_in("A", b1, now=3.0))
-    out = sender.packet_in("B", ack1, now=4.0)  # batch 0 took 2 ms: the floor
+    out = sender.packet_in("B", ack1, now=4.0)  # batch 0 took 4 ms: the floor
     assert [d.block_number for d in data_packets(out)] == [2, 3]
     state = sender.transfer(tid)
     assert state.rto == PTO_MIN_MS
@@ -892,7 +950,7 @@ def test_timed_batch_timeout_backs_off_to_the_interval():
 def test_sender_skips_samples_of_retransmitted_units():
     # Karn's rule: the ack of a re-sent batch may answer either copy
     sender = Engine(params=SMALL, rng=random.Random(2))
-    tid, _ = sender.start_transfer("B", "x", bytes(24), now=0.0)  # 3 windows
+    tid, _ = sender.start_transfer("B", "x", bytes(24), now=10.0)  # 3 windows
     state = sender.transfer(tid)
     sender.packet_in("B", Acknowledgement(tid, 0, ()), now=10.0)
     sender.packet_in("B", Acknowledgement(tid, 1, ()), now=20.0)  # a fresh batch: timed
@@ -904,63 +962,65 @@ def test_sender_skips_samples_of_retransmitted_units():
     assert sender.next_deadline() == 125.0 + 2 * PTO_MIN_MS
 
 
-def test_receiver_times_ack_cycles_and_resends_a_lost_ack_after_the_rto():
+def test_receiver_times_ack_cycles_and_resends_a_lost_ack_after_the_rto(announce):
     sender, receiver = make_pair()
-    tid, out = sender.start_transfer("B", "x", bytes(range(20)), now=0.0)  # 3 windows
-    [(_, wr)] = out.packets
-    ack0 = acks(receiver.packet_in("A", wr, now=1.0))[0]
+    tid, wr, window = announce(sender, "B", bytes(range(28)))  # 4 windows
+    receiver.packet_in("A", wr, now=1.0)
     state = receiver.transfer(tid)
-    b0, b1 = data_packets(sender.packet_in("B", ack0, now=2.0))
+    # the announcement's ack is not timed: window 0 arrives right behind it
+    for d in window:
+        got = receiver.packet_in("A", d, now=1.0)
+    [ack1] = acks(got)
+    assert (state.srtt, state.timed_at) == (None, 1.0)
+    b2, b3 = data_packets(sender.packet_in("B", ack1, now=2.0))
 
     # blocks do not sample: the cycle runs from one fresh ack to the next
-    receiver.packet_in("A", b0, now=31.0)
+    receiver.packet_in("A", b2, now=31.0)
     assert (state.srtt, state.rto) == (None, SMALL.retransmit_interval_ms)
-    [ack1] = acks(receiver.packet_in("A", b1, now=32.0))  # closes window 0; then lost
+    [ack2] = acks(receiver.packet_in("A", b3, now=32.0))  # closes window 1; then lost
     assert (state.srtt, state.rttvar, state.rto) == (31.0, 15.5, RTO_MIN_MS)
     assert receiver.next_deadline() == 32.0 + RTO_MIN_MS
 
     assert receiver.tick(now=231.9).packets == []
-    assert acks(receiver.tick(now=232.0)) == [ack1]  # after the rto, not the interval
+    assert acks(receiver.tick(now=232.0)) == [ack2]  # after the rto, not the interval
     assert state.counters.ack_retransmits == 1 and state.rto == 400.0
     # the fresh ack after a re-sent one gives no sample (Karn's rule)
-    b2, b3 = data_packets(sender.packet_in("B", ack1, now=240.0))
-    receiver.packet_in("A", b2, now=260.0)
-    [ack2] = acks(receiver.packet_in("A", b3, now=261.0))
+    b4, b5 = data_packets(sender.packet_in("B", ack2, now=240.0))
+    receiver.packet_in("A", b4, now=260.0)
+    [ack3] = acks(receiver.packet_in("A", b5, now=261.0))
     assert (state.srtt, state.rto) == (31.0, 400.0)
     # silence: the timeout doubles up to the interval, which alone spends attempts
     sent_at = 261.0
     for rto, left in ((400.0, 5), (800.0, 5), (1600.0, 5), (2000.0, 4), (2000.0, 3)):
         assert receiver.tick(now=sent_at + rto - 0.1).packets == []
-        assert acks(receiver.tick(now=sent_at + rto)) == [ack2]
+        assert acks(receiver.tick(now=sent_at + rto)) == [ack3]
         assert state.attempts_left == left
         sent_at += rto
 
 
-def test_slow_window_is_not_resent_before_its_ack():
+def test_slow_window_is_not_resent_before_its_ack(announce):
     """Each 80-block window takes 500 ms to reach the receiver, far more than
     a 20 ms round trip: neither side may re-send anything before the ack."""
     params = TransferParameters()
     sender, receiver = make_pair(params)
     data = random.Random(4).randbytes(params.block_size * params.window_size * 6)
     latency, spacing = 10.0, 500.0 / params.window_size
-    tid, out = sender.start_transfer("B", "x", data, now=0.0)
-    [(_, wr)] = out.packets
-    now = latency
-    [ack] = acks(receiver.packet_in("A", wr, now=now))
-    batches = 0
-    while True:
-        now += latency
-        assert sender.tick(now).packets == [] and receiver.tick(now).packets == []
-        out = sender.packet_in("B", ack, now=now)
-        if not out.packets:
-            break
+    tid, wr, batch = announce(sender, "B", data)
+    [ack] = acks(receiver.packet_in("A", wr, now=latency))
+    # the announcement's ack reaches the sender while window 0 is still crossing
+    assert sender.packet_in("B", ack, now=2 * latency).packets == []
+    now, batches = 0.0, 0
+    while batch:
         batches += 1
-        for k, block in enumerate(data_packets(out), 1):
+        for k, block in enumerate(batch, 1):
             at = now + latency + k * spacing
             assert sender.tick(at).packets == [] and receiver.tick(at).packets == []
             got = receiver.packet_in("A", block, now=at)
         [ack] = acks(got)
-        now = at
+        now = at + latency
+        assert sender.tick(now).packets == [] and receiver.tick(now).packets == []
+        out = sender.packet_in("B", ack, now=now)
+        batch = data_packets(out)
     assert batches == 6 and Complete(tid, sent=True) in out.events
     assert Complete(tid, data=data) in got.events
     # both sides sampled the same whole cycle: 500 ms of blocks plus the round trip
@@ -1056,12 +1116,15 @@ def seeded_pair():
     return sender, receiver, first, received
 
 
-def test_second_transfer_resends_a_lost_announcement_after_the_seeded_rto():
+def test_second_transfer_resends_a_lost_announcement_after_the_seeded_rto(announce):
     sender, receiver, first, _ = seeded_pair()
-    tid, _ = sender.start_transfer("B", "y", bytes(range(20)), now=100.0)
+    tid, _, window = announce(sender, "B", bytes(range(20)), info="y", now=100.0)
     state = sender.transfer(tid)
     assert (state.srtt, state.rttvar, state.rto) == (first.srtt, first.rttvar, PTO_MIN_MS)
-    # the announcement is lost: it goes again after the seeded timeout, not the interval
+    # the announcement is lost, and window 0 behind it meets no record: dropped
+    for d in window:
+        assert receiver.packet_in("A", d, now=102.0).packets == []
+    # the announcement goes again after the seeded timeout, not the interval
     assert sender.tick(now=100.0 + PTO_MIN_MS - 0.1).packets == []
     resent = sender.tick(now=100.0 + PTO_MIN_MS)
     assert [p for _, p in resent.packets] == [state.write_request]
@@ -1070,14 +1133,12 @@ def test_second_transfer_resends_a_lost_announcement_after_the_seeded_rto():
     assert Complete(tid, sent=True) in pump(sender, receiver, resent, now=100.0 + PTO_MIN_MS)
 
 
-def test_second_announcement_reacks_a_lost_closing_block_after_the_seeded_rto():
+def test_second_announcement_reacks_a_lost_closing_block_after_the_seeded_rto(announce):
     sender, receiver, _, received = seeded_pair()
-    tid, out = sender.start_transfer("B", "y", bytes(range(20)), now=100.0)
-    [(_, wr)] = out.packets
+    tid, wr, (b0, _) = announce(sender, "B", bytes(range(20)), info="y", now=100.0)
     [ack0] = acks(receiver.packet_in("A", wr, now=102.0))
     state = receiver.transfer(tid)
     assert (state.srtt, state.rttvar, state.rto) == (received.srtt, received.rttvar, RTO_MIN_MS)
-    b0, _ = data_packets(sender.packet_in("B", ack0, now=104.0))
     receiver.packet_in("A", b0, now=106.0)  # block 1, which closes window 0, is lost
     assert receiver.tick(now=102.0 + RTO_MIN_MS - 0.1).packets == []
     assert acks(receiver.tick(now=102.0 + RTO_MIN_MS)) == [ack0]
@@ -1102,7 +1163,7 @@ def test_only_the_same_peer_seeds_a_new_transfer():
 
 def test_seeded_rto_is_clamped_to_the_new_transfers_interval():
     sender = Engine(params=SMALL, rng=random.Random(2))
-    tid, _ = sender.start_transfer("B", "x", bytes(16), now=0.0)  # 2 windows
+    tid, _ = sender.start_transfer("B", "x", bytes(16), now=10.0)  # 2 windows
     sender.packet_in("B", Acknowledgement(tid, 0, ()), now=10.0)
     sender.packet_in("B", Acknowledgement(tid, 1, ()), now=50.0)  # one 40 ms sample
     sender.cancel(tid, now=60.0)  # a failed transfer seeds the next one as well
@@ -1145,6 +1206,24 @@ def test_rtt_cache_keeps_the_most_recently_settled_peers():
     assert len(sender._rtt) == RTT_CACHE_PEERS
     assert "P1" not in sender._rtt and {"P0", "P2", "Q"} <= sender._rtt.keys()
     assert list(sender._rtt)[-2:] == ["P0", "Q"]
+
+
+def test_stray_notes_keep_the_most_recent_peers():
+    """Data that meets no record is noted per peer, its id only, in a table
+    bounded like the RTT cache; an accepted announcement takes the note out,
+    and closes window 0 at once only if the note carries its id."""
+    engine = Engine(params=SMALL, rng=random.Random(2))
+    for k in range(RTT_CACHE_PEERS + 1):
+        assert engine.packet_in(f"P{k}", Data(k + 1, 0, b"abcd"), now=0.0).packets == []
+    assert len(engine._strays) == RTT_CACHE_PEERS and "P0" not in engine._strays
+    engine.packet_in("P1", Data(99, 0, b"abcd"), now=1.0)  # P1's note is now 99, not 2
+    wr = WriteRequest(id=2, info="x", data_size=8, block_size=4, window_size=2,
+                      block_count=2, nonce=1)
+    assert acks(engine.packet_in("P1", wr, now=2.0)) == [Acknowledgement(2, 0, ())]
+    assert "P1" not in engine._strays
+    wr = replace(wr, id=3)
+    assert acks(engine.packet_in("P2", wr, now=2.0)) == [Acknowledgement(3, 0, ()),
+                                                          Acknowledgement(3, 1, (0, 1))]
 
 
 TIMED = TransferParameters(block_size=4, window_size=2, retransmit_interval_ms=100.0,
@@ -1255,9 +1334,10 @@ class TimerOracle(RuleBasedStateMachine):
         assert len(self.engine._timers) <= 2 * len(self.engine._live) + TIMER_SLACK
 
     @invariant()
-    def rtt_cache_stays_bounded(self):
+    def per_peer_tables_stay_bounded(self):
         for engine in (self.engine, *self.peers.values()):
             assert len(engine._rtt) <= RTT_CACHE_PEERS
+            assert len(engine._strays) <= RTT_CACHE_PEERS
 
     @invariant()
     def deadline_is_last_send_plus_rto(self):
@@ -1290,10 +1370,9 @@ test_adaptive_timer_oracle = AdaptiveTimerOracle.TestCase
 # --- cancel, scheduling, determinism -------------------------------------------
 
 
-def test_cancel_notifies_peer_and_fails():
+def test_cancel_notifies_peer_and_fails(announce):
     sender, receiver = make_pair()
-    tid, out = sender.start_transfer("B", "x", bytes(range(20)), now=0.0)
-    [(_, wr)] = out.packets
+    tid, wr, _ = announce(sender, "B", bytes(range(20)))
     receiver.packet_in("A", wr, now=1.0)
     out = sender.cancel(tid, now=2.0)
     [(_, err)] = out.packets

@@ -37,7 +37,7 @@ class ScriptedTransport:
         return self.clock
 
 
-def test_step_drops_what_fails_to_open_and_ticks_only_when_due():
+def test_step_drops_what_fails_to_open_and_ticks_only_when_due(announce):
     rng = random.Random(1)
     ours, theirs = PeerKeyPair(rng.randbytes(32)), PeerKeyPair(rng.randbytes(32))
     cipher = SealedCipher(ours, theirs.public_key)
@@ -48,19 +48,23 @@ def test_step_drops_what_fails_to_open_and_ticks_only_when_due():
         (70.0, [("A", "B", b"junk" * 10)]),   # past the deadline: tick anyway
     ])
     pump = Pump({"A": engine}, transport, encode_packet, decode_packet, cipher)
-    _, out = engine.start_transfer("B", "x", b"y" * 250, now=0.0)
+    tid, wr, window = announce(engine, "B", b"y" * 250)
+    out = EngineOutput()
+    out.packets.extend(("B", packet) for packet in (wr, *window))
     pump.flush("A", out)
-    assert len(transport.sent) == 1  # the announcement, sealed
+    started = 1 + len(window)
+    assert len(transport.sent) == started == 4  # the announcement and window 0, sealed
     opener = SealedCipher(theirs, ours.public_key)
-    assert decode_packet(opener.open(transport.sent[0][2])).info == "x"
+    assert [decode_packet(opener.open(d)) for _, _, d in transport.sent] == [wr, *window]
 
     assert pump.dropped == 0
-    assert pump.step() and len(transport.sent) == 1
+    assert pump.step() and len(transport.sent) == started
     assert pump.dropped == 1
-    assert pump.step() and len(transport.sent) == 1
-    assert pump.step() and len(transport.sent) == 2  # the announcement again
+    assert pump.step() and len(transport.sent) == started
+    assert pump.step() and len(transport.sent) == started + 1  # the announcement again
+    assert decode_packet(opener.open(transport.sent[-1][2])) == wr
     assert pump.dropped == 2
-    assert engine.transfer(out.packets[0][1].id).counters.wr_retransmits == 1
+    assert engine.transfer(tid).counters.wr_retransmits == 1
     assert not pump.step()  # the transport says nothing can arrive any more
     assert transport.waits == [50.0] * 3 + [120.0]
 

@@ -33,7 +33,14 @@ from blockfer.transport import (
 )
 from blockfer.transport.sim import _LinkTransport
 from blockfer.transport.udp import UDP_GRO, UDP_SEGMENT
-from blockfer.wire import Data, ErrorCode, block_count_for, decode_packet, encode_packet
+from blockfer.wire import (
+    Acknowledgement,
+    Data,
+    ErrorCode,
+    block_count_for,
+    decode_packet,
+    encode_packet,
+)
 
 
 # --- clock ---------------------------------------------------------------
@@ -307,12 +314,12 @@ def test_simulated_transfer_dead_link_times_out():
 def test_lost_packets_cost_a_fraction_of_the_interval(sender_batches):
     """1 MiB at 1% loss and 20 ms with default parameters, over fixed seeds.
 
-    Beyond the analytic bound, one round trip per window plus one for the
-    announcement, each timer firing may cost interval/4. A firing before a
-    side's first round-trip sample, which the first window's batch and ack
-    give, still waits the whole interval; these seeds have such a firing
-    only on the announcement. Each drain of the last window's leftovers
-    costs one more round trip with no firing at all."""
+    Beyond the analytic bound, one round trip per window (window 0 rides
+    with the announcement), each timer firing may cost interval/4. A firing
+    before a side's first round-trip sample, which the first window's batch
+    and ack give, still waits the whole interval; these seeds have such a
+    firing only on the announcement. Each drain of the last window's
+    leftovers costs one more round trip with no firing at all."""
     params = TransferParameters()
     interval, latency = params.retransmit_interval_ms, 20.0
     data = random.Random(3).randbytes(2**20)
@@ -322,10 +329,10 @@ def test_lost_packets_cost_a_fraction_of_the_interval(sender_batches):
         result = run_simulated_transfer(data, model, params)
         assert result.completed and result.data == data
         sender, receiver = result.sender, result.receiver
-        stall = result.duration_ms - (sender.total_windows + 1) * 2 * latency
+        stall = result.duration_ms - sender.total_windows * 2 * latency
         firings = sender.counters.window_retransmits + receiver.counters.ack_retransmits
-        drains = sum(1 for a, blocks in sender_batches
-                     if a.window_index == sender.total_windows and blocks)
+        drains = sum(1 for a, blocks in sender_batches if isinstance(a, Acknowledgement)
+                     and a.window_index == sender.total_windows and blocks)
         allowed = (interval * sender.counters.wr_retransmits + interval / 4 * firings
                    + 2 * latency * drains)
         assert stall <= allowed, f"seed {seed}: {stall} ms stalled, {allowed} allowed"
