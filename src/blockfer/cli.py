@@ -48,7 +48,6 @@ from .transport.pump import Pump
 from .transport.udp import TransportError, UdpEndpoint, UdpTransport
 from .wire import (
     INFO_MAX,
-    Data,
     ErrorCode,
     ErrorPacket,
     WriteRequest,
@@ -243,7 +242,7 @@ def _link_from(args):
 # --- transfer loops ----------------------------------------------------------
 
 
-def _pump(endpoint: UdpEndpoint, engine: Engine, cipher) -> Pump:
+def _pump(endpoint: UdpEndpoint, engine, cipher) -> Pump:
     return Pump({endpoint.address: engine}, UdpTransport(endpoint),
                 encode_packet, decode_packet, cipher)
 
@@ -266,8 +265,7 @@ def _cmd_send(args) -> int:
     except OSError as exc:
         raise _IoError(f"cannot read {args.file}: {exc}") from exc
 
-    rng = random.Random(args.seed) if args.seed is not None else random.Random()
-    engine = Engine(params=params, rng=rng)
+    engine = Engine(params=params, rng=random.Random(args.seed))
     info = args.info if args.info is not None else os.path.basename(args.file)
     # the wire caps info at INFO_MAX bytes: cut on a character boundary
     info = info.encode("utf-8", "replace")[:INFO_MAX].decode("utf-8", "ignore")
@@ -294,6 +292,34 @@ def _cmd_send(args) -> int:
                                    state.block_count), state.block_count, reported)
 
 
+class _OneClaim:
+    """recv's engine as the Pump sees it: the engine with one rule on top.
+
+    The first announcement the engine accepts claims recv for its (peer,
+    id); from then on every other announcement, from any address, draws
+    BUSY. Every other datagram meets the engine's own rules.
+    """
+
+    def __init__(self, engine: Engine):
+        self.engine = engine
+        self.next_deadline, self.tick = engine.next_deadline, engine.tick
+        self.claimed = None  # (peer, id) of the one transfer recv takes
+
+    def packet_in(self, peer, packet, now: float) -> EngineOutput:
+        if not isinstance(packet, WriteRequest) or self.claimed == (peer, packet.id):
+            return self.engine.packet_in(peer, packet, now)
+        if self.claimed is not None:
+            out = EngineOutput()
+            out.packets.append((peer, ErrorPacket(packet.id, ErrorCode.BUSY, "receiver busy")))
+            return out
+        out = self.engine.packet_in(peer, packet, now)
+        if self.engine.transfer(packet.id) is not None:  # nothing else ever went live
+            self.claimed = peer, packet.id
+        _err(f"{'accepting' if self.claimed else 'refused'} {packet.info!r} "
+             f"({packet.data_size} bytes) from {peer[0]}:{peer[1]}")
+        return out
+
+
 def _cmd_recv(args) -> int:
     cipher = _build_cipher(args)
     params = _build_params(args, cipher)
@@ -302,46 +328,14 @@ def _cmd_recv(args) -> int:
     except TransportError as exc:
         raise _IoError(str(exc)) from exc
 
-    engine = Engine(params=params, rng=random.Random(args.seed)
-                    if args.seed is not None else random.Random())
-    pump = _pump(endpoint, engine, cipher)
-    peer = tid = offer = None  # the claimed sender and its transfer; an unjudged announcement
-
-    def judge_offer() -> None:
-        """Claim the receiver if the engine took the announcement let through."""
-        nonlocal peer, tid, offer
-        if offer is not None:
-            (addr, wr), offer = offer, None
-            taken = engine.transfer(wr.id) is not None
-            _err(f"{'accepting' if taken else 'refused'} {wr.info!r} "
-                 f"({wr.data_size} bytes) from {addr[0]}:{addr[1]}")
-            if taken:
-                peer, tid = addr, wr.id
-
-    def accept(addr, packet) -> bool:
-        nonlocal offer
-        judge_offer()  # every datagram before this one has reached the engine
-        if peer is None:
-            if isinstance(packet, WriteRequest):
-                offer = (addr, packet)
-            # Data may outrun its announcement: the engine notes it, never answers it
-            return isinstance(packet, (WriteRequest, Data))
-        if addr == peer:
-            return True
-        if isinstance(packet, WriteRequest):  # second sender: turn it away
-            out = EngineOutput()
-            out.packets.append((addr, ErrorPacket(packet.id, ErrorCode.BUSY, "receiver busy")))
-            pump.flush(endpoint.address, out)
-        return False
-
+    claim = _OneClaim(Engine(params=params, rng=random.Random(args.seed)))
+    pump = _pump(endpoint, claim, cipher)
     started = time.monotonic()
     linger_until = None
-    code = None
     reported = -1
     with endpoint:
         while True:
-            pump.step(accept=accept)
-            judge_offer()
+            pump.step()
             for event in pump.take_events():
                 if isinstance(event, Complete):
                     try:
@@ -356,14 +350,12 @@ def _cmd_recv(args) -> int:
                                     + params.retransmit_interval_ms / 1000.0)
                 elif isinstance(event, Errored):
                     _err(f"transfer failed: {event.code.name}")
-                    code = 3
+                    return 3
             if linger_until is not None:
                 if time.monotonic() >= linger_until:
                     return 0
-            elif code is not None:
-                return code
-            elif tid is not None:
-                state = engine.transfer(tid)
+            elif claim.claimed is not None:
+                state = claim.engine.transfer(claim.claimed[1])
                 reported = _report(state.received_count, state.block_count, reported)
             elif args.wait_s is not None and time.monotonic() - started > args.wait_s:
                 failed = (f" ({pump.dropped} datagrams failed to open or decode)"

@@ -255,9 +255,12 @@ def wait_until_bound(port: int, deadline_s: float = 20.0) -> None:
 
 
 def test_recv_claims_the_first_announcement_and_times_out_when_it_goes_silent(tmp_path):
-    """Raw sockets against recv: a stray Data before any announcement is
-    ignored, the first WriteRequest claims the receiver, a second sender is
-    turned away BUSY, and the silent claimed sender ends recv with TIMEOUT."""
+    """Raw sockets against recv: a stray Data before any announcement draws
+    nothing and a stray Acknowledgement draws UNKNOWN_TRANSFER, as the
+    engine answers them; the first WriteRequest claims the receiver. A second
+    address's Data then draws nothing, its Acknowledgement UNKNOWN_TRANSFER
+    and its WriteRequest BUSY, and the silent claimed sender ends recv with
+    TIMEOUT."""
     port = free_port()
     recv = subprocess.Popen(
         [*CLI, "recv", "--port", str(port), "--out", str(tmp_path / "o.bin"),
@@ -273,11 +276,20 @@ def test_recv_claims_the_first_announcement_and_times_out_when_it_goes_silent(tm
         to = ("127.0.0.1", port)
         announce = dict(info="doc", data_size=10, block_size=5, window_size=2,
                         block_count=2, nonce=1)
-        # recv takes datagrams in order, so an answer to the stray Data
-        # would reach the first socket ahead of the announcement's ack
+        # recv takes datagrams in order, so an answer to a stray Data would
+        # reach the socket ahead of the answer to the datagram behind it
         first.sendto(encode_packet(Data(id=6, block_number=0, payload=b"x" * 5)), to)
+        first.sendto(encode_packet(Acknowledgement(5, 0, ())), to)
+        unknown = decode_packet(first.recv(2048))
+        assert isinstance(unknown, ErrorPacket)
+        assert (unknown.id, unknown.code) == (5, ErrorCode.UNKNOWN_TRANSFER)
         first.sendto(encode_packet(WriteRequest(id=7, **announce)), to)
         assert decode_packet(first.recv(2048)) == Acknowledgement(7, 0, ())
+        second.sendto(encode_packet(Data(id=7, block_number=0, payload=b"z" * 5)), to)
+        second.sendto(encode_packet(Acknowledgement(7, 0, ())), to)
+        unknown = decode_packet(second.recv(2048))
+        assert isinstance(unknown, ErrorPacket)
+        assert (unknown.id, unknown.code) == (7, ErrorCode.UNKNOWN_TRANSFER)
         second.sendto(encode_packet(WriteRequest(id=8, **announce)), to)
         refusal = decode_packet(second.recv(2048))
         assert isinstance(refusal, ErrorPacket)
@@ -293,6 +305,49 @@ def test_recv_claims_the_first_announcement_and_times_out_when_it_goes_silent(tm
     assert "accepting 'doc' (10 bytes)" in recv_err
     assert "transfer failed: TIMEOUT" in recv_err
     assert not (tmp_path / "o.bin").exists()
+
+
+def test_recv_takes_one_transfer_and_turns_its_peers_next_one_away(tmp_path):
+    """After Complete, while recv lingers, a new announcement from the
+    claimed address draws BUSY and its Data draws nothing: the file keeps
+    the first transfer's bytes and recv reports one receipt."""
+    port = free_port()
+    sink = tmp_path / "o.bin"
+    recv = subprocess.Popen(
+        [*CLI, "recv", "--port", str(port), "--out", str(sink),
+         "--interval-ms", "200", "--wait-s", "20"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True)
+    sock = socket.socket(socket.AF_INET, socket.SOCK_DGRAM)
+    try:
+        sock.bind(("127.0.0.1", 0))
+        sock.settimeout(10.0)
+        wait_until_bound(port)
+        to = ("127.0.0.1", port)
+        announce = dict(data_size=10, block_size=5, window_size=2, block_count=2, nonce=1)
+        claimed = WriteRequest(id=7, info="doc", **announce)
+        sock.sendto(encode_packet(claimed), to)
+        sock.sendto(encode_packet(Data(id=7, block_number=0, payload=b"x" * 5)), to)
+        sock.sendto(encode_packet(Data(id=7, block_number=1, payload=b"y" * 5)), to)
+        assert decode_packet(sock.recv(2048)) == Acknowledgement(7, 0, ())
+        assert decode_packet(sock.recv(2048)) == Acknowledgement(7, 1, ())
+        sock.sendto(encode_packet(WriteRequest(id=8, info="next", **announce)), to)
+        refusal = decode_packet(sock.recv(2048))
+        assert isinstance(refusal, ErrorPacket)
+        assert (refusal.id, refusal.code) == (8, ErrorCode.BUSY)
+        sock.sendto(encode_packet(Data(id=8, block_number=0, payload=b"z" * 5)), to)
+        sock.sendto(encode_packet(Data(id=8, block_number=1, payload=b"z" * 5)), to)
+        # the claimed announcement again draws the final ack, and nothing before it
+        sock.sendto(encode_packet(claimed), to)
+        assert decode_packet(sock.recv(2048)) == Acknowledgement(7, 1, ())
+        _, recv_err = recv.communicate(timeout=20)
+    finally:
+        sock.close()
+        if recv.poll() is None:
+            recv.kill()
+            recv.communicate()
+    assert recv.returncode == 0, recv_err
+    assert sink.read_bytes() == b"x" * 5 + b"y" * 5
+    assert recv_err.count("received ") == 1, recv_err
 
 
 def test_recv_lingers_a_whole_interval_for_a_lost_final_ack(tmp_path):

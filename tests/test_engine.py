@@ -1340,6 +1340,15 @@ class TimerOracle(RuleBasedStateMachine):
             assert len(engine._strays) <= RTT_CACHE_PEERS
 
     @invariant()
+    def done_senders_conserve_blocks(self):
+        """Each DONE sender sent each block once, each listed loss once more
+        and one block per probe."""
+        for engine in (self.engine, *self.peers.values()):
+            for s in engine._finished.values():
+                if isinstance(s, SenderState) and s.phase is SenderPhase.DONE:
+                    assert s.counters.blocks_sent == s.counters.blocks_due(s.block_count)
+
+    @invariant()
     def deadline_is_last_send_plus_rto(self):
         for engine in (self.engine, *self.peers.values()):
             for s in engine._live.values():

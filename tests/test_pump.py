@@ -1,11 +1,13 @@
 """The Pump against a scripted in-memory transport."""
 
 import random
+from dataclasses import replace
 
+from blockfer.cli import _OneClaim
 from blockfer.crypto import PeerKeyPair, SealedCipher
 from blockfer.engine import Complete, Engine, EngineOutput, TransferParameters
 from blockfer.transport import Pump
-from blockfer.wire import Acknowledgement, Data, decode_packet, encode_packet
+from blockfer.wire import Acknowledgement, Data, ErrorCode, decode_packet, encode_packet
 
 PARAMS = TransferParameters(block_size=100, window_size=4, retransmit_interval_ms=50.0)
 
@@ -69,25 +71,33 @@ def test_step_drops_what_fails_to_open_and_ticks_only_when_due(announce):
     assert transport.waits == [50.0] * 3 + [120.0]
 
 
-def test_accept_filters_before_the_engine_sees_a_packet():
-    sender = Engine(PARAMS, random.Random(3))
-    _, out = sender.start_transfer("R", "x", b"z" * 50, now=0.0)
-    announcement = encode_packet(out.packets[0][1])
-    receiver = Engine(PARAMS, random.Random(4))
-    transport = ScriptedTransport([(1.0, [("R", "S1", announcement)]),
-                                   (2.0, [("R", "S2", announcement)])])
-    pump = Pump({"R": receiver}, transport, encode_packet, decode_packet)
-    seen = []
-
-    def accept(peer, packet):
-        seen.append(peer)
-        return peer == "S2"
-
-    while pump.step(accept=accept):
-        pass
-    assert seen == ["S1", "S2"]
-    assert receiver.live_transfer_with("S1") is None
-    assert [(local, peer) for local, peer, _ in transport.sent] == [("R", "S2")]
+def test_recv_claim_takes_the_first_accepted_announcement_and_busies_the_rest(announce, capsys):
+    """recv's claim object driven by the Pump as its engine: an announcement
+    over the size cap is refused and claims nothing, the next one the engine
+    accepts claims recv, and another address's announcement in the same wait
+    draws BUSY, flushed behind the ack in arrival order."""
+    big, ok, other = (announce(Engine(PARAMS, random.Random(seed)), "R", bytes(size), info)[1]
+                      for seed, info, size in ((6, "big", 500), (7, "ok", 50), (8, "other", 50)))
+    refused, taker, third = ("127.0.0.1", 5001), ("127.0.0.1", 5002), ("127.0.0.1", 5003)
+    transport = ScriptedTransport([
+        (1.0, [("R", refused, encode_packet(big))]),
+        (2.0, [("R", taker, encode_packet(ok)), ("R", third, encode_packet(other))]),
+    ])
+    engine = Engine(replace(PARAMS, max_transfer_size=200), random.Random(9))
+    claim = _OneClaim(engine)
+    pump = Pump({"R": claim}, transport, encode_packet, decode_packet)
+    assert pump.step() and claim.claimed is None
+    assert pump.step() and claim.claimed == (taker, ok.id)
+    assert [(local, peer) for local, peer, _ in transport.calls] == [
+        ("R", refused), ("R", taker), ("R", third)]
+    answers = [decode_packet(d) for _, _, d in transport.sent]
+    assert answers[1] == Acknowledgement(ok.id, 0, ())
+    assert [(a.id, a.code) for a in (answers[0], answers[2])] == [
+        (big.id, ErrorCode.SIZE_EXCEEDED), (other.id, ErrorCode.BUSY)]
+    assert engine.transfer(big.id) is None and engine.transfer(other.id) is None
+    assert capsys.readouterr().err.splitlines() == [
+        "refused 'big' (500 bytes) from 127.0.0.1:5001",
+        "accepting 'ok' (50 bytes) from 127.0.0.1:5002"]
 
 
 def test_an_output_with_events_and_no_packets_still_reaches_take_events():
