@@ -14,7 +14,7 @@ import statistics
 from dataclasses import dataclass, replace
 from typing import Optional
 
-from .engine import TransferParameters
+from .engine import DEFAULT_MAX_TRANSFER_SIZE, TransferParameters
 from .transport import LinkModel, run_loopback_transfer, run_simulated_transfer
 
 CSV_HEADER = ("B,W,iteration,seed,duration_ms,throughput_Bps,"
@@ -23,6 +23,7 @@ CSV_HEADER = ("B,W,iteration,seed,duration_ms,throughput_Bps,"
 DEFAULT_BLOCK_GRID = (600, 700, 800, 900, 1000, 1100, 1200)
 DEFAULT_WINDOW_GRID = (16, 32, 48, 64, 80, 96, 112, 128)
 DEFAULT_SWEEP_LINK = LinkModel(loss_probability=0.01, latency_base_ms=20.0)
+_DEFAULTS = TransferParameters()
 
 _MASK64 = 0xFFFFFFFFFFFFFFFF
 
@@ -84,7 +85,6 @@ class TransferStats:
     lost_blocks: int
     retx_windows: int
     retx_acks: int
-    blocks_sent: int
     completed: bool
 
     def csv_row(self) -> str:
@@ -95,12 +95,11 @@ class TransferStats:
 
     @classmethod
     def from_csv_row(cls, line: str) -> "TransferStats":
-        # blocks_sent is not serialized; resumed rows carry 0 there
         b, w, it, seed, dur, tput, lost, rw, ra, done = line.strip().split(",")
         return cls(block_size=int(b), window_size=int(w), iteration=int(it),
                    seed=int(seed), duration_ms=float(dur), throughput_Bps=float(tput),
                    lost_blocks=int(lost), retx_windows=int(rw), retx_acks=int(ra),
-                   blocks_sent=0, completed=done == "1")
+                   completed=done == "1")
 
 
 def _params_for(config: ExperimentConfig, block_size: int,
@@ -129,7 +128,7 @@ def _stats_from(outcome, data_size: int, block_size: int, window_size: int,
         seed=seed, duration_ms=outcome.duration_ms, throughput_Bps=throughput,
         lost_blocks=sender.lost_blocks, retx_windows=sender.window_retransmits,
         retx_acks=receiver.ack_retransmits if receiver is not None else 0,
-        blocks_sent=sender.blocks_sent, completed=outcome.completed)
+        completed=outcome.completed)
 
 
 def run_experiment(config: ExperimentConfig, block_size: int, window_size: int,
@@ -242,10 +241,12 @@ class LargeEvalReport:
         ])
 
 
-def evaluate_large(data_size: int = 250 * 2**20, block_size: int = 1200,
-                   window_size: int = 80, repetitions: int = 10,
+def evaluate_large(data_size: int = DEFAULT_MAX_TRANSFER_SIZE,
+                   block_size: int = _DEFAULTS.block_size,
+                   window_size: int = _DEFAULTS.window_size, repetitions: int = 10,
                    mode: str = "sim", link: Optional[LinkModel] = None,
-                   interval_ms: float = 2000.0, max_attempts: int = 5,
+                   interval_ms: float = _DEFAULTS.retransmit_interval_ms,
+                   max_attempts: int = _DEFAULTS.max_attempts,
                    seed: int = 0) -> LargeEvalReport:
     """Repeat one large transfer and aggregate its stats.
 

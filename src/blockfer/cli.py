@@ -37,6 +37,7 @@ from .crypto import (
     save_keypair,
 )
 from .engine import (
+    DEFAULT_MAX_TRANSFER_SIZE,
     Complete,
     Engine,
     EngineOutput,
@@ -57,6 +58,8 @@ from .wire import (
 
 ENV_PREFIX = "BLOCKFER_"
 LINGER_S = 1.0  # recv answers stragglers this long after completion, plus its interval
+_DEFAULTS = TransferParameters()  # the flags' fallbacks, stated once
+_MAX_SIZE_MIB = DEFAULT_MAX_TRANSFER_SIZE // 2**20
 
 
 class UsageError(ValueError):
@@ -132,17 +135,21 @@ def _add_transfer_flags(parser: argparse.ArgumentParser) -> None:
                         default=_env("BLOCK_SIZE", int, None),
                         help="payload bytes per data packet "
                              "(default: largest the cipher can carry)")
-    parser.add_argument("--window", type=int, default=_env("WINDOW", int, 80),
-                        help="blocks per window (default 80)")
+    parser.add_argument("--window", type=int,
+                        default=_env("WINDOW", int, _DEFAULTS.window_size),
+                        help=f"blocks per window (default {_DEFAULTS.window_size})")
     parser.add_argument("--interval-ms", type=float,
-                        default=_env("INTERVAL_MS", float, 2000.0),
+                        default=_env("INTERVAL_MS", float, _DEFAULTS.retransmit_interval_ms),
                         help="ceiling of the retransmit timeout in ms, which "
-                             "follows the measured round trip below it (default 2000)")
-    parser.add_argument("--attempts", type=int, default=_env("ATTEMPTS", int, 5),
-                        help="consecutive retransmits before giving up (default 5)")
+                             "follows the measured round trip below it "
+                             f"(default {_DEFAULTS.retransmit_interval_ms:g})")
+    parser.add_argument("--attempts", type=int,
+                        default=_env("ATTEMPTS", int, _DEFAULTS.max_attempts),
+                        help="consecutive retransmits before giving up "
+                             f"(default {_DEFAULTS.max_attempts})")
     parser.add_argument("--max-size", type=int,
-                        default=_env("MAX_SIZE", int, 250 * 2**20),
-                        help="largest accepted transfer in bytes (default 250 MiB)")
+                        default=_env("MAX_SIZE", int, DEFAULT_MAX_TRANSFER_SIZE),
+                        help=f"largest accepted transfer in bytes (default {_MAX_SIZE_MIB} MiB)")
     parser.add_argument("--cipher", choices=("identity", "sealed"),
                         default=_env("CIPHER", str, "identity"),
                         help="datagram protection (default identity)")
@@ -197,16 +204,18 @@ def _build_parser() -> argparse.ArgumentParser:
 
     eval_cmd = sub.add_parser("eval", help="repeat one large transfer and report")
     eval_cmd.add_argument("--mode", choices=("sim", "loopback"), default="sim")
-    eval_cmd.add_argument("--size", type=int, default=250 * 2**20,
-                          help="transfer size in bytes (default 250 MiB)")
+    eval_cmd.add_argument("--size", type=int, default=DEFAULT_MAX_TRANSFER_SIZE,
+                          help=f"transfer size in bytes (default {_MAX_SIZE_MIB} MiB)")
     eval_cmd.add_argument("--block-size", type=int,
-                          default=_env("BLOCK_SIZE", int, 1200))
-    eval_cmd.add_argument("--window", type=int, default=_env("WINDOW", int, 80))
+                          default=_env("BLOCK_SIZE", int, _DEFAULTS.block_size))
+    eval_cmd.add_argument("--window", type=int,
+                          default=_env("WINDOW", int, _DEFAULTS.window_size))
     eval_cmd.add_argument("--reps", type=int, default=10)
     _add_link_flags(eval_cmd, loss_default=0.0, latency_default=0.0)
     eval_cmd.add_argument("--interval-ms", type=float,
-                          default=_env("INTERVAL_MS", float, 2000.0))
-    eval_cmd.add_argument("--attempts", type=int, default=_env("ATTEMPTS", int, 5))
+                          default=_env("INTERVAL_MS", float, _DEFAULTS.retransmit_interval_ms))
+    eval_cmd.add_argument("--attempts", type=int,
+                          default=_env("ATTEMPTS", int, _DEFAULTS.max_attempts))
     eval_cmd.add_argument("--seed", type=int, default=_env("SEED", int, 0))
     eval_cmd.set_defaults(func=_cmd_eval)
 

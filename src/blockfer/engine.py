@@ -82,6 +82,7 @@ from .wire import (
     Data,
     ErrorCode,
     ErrorPacket,
+    INFO_MAX,
     PAYLOAD_MAX,
     Packet,
     WriteRequest,
@@ -184,7 +185,6 @@ class SizeExceededError(TransferRefused):
 class SenderPhase(Enum):
     AWAITING_WR_ACK = "awaiting_wr_ack"
     SENDING = "sending"
-    LAST_WINDOW_DRAIN = "last_window_drain"
     DONE = "done"
     FAILED = "failed"
 
@@ -301,6 +301,14 @@ def _remember(table: dict, peer: Peer, value) -> None:
         del table[next(iter(table))]
 
 
+def _send_blocks(state: SenderState, numbers: tuple, out: EngineOutput) -> None:
+    """Put the numbered blocks on the wire, each a view of the sender's snapshot."""
+    peer, tid, size = state.peer, state.id, state.params.block_size
+    view = memoryview(state.data)
+    out.packets.extend([(peer, Data(tid, n, view[n * size:(n + 1) * size])) for n in numbers])
+    state.counters.blocks_sent += len(numbers)
+
+
 # --- the engine ----------------------------------------------------------------
 
 
@@ -316,6 +324,8 @@ class Engine:
     of its own peer and id is answered only by a receiver, a live one with
     its last ack and a DONE one with its final ack, and dropped by any other;
     only one with no record from that peer is judged as a new announcement.
+    A sender fails with DECODE_FAILURE, telling the peer, on an ack that lists
+    a block at or past min(window_index * window_size, block_count).
     A DONE receiver also answers Data of its transfer with its final ack, so
     a lost final ack cannot wedge the sender; an ack with no record from
     that peer draws UNKNOWN_TRANSFER; anything else is dropped. Data with no
@@ -371,7 +381,9 @@ class Engine:
     def start_transfer(self, peer: Peer, info: str, data: bytes,
                        params: Optional[TransferParameters] = None, *,
                        now: float) -> tuple[int, EngineOutput]:
-        """Announce a transfer to peer. Raises BusyError/SizeExceededError."""
+        """Announce a transfer to peer. Raises BusyError/SizeExceededError/ValueError."""
+        if len(info.encode("utf-8")) > INFO_MAX:
+            raise ValueError(f"info exceeds {INFO_MAX} UTF-8 bytes")
         params = params if params is not None else self.params
         if peer in self._live:
             raise BusyError(f"a transfer with {peer!r} is already live")
@@ -474,12 +486,9 @@ class Engine:
                     state.counters.wr_retransmits += 1
                 else:
                     # the probe: the block whose arrival makes the receiver ack
-                    n, size = state.pending[-1], state.params.block_size
-                    view = memoryview(state.data)[n * size:(n + 1) * size]
-                    out.packets.append((state.peer, Data(state.id, n, view)))
+                    _send_blocks(state, state.pending[-1:], out)
                     state.counters.window_retransmits += 1
                     state.counters.window_retransmit_blocks += 1
-                    state.counters.blocks_sent += 1
                 state.last_sent = now
                 self._arm(state)
         return out
@@ -671,7 +680,8 @@ class Engine:
 
     def _sender_ack(self, state: SenderState, a: Acknowledgement,
                     out: EngineOutput, now: float) -> None:
-        if a.unreceived and max(a.unreceived) >= state.block_count:
+        if a.unreceived and a.unreceived[-1] >= min(  # the list ascends
+                a.window_index * state.params.window_size, state.block_count):
             self._fail(state, ErrorCode.DECODE_FAILURE, out, now, "unreceived list out of range")
             return
         state.attempts_left = state.params.max_attempts
@@ -687,34 +697,23 @@ class Engine:
         if state.timed_at is not None:
             _sample_rtt(state, now - state.timed_at)
 
-        if a.window_index == state.total_windows:
-            if not a.unreceived:
-                self._settle(state, Complete(state.id, sent=True), out, now)
-                return
-            state.phase = SenderPhase.LAST_WINDOW_DRAIN
-        else:
-            state.phase = SenderPhase.SENDING
+        if a.window_index == state.total_windows and not a.unreceived:
+            self._settle(state, Complete(state.id, sent=True), out, now)
+            return
+        state.phase = SenderPhase.SENDING
         state.counters.lost_blocks += len(a.unreceived)
         self._dispatch(state, a.unreceived, out, now)
 
     def _dispatch(self, state: SenderState, listed: tuple, out: EngineOutput,
                   now: float) -> None:
-        """Send the listed blocks and the next fresh window, if one is left, as one timed batch."""
-        if state.window_index < state.total_windows:
-            lo = state.window_index * state.params.window_size
-            hi = min(lo + state.params.window_size, state.block_count)
-            if listed:
-                pending = tuple(sorted(set(listed) | set(range(lo, hi))))
-            else:
-                pending = tuple(range(lo, hi))
+        """Send the listed blocks, all below the next fresh window, then that
+        window (empty in the drain), as one timed batch with no block twice."""
+        lo = state.window_index * state.params.window_size
+        hi = min(lo + state.params.window_size, state.block_count)
+        if lo < hi:
             state.window_index += 1
-        else:
-            pending = tuple(listed)
-        state.pending = pending
-        peer, tid, size = state.peer, state.id, state.params.block_size
-        view = memoryview(state.data)
-        out.packets.extend([(peer, Data(tid, n, view[n * size:(n + 1) * size])) for n in pending])
-        state.counters.blocks_sent += len(pending)
+        state.pending = pending = (*listed, *range(lo, hi))
+        _send_blocks(state, pending, out)
         state.last_sent = state.timed_at = now
         self._arm(state)
 

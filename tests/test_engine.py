@@ -33,6 +33,7 @@ from blockfer.engine import (
     TransferScheduler,
 )
 from blockfer.wire import (
+    ACK_MAX_UNRECEIVED,
     Acknowledgement,
     Data,
     ErrorCode,
@@ -580,6 +581,39 @@ def test_out_of_range_block_number_fails_transfer(announce):
     assert sender.transfer(tid).phase is SenderPhase.FAILED
 
 
+def test_an_ack_listing_an_unclosed_window_fails_the_sender(announce):
+    """Block 2 lies in window 1, which an ack of window 1 has not closed.
+    Taking the list would count block 2 lost, though it leaves only once,
+    with window 1, and settle DONE with 4 blocks sent against blocks_due 5;
+    the sender fails instead and tells the receiver."""
+    sender, receiver = make_pair()
+    tid, wr, window = announce(sender, "B", bytes(16))  # 4 blocks, 2 windows
+    out = sender.packet_in("B", Acknowledgement(tid, 1, (2,)), now=1.0)
+    out.packets[:0] = [("B", packet) for packet in (wr, *window)]
+    events = pump(sender, receiver, out, now=1.0)
+    s = sender.transfer(tid)
+    assert (s.phase, s.counters.blocks_sent, s.counters.blocks_due(4)) == (
+        SenderPhase.FAILED, 2, 4)
+    assert events == [Errored(tid, ErrorCode.DECODE_FAILURE)] * 2
+    assert receiver.transfer(tid).phase is ReceiverPhase.FAILED
+
+
+@pytest.mark.parametrize("window, listed, refused", [
+    (0, (0,), True),  # the announcement's ack lists nothing
+    (1, (1,), False), (1, (0, 2), True),
+    (2, (3,), False), (2, (4,), True),
+    (3, (4,), False), (3, (5,), True),  # the drain's bound is block_count
+    (9, (4,), False), (9, (5,), True),
+])
+def test_an_ack_lists_only_blocks_below_its_closed_windows(announce, window, listed, refused):
+    sender, _ = make_pair()
+    tid, _, _ = announce(sender, "B", bytes(20))  # 5 blocks, 3 windows of 2
+    out = sender.packet_in("B", Acknowledgement(tid, window, listed), now=1.0)
+    error = ErrorPacket(tid, ErrorCode.DECODE_FAILURE, "unreceived list out of range")
+    assert (("B", error) in out.packets) is refused
+    assert (sender.transfer(tid).phase is SenderPhase.FAILED) is refused
+
+
 def test_done_receiver_reacks_duplicate_data(announce):
     sender, receiver = make_pair()
     data = bytes(range(8))  # 2 blocks, 1 window
@@ -788,7 +822,8 @@ def test_duplicate_drain_trigger_draws_the_last_ack_again(announce):
     assert ack == Acknowledgement(tid, 3, (0, 2))
     state, sent = receiver.transfer(tid), sender.transfer(tid)
     b0, b2 = batch
-    assert sent.phase is SenderPhase.LAST_WINDOW_DRAIN and sent.pending == (0, 2)
+    assert sent.phase is SenderPhase.SENDING and sent.pending == (0, 2)
+    assert sent.window_index == sent.total_windows  # the drain: every fresh window is out
     # block 0 is lost again; block 2, the drain trigger, draws an ack that is lost
     [last] = acks(receiver.packet_in("A", b2, now=now + 1.0))
     assert last == Acknowledgement(tid, 3, (0,)) and state.trigger == 0
@@ -1267,15 +1302,49 @@ class TimerOracle(RuleBasedStateMachine):
             return
         self.send(src, out)
 
+    def deliver(self, src, dst, packet):
+        engine = self.engine if dst == "E" else self.peers[dst]
+        self.send(dst, engine.packet_in(src, packet, now=self.now))
+
     @rule(index=st.integers(0, 1000), copies=st.sampled_from([0, 1, 1, 1, 2, 20]))
     def packet_in(self, index, copies):
         """Deliver a packet `copies` times: 0 drops it, more than 1 replays it."""
         if not self.wire:
             return
         src, dst, packet = self.wire.pop(index % len(self.wire))
-        engine = self.engine if dst == "E" else self.peers[dst]
         for _ in range(copies):
-            self.send(dst, engine.packet_in(src, packet, now=self.now))
+            self.deliver(src, dst, packet)
+
+    @rule(drops=st.sets(st.integers(0, 30), max_size=4))
+    def settle(self, drops):
+        """Deliver in order, dropping the packets at the given positions, and
+        tick at the next deadline whenever the wire falls quiet, until nothing
+        is live: transfers of several windows settle, probed ones among them."""
+        engines = (self.engine, *self.peers.values())
+        for k in range(1000):
+            if self.wire:
+                packet = self.wire.pop(0)
+                if k not in drops:
+                    self.deliver(*packet)
+                continue
+            deadlines = [d for d in (e.next_deadline() for e in engines) if d is not None]
+            if not deadlines:
+                break
+            self.advance(min(deadlines) - self.now)
+
+    @rule(which=st.integers(0, 1000), shift=st.integers(-1, 1) | st.integers(0, 2**32 - 1),
+          listed=st.lists(st.integers(0, 5), unique=True, max_size=3)
+          | st.lists(st.integers(0, 2**32 - 1), unique=True, max_size=ACK_MAX_UNRECEIVED))
+    def forge_ack(self, which, shift, listed):
+        """Deliver to a live sender, from its own peer, an ack of its transfer
+        with any strictly increasing list and any window_index, most often
+        one within a window of the sender's own."""
+        senders = [(name, s) for name, engine in (("E", self.engine), *self.peers.items())
+                   for s in engine._live.values() if isinstance(s, SenderState)]
+        if senders:
+            name, s = senders[which % len(senders)]
+            window = (s.window_index + shift) % 2**32
+            self.deliver(s.peer, name, Acknowledgement(s.id, window, tuple(sorted(listed))))
 
     @rule(index=st.integers(0, 1000), src=st.sampled_from(PEERS))
     def spoof(self, index, src):
@@ -1408,6 +1477,12 @@ def test_start_transfer_refusals():
                               params=TransferParameters(block_size=4, window_size=2,
                                                         max_transfer_size=10),
                               now=2.0)
+    # an info the wire cannot carry is refused before anything goes live, so
+    # the peer's one slot stays free; 32 two-byte characters still fit
+    with pytest.raises(ValueError, match="info exceeds 64 UTF-8 bytes"):
+        sender.start_transfer("C", "\u00e9" * 33, bytes(20), now=3.0)
+    assert sender.live_transfer_with("C") is None
+    sender.start_transfer("C", "\u00e9" * 32, bytes(20), now=4.0)
 
 
 def test_scheduler_fifo_and_conditions():
