@@ -312,11 +312,12 @@ class _OneClaim:
     def __init__(self, engine: Engine):
         self.engine = engine
         self.next_deadline, self.tick = engine.next_deadline, engine.tick
+        self._engine_packet_in = engine.packet_in
         self.claimed = None  # (peer, id) of the one transfer recv takes
 
     def packet_in(self, peer, packet, now: float) -> EngineOutput:
         if not isinstance(packet, WriteRequest) or self.claimed == (peer, packet.id):
-            return self.engine.packet_in(peer, packet, now)
+            return self._engine_packet_in(peer, packet, now)
         if self.claimed is not None:
             out = EngineOutput()
             out.packets.append((peer, ErrorPacket(packet.id, ErrorCode.BUSY, "receiver busy")))

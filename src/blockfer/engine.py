@@ -165,6 +165,11 @@ class EngineOutput:
         return f"EngineOutput(packets={self.packets!r}, events={self.events!r})"
 
 
+# What a Data that draws no reply returns: one shared output that callers
+# read and never append to.
+_NO_OUTPUT = EngineOutput()
+
+
 class TransferRefused(Exception):
     """A transfer could not start; .code carries the protocol error."""
 
@@ -293,6 +298,11 @@ def _sample_rtt(state, rtt: float) -> None:
     state.timed_at = None
 
 
+def _check_info(info: str) -> None:
+    if len(info.encode("utf-8")) > INFO_MAX:
+        raise ValueError(f"info exceeds {INFO_MAX} UTF-8 bytes")
+
+
 def _remember(table: dict, peer: Peer, value) -> None:
     """Store value as peer's newest entry; past RTT_CACHE_PEERS peers the oldest goes."""
     table.pop(peer, None)  # re-inserted last: the dict stays in the order of stores
@@ -341,19 +351,21 @@ class Engine:
     engine's params object itself, so a settled receiver keeps no copy of
     them.
 
-    Cost model: each event builds one EngineOutput, a slotted record. The
+    Cost model: each event builds one EngineOutput, a slotted record, but
+    for a Data block that sends no ack and settles nothing, which returns
+    one shared empty output; callers read it and never append to it. The
     live table is keyed by peer and the finished table by transfer id, and
     every lookup checks the other half of (peer, id), so an inbound packet
     costs the same however many transfers are live or finished. A Data for
     a live receiver, the most common packet, is dispatched before any other
-    check and decides whether to ack by one comparison with the receiver's
-    trigger, and a batch's blocks are views of the sender's snapshot of its
-    data, not copies. When two peers' finished transfers share an id, the
-    newer record replaces the older. Retransmit deadlines sit in a heap that
-    next_deadline() peeks at and tick() pops only the due entries of; an
-    entry goes stale when its transfer settles or re-arms, is dropped
-    lazily, and the heap is rebuilt from the live table once it outgrows
-    twice the live count. Timers due at the same instant fire in the order
+    check, before any output is built, and decides whether to ack by one
+    comparison with the receiver's trigger; a batch's blocks are views of
+    the sender's snapshot of its data, not copies. When two peers' finished
+    transfers share an id, the newer record replaces the older. Retransmit
+    deadlines sit in a heap that next_deadline() peeks at and tick() pops
+    only the due entries of; an entry goes stale when its transfer settles
+    or re-arms, is dropped lazily, and the heap is rebuilt from the live
+    table once it outgrows twice the live count. Timers due at the same instant fire in the order
     their transfers went live. transfer() and cancel() look the id up in
     the live states indexed by id, and transfer() then in the finished
     table. Going live costs one lookup in the RTT cache, and settling with
@@ -382,8 +394,7 @@ class Engine:
                        params: Optional[TransferParameters] = None, *,
                        now: float) -> tuple[int, EngineOutput]:
         """Announce a transfer to peer. Raises BusyError/SizeExceededError/ValueError."""
-        if len(info.encode("utf-8")) > INFO_MAX:
-            raise ValueError(f"info exceeds {INFO_MAX} UTF-8 bytes")
+        _check_info(info)
         params = params if params is not None else self.params
         if peer in self._live:
             raise BusyError(f"a transfer with {peer!r} is already live")
@@ -417,14 +428,13 @@ class Engine:
         return tid, out
 
     def packet_in(self, peer: Peer, packet: Packet, now: float) -> EngineOutput:
-        out = EngineOutput()
         state = self._live.get(peer)
         if state is not None and state.id != packet.id:
             state = None
-        if isinstance(packet, Data) and isinstance(state, ReceiverState):
-            self._receiver_data(state, packet, out, now)  # the common case, first
-            return out
+        elif isinstance(packet, Data) and isinstance(state, ReceiverState):
+            return self._receiver_data(state, packet, now)  # the common case, first
 
+        out = EngineOutput()
         if state is None:  # no live transfer: the one rule for stragglers
             settled = self._finished.get(packet.id)
             if settled is not None and settled.peer != peer:
@@ -562,11 +572,12 @@ class Engine:
         self._bound_timers()
 
     def _fail(self, state, code: ErrorCode, out: EngineOutput, now: float,
-              message: Optional[str] = None) -> None:
+              message: Optional[str] = None) -> EngineOutput:
         """Settle as FAILED; with a message the peer is told in an Error packet."""
         if message is not None:
             out.packets.append((state.peer, ErrorPacket(state.id, code, message)))
         self._settle(state, Errored(state.id, code), out, now)
+        return out
 
     def _accept_or_refuse(self, peer: Peer, wr: WriteRequest,
                           out: EngineOutput, now: float) -> None:
@@ -612,7 +623,7 @@ class Engine:
             self._close_window(state, out, now)
 
     def _emit_ack(self, state: ReceiverState, out: EngineOutput, now: float,
-                  retransmit: bool = False) -> None:
+                  retransmit: bool = False) -> EngineOutput:
         window, window_size = state.expected_window, state.params.window_size
         listed = tuple(sorted(state.missing)[:window_size])
         out.packets.append((state.peer, Acknowledgement(state.id, window, listed)))
@@ -630,35 +641,40 @@ class Engine:
             state.timed_at = now
         state.last_sent = now
         self._arm(state)
+        return out
 
-    def _receiver_data(self, state: ReceiverState, d: Data,
-                       out: EngineOutput, now: float) -> None:
+    def _receiver_data(self, state: ReceiverState, d: Data, now: float) -> EngineOutput:
+        """Take in one block; a block that draws no ack and settles nothing
+        returns _NO_OUTPUT, so most blocks build no output at all."""
         n, params = d.block_number, state.params
         if n >= state.block_count:
-            self._fail(state, ErrorCode.DECODE_FAILURE, out, now, f"block {n} out of range")
-            return
+            return self._fail(state, ErrorCode.DECODE_FAILURE, EngineOutput(), now,
+                              f"block {n} out of range")
         size = params.block_size
-        if len(d.payload) != min(size, state.data_size - n * size):
-            self._fail(state, ErrorCode.DECODE_FAILURE, out, now, f"block {n} has wrong length")
-            return
+        rest = state.data_size - n * size  # the last block holds the rest
+        if len(d.payload) != (size if rest > size else rest):
+            return self._fail(state, ErrorCode.DECODE_FAILURE, EngineOutput(), now,
+                              f"block {n} has wrong length")
         state.attempts_left = params.max_attempts
         blocks = state.blocks
         if blocks[n] is not None:
             state.counters.duplicate_blocks += 1
             if n == state.acked_by:  # a probe whose ack was lost: answer it again
-                self._emit_ack(state, out, now, retransmit=True)
-            return
+                return self._emit_ack(state, EngineOutput(), now, retransmit=True)
+            return _NO_OUTPUT
         blocks[n] = d.payload
         state.received_count += 1
         state.missing.discard(n)
         state.counters.blocks_received += 1
 
         if state.received_count == state.block_count:
-            self._receiver_done(state, out, now)
-        elif n == state.trigger:
-            self._close_window(state, out, now)
+            return self._receiver_done(state, EngineOutput(), now)
+        if n == state.trigger:
+            return self._close_window(state, EngineOutput(), now)
+        return _NO_OUTPUT
 
-    def _close_window(self, state: ReceiverState, out: EngineOutput, now: float) -> None:
+    def _close_window(self, state: ReceiverState, out: EngineOutput,
+                      now: float) -> EngineOutput:
         """The trigger arrived, or window 0 met no record: list what is missing
         below the trigger and send a fresh ack."""
         n = state.trigger
@@ -669,14 +685,16 @@ class Engine:
                     state.missing.add(m)
             state.expected_window += 1
         state.acked_by = n
-        self._emit_ack(state, out, now)
+        return self._emit_ack(state, out, now)
 
-    def _receiver_done(self, state: ReceiverState, out: EngineOutput, now: float) -> None:
+    def _receiver_done(self, state: ReceiverState, out: EngineOutput,
+                       now: float) -> EngineOutput:
         """Every block is in: send the final ack and hand the payload over."""
         state.missing.clear()
         state.expected_window = state.total_windows
         self._emit_ack(state, out, now)
         self._settle(state, Complete(state.id, data=b"".join(state.blocks)), out, now)
+        return out
 
     def _sender_ack(self, state: SenderState, a: Acknowledgement,
                     out: EngineOutput, now: float) -> None:
@@ -739,6 +757,8 @@ class TransferScheduler:
         return len(self._queue)
 
     def schedule_transfer(self, request: ScheduledTransfer) -> None:
+        """Queue request; raises ValueError for an info no announcement can carry."""
+        _check_info(request.info)  # else its poll would raise with others half started
         self._queue.append(request)
 
     def poll_scheduled(self, engine: Engine, connected: Callable[[Peer], bool],

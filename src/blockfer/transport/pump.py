@@ -100,7 +100,7 @@ class Pump:
             except (AuthenticationError, DecodeError):
                 self.dropped += 1
                 continue  # noise on a public port is dropped, not fatal
-            out = engines[local].packet_in(peer, packet, now=now)
+            out = engines[local].packet_in(peer, packet, now)
             if out.packets or out.events:  # a sender's Complete carries no packets
                 self.flush(local, out)
         if quiet or (until is not None and now > until):

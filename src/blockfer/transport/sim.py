@@ -115,6 +115,10 @@ class SimulatedLink:
         self.model = model
         self.clock = clock
         self._rng = random.Random(model.seed)
+        self._random = self._rng.random
+        # rng.uniform(low, high) is low + (high - low) * random(): drawn the same way here
+        self._jitter_low = -model.latency_jitter_ms
+        self._jitter_span = model.latency_jitter_ms - self._jitter_low
         self._free_at: dict = {}  # (src, dst) -> when that direction's bottleneck frees
 
     def send(self, src, dst, datagram: bytes, now: float) -> list[float]:
@@ -124,23 +128,24 @@ class SimulatedLink:
         reordering and, if reordered, the tie key; then after the first
         delivery whether it is duplicated.
         """
-        model, rng = self.model, self._rng
+        model, random = self.model, self._random
         if len(datagram) > MTU:
             raise MtuError(f"datagram of {len(datagram)} bytes exceeds the {MTU}-byte MTU")
         if model.rate_kbps:
             start = max(now, self._free_at.get((src, dst), now))
             now = self._free_at[(src, dst)] = start + len(datagram) * 8 / model.rate_kbps
-        if rng.random() < model.loss_probability:
+        if random() < model.loss_probability:
             return []
         item = (dst, src, bytes(datagram))
+        low, span, push = self._jitter_low, self._jitter_span, self.clock.push
         times = []
         while True:
-            jitter = rng.uniform(-model.latency_jitter_ms, model.latency_jitter_ms)
-            time = now + max(0.0, model.latency_base_ms + jitter)
-            tie = rng.getrandbits(32) if rng.random() < model.reorder_probability else 0
-            self.clock.push(time, item, tie)
+            delay = model.latency_base_ms + (low + span * random())
+            time = now + (delay if delay > 0.0 else 0.0)
+            tie = self._rng.getrandbits(32) if random() < model.reorder_probability else 0
+            push(time, item, tie)
             times.append(time)
-            if len(times) == 2 or not rng.random() < model.duplicate_probability:
+            if len(times) == 2 or not random() < model.duplicate_probability:
                 return times
 
 
@@ -164,11 +169,11 @@ class _LinkTransport:
         self.trace = trace
 
     def send(self, local, peer, datagrams: list) -> None:
-        now = self.clock.now
+        now, trace, send = self.clock.now, self.trace, self.link.send
         for datagram in datagrams:
-            if self.trace is not None:
-                self.trace.append(f"{now:.3f} {local}->{peer} {datagram.hex()}")
-            self.link.send(local, peer, datagram, now)
+            if trace is not None:
+                trace.append(f"{now:.3f} {local}->{peer} {datagram.hex()}")
+            send(local, peer, datagram, now)
 
     def wait(self, until: Optional[float]) -> Optional[Iterable]:
         clock = self.clock
@@ -182,9 +187,9 @@ class _LinkTransport:
         return []
 
     def _due(self, at: float):
-        clock = self.clock
-        while clock.peek_time() == at:
-            yield clock.pop()[1]  # (destination, source, datagram)
+        peek_time, pop = self.clock.peek_time, self.clock.pop
+        while peek_time() == at:
+            yield pop()[1]  # (destination, source, datagram)
 
     def now(self) -> float:
         return self.clock.now

@@ -108,12 +108,13 @@ class UdpEndpoint:
         A GRO-coalesced buffer is split back into its datagrams.
         """
         received = []
+        gro, recvmsg, recvfrom = self._gro, self._sock.recvmsg, self._sock.recvfrom
         while True:
             try:
-                if self._gro:
-                    datagram, ancillary, _, addr = self._sock.recvmsg(65535, _GRO_CMSG_SPACE)
+                if gro:
+                    datagram, ancillary, _, addr = recvmsg(65535, _GRO_CMSG_SPACE)
                 else:
-                    datagram, addr = self._sock.recvfrom(65535)
+                    datagram, addr = recvfrom(65535)
                     ancillary = ()
             except (BlockingIOError, InterruptedError):
                 return received
@@ -122,8 +123,8 @@ class UdpEndpoint:
             if ancillary:
                 [(_, _, value)] = ancillary  # UDP_GRO is the only one enabled
                 size = int.from_bytes(value, sys.byteorder)
-                received.extend((addr, datagram[at:at + size])
-                                for at in range(0, len(datagram), size))
+                received += [(addr, datagram[at:at + size])
+                             for at in range(0, len(datagram), size)]
             else:
                 received.append((addr, datagram))
 
@@ -168,7 +169,7 @@ class UdpTransport:
         if len(self.endpoints) == 1:
             [(local, endpoint)] = self.endpoints.items()
             received = endpoint.poll(timeout)  # here, so now() reads after the arrival
-            return ((local, addr, datagram) for addr, datagram in received)
+            return [(local, addr, datagram) for addr, datagram in received]
         # drained here too: a lazy drain would run after the Pump reads the clock
         readable, _, _ = select.select(list(self.endpoints.values()), [], [], timeout)
         return [(endpoint.address, addr, datagram)

@@ -21,6 +21,13 @@ The full layout with worked hex examples lives in docs/wire.md. Decoding is
 total: any input either yields a packet or raises DecodeError; whatever is
 accepted re-encodes to the identical bytes.
 
+Data is nearly every datagram of a transfer, so each direction of the codec
+takes it first on a path of its own. encode_packet packs a Data with one
+struct call before it looks at any other type. decode_packet unpacks the
+18-byte head once and returns a well-formed Data at once; any other input,
+a malformed Data included, goes through the ordered checks, so the reason a
+DecodeError gives does not depend on that shortcut.
+
 Packets are slotted value records: they compare by value and list their
 fields through dataclasses.fields(), but are neither frozen nor hashable,
 and nothing keys a set or dict on one. Data.payload is any bytes-like
@@ -61,15 +68,17 @@ class MtuError(ValueError):
 
 
 # One precompiled layout per fixed section. Data and Acknowledgement share
-# an 18-byte head: header, id, block_number or window_index, and the payload
-# length or entry count. WriteRequest and Error carry their u16 string
-# prefixes at the end of a fixed section.
-_HEAD = struct.Struct("!2sBBQIH")
+# an 18-byte head: the 4-byte header as one field, id, block_number or
+# window_index, and the payload length or entry count. WriteRequest and
+# Error carry their u16 string prefixes at the end of a fixed section.
+_HEAD = struct.Struct("!4sQIH")
 _WR_HEAD = struct.Struct("!2sBBQH")      # header, id, info length
 _WR_BODY = struct.Struct("!QIIIQH")      # data_size .. nonce, metadata length
 _ERROR_HEAD = struct.Struct("!2sBBQBH")  # header, id, code, message length
 _ENTRIES = [struct.Struct(f"!{n}I") for n in range(ACK_MAX_UNRECEIVED + 1)]  # by entry count
 _PREFIX = MAGIC + bytes([VERSION])
+_DATA_PREFIX = _PREFIX + bytes([TYPE_DATA])
+_ACK_PREFIX = _PREFIX + bytes([TYPE_ACKNOWLEDGEMENT])
 
 
 class ErrorCode(IntEnum):
@@ -146,24 +155,23 @@ def _check(condition: bool, what: str) -> None:
 def encode_packet(packet: Packet) -> bytes:
     """Serialize a packet; raises ValueError if a field violates its cap."""
     try:
+        if isinstance(packet, Data):  # the common case, first
+            payload = packet.payload
+            if len(payload) > PAYLOAD_MAX:
+                raise ValueError("payload exceeds 1200 bytes")
+            return _HEAD.pack(_DATA_PREFIX, packet.id, packet.block_number,
+                              len(payload)) + payload
         return _encode(packet)
     except struct.error as exc:
         raise ValueError(f"field out of range: {exc}") from None
 
 
 def _encode(packet: Packet) -> bytes:
-    if isinstance(packet, Data):
-        payload = packet.payload
-        _check(len(payload) <= PAYLOAD_MAX, "payload exceeds 1200 bytes")
-        return _HEAD.pack(MAGIC, VERSION, TYPE_DATA, packet.id, packet.block_number,
-                          len(payload)) + payload
-
     if isinstance(packet, Acknowledgement):
         entries = packet.unreceived
         _check(len(entries) <= ACK_MAX_UNRECEIVED, "unreceived list too long for one datagram")
         _check(all(map(lt, entries, entries[1:])), "unreceived list must be strictly increasing")
-        return (_HEAD.pack(MAGIC, VERSION, TYPE_ACKNOWLEDGEMENT, packet.id,
-                           packet.window_index, len(entries))
+        return (_HEAD.pack(_ACK_PREFIX, packet.id, packet.window_index, len(entries))
                 + _ENTRIES[len(entries)].pack(*entries))
 
     if isinstance(packet, WriteRequest):
@@ -239,26 +247,29 @@ def decode_packet(raw: bytes) -> Packet:
     """Parse one datagram; raises DecodeError on any invalid input.
 
     When an input breaks several rules, the first one met reading front to
-    back decides the reason (docs/wire.md, "Decode order").
+    back decides the reason (docs/wire.md, "Decode order"). A well-formed
+    Data returns from its head check; every other input meets those rules.
     """
+    if len(raw) >= DATA_WIRE_OVERHEAD:
+        head, pid, block_number, length = _HEAD.unpack_from(raw)
+        if head == _DATA_PREFIX and len(raw) - DATA_WIRE_OVERHEAD == length <= PAYLOAD_MAX:
+            return Data(pid, block_number, raw[DATA_WIRE_OVERHEAD:])
     if raw[:3] != _PREFIX or len(raw) < 4:
         raise _header_error(raw)
     ptype = raw[3]
 
-    if ptype == TYPE_DATA:
+    if ptype == TYPE_DATA:  # not well formed, or it would have returned above
         if len(raw) < DATA_WIRE_OVERHEAD:
             raise _truncated("Data head")
-        _, _, _, pid, block_number, length = _HEAD.unpack_from(raw)
+        length = _HEAD.unpack_from(raw)[3]
         if length > PAYLOAD_MAX:
             raise DecodeError("invariant", f"payload exceeds {PAYLOAD_MAX} bytes")
-        if len(raw) != DATA_WIRE_OVERHEAD + length:
-            raise _length_error(raw, DATA_WIRE_OVERHEAD + length, "payload")
-        return Data(pid, block_number, raw[DATA_WIRE_OVERHEAD:])
+        raise _length_error(raw, DATA_WIRE_OVERHEAD + length, "payload")
 
     if ptype == TYPE_ACKNOWLEDGEMENT:
         if len(raw) < DATA_WIRE_OVERHEAD:
             raise _truncated("Acknowledgement head")
-        _, _, _, pid, window_index, count = _HEAD.unpack_from(raw)
+        _, pid, window_index, count = _HEAD.unpack_from(raw)
         if count > ACK_MAX_UNRECEIVED:
             raise DecodeError("invariant", "unreceived list too long for one datagram")
         if len(raw) != DATA_WIRE_OVERHEAD + 4 * count:

@@ -268,3 +268,30 @@ def test_valid_header_shaped_tail(raw):
 def test_valid_packet_cut_or_extended(seed, cut, extra):
     raw = encode_packet(random_packet(random.Random(seed)))
     assert_agrees(raw[:cut] + extra)
+
+
+# --- Data inputs the decoder's head check must hand to the ordered checks --------
+
+def _data_head(length, magic=MAGIC, version=VERSION):
+    return magic + bytes([version, TYPE_DATA]) + (7).to_bytes(8, "big") + (3).to_bytes(4, "big") \
+        + length.to_bytes(2, "big")
+
+
+MALFORMED_DATA = {
+    "wrong magic": (_data_head(10, magic=b"\xeb\x02") + bytes(10), "magic"),
+    "wrong version": (_data_head(10, version=VERSION + 1) + bytes(10), "magic"),
+    "length above PAYLOAD_MAX": (_data_head(PAYLOAD_MAX + 1) + bytes(PAYLOAD_MAX + 1),
+                                 "invariant"),
+    "one trailing byte": (_data_head(10) + bytes(11), "invariant"),
+    "one byte short": (_data_head(10) + bytes(9), "truncation"),
+    "one byte short, head alone": (_data_head(1), "truncation"),
+}
+
+
+def test_malformed_data_falls_through_to_the_ordered_checks():
+    """Type-3 inputs of 18 bytes or more that fail the well-formed Data check
+    get the reason the field-by-field decoder gives."""
+    assert decode_packet(_data_head(10) + bytes(10)) == Data(7, 3, bytes(10))
+    for name, (raw, reason) in MALFORMED_DATA.items():
+        assert len(raw) >= 18, name
+        assert outcome(decode_packet, raw) == outcome(oracle_decode, raw) == ("error", reason), name
