@@ -3,7 +3,13 @@
 A sweep runs one transfer per (block size, window size, iteration) cell on a
 fresh simulated link whose seed is derived from the cell coordinates, so any
 cell can be reproduced in isolation and a re-run yields a byte-identical
-CSV. Metrics come straight from the engine counters rather than parsed logs.
+CSV. Every transfer, a sweep cell or an evaluation repetition, goes through
+one runner, and each sweep or evaluation builds its payload once. A rerun
+into the same CSV reuses each row whose block size, window size, iteration
+and seed match a cell of the grid, and an interrupted sweep keeps the rows
+it finished. The link, the data size and the timer settings have no CSV
+column, so a change to any of them needs a fresh file. Metrics come straight
+from the engine counters rather than parsed logs.
 """
 
 from __future__ import annotations
@@ -12,6 +18,8 @@ import math
 import random
 import statistics
 from dataclasses import dataclass, replace
+from itertools import product
+from pathlib import Path
 from typing import Optional
 
 from .engine import DEFAULT_MAX_TRANSFER_SIZE, TransferParameters
@@ -44,7 +52,10 @@ def cell_seed(seed: int, block_size: int, window_size: int, iteration: int) -> i
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """A sweep grid plus the link and transfer tunables shared by its cells."""
+    """A sweep grid plus the link and transfer tunables shared by its cells.
+
+    Construction checks every cell's TransferParameters, so a bad grid or
+    timer setting fails before any cell runs."""
 
     # 8 MiB per transfer and a 100 ms interval keep the RTT-per-window signal
     # well above timeout-stall noise, so per-cell means order cleanly by B
@@ -64,12 +75,14 @@ class ExperimentConfig:
             raise ValueError("iterations must be at least 1")
         if self.data_size < 0:
             raise ValueError("data_size must not be negative")
+        for block_size, window_size in product(self.block_grid, self.window_grid):
+            TransferParameters(block_size=block_size, window_size=window_size,
+                               retransmit_interval_ms=self.interval_ms,
+                               max_attempts=self.max_attempts)
 
     def cells(self):
-        for block_size in self.block_grid:
-            for window_size in self.window_grid:
-                for iteration in range(self.iterations):
-                    yield block_size, window_size, iteration
+        """Each (B, W, iteration) of the grid, in grid order, iterations innermost."""
+        return product(self.block_grid, self.window_grid, range(self.iterations))
 
 
 @dataclass(frozen=True)
@@ -96,90 +109,104 @@ class TransferStats:
     @classmethod
     def from_csv_row(cls, line: str) -> "TransferStats":
         b, w, it, seed, dur, tput, lost, rw, ra, done = line.strip().split(",")
-        return cls(block_size=int(b), window_size=int(w), iteration=int(it),
-                   seed=int(seed), duration_ms=float(dur), throughput_Bps=float(tput),
-                   lost_blocks=int(lost), retx_windows=int(rw), retx_acks=int(ra),
-                   completed=done == "1")
+        return cls(int(b), int(w), int(it), int(seed), float(dur), float(tput),
+                   int(lost), int(rw), int(ra), done == "1")
 
 
-def _params_for(config: ExperimentConfig, block_size: int,
-                window_size: int) -> TransferParameters:
-    return TransferParameters(
-        block_size=block_size, window_size=window_size,
-        retransmit_interval_ms=config.interval_ms,
-        max_attempts=config.max_attempts)
-
-
-def _stats_from(outcome, data_size: int, block_size: int, window_size: int,
-                iteration: int, seed: int) -> TransferStats:
-    sender = outcome.sender.counters
-    receiver = outcome.receiver.counters if outcome.receiver is not None else None
+def _stats_from(outcome, data_size: int, cell: tuple, seed: int) -> TransferStats:
+    sender, receiver = outcome.sender.counters, outcome.receiver
     if outcome.completed:
         expected = sender.blocks_due(outcome.sender.block_count)
         if sender.blocks_sent != expected:
             raise RuntimeError(
                 f"block conservation violated: sent {sender.blocks_sent}, "
                 f"expected {expected}")
-    throughput = 0.0
-    if outcome.completed and outcome.duration_ms > 0:
-        throughput = data_size / (outcome.duration_ms / 1000.0)
+    throughput = (data_size / (outcome.duration_ms / 1000.0)
+                  if outcome.completed and outcome.duration_ms > 0 else 0.0)
     return TransferStats(
-        block_size=block_size, window_size=window_size, iteration=iteration,
-        seed=seed, duration_ms=outcome.duration_ms, throughput_Bps=throughput,
+        *cell, seed=seed, duration_ms=outcome.duration_ms, throughput_Bps=throughput,
         lost_blocks=sender.lost_blocks, retx_windows=sender.window_retransmits,
-        retx_acks=receiver.ack_retransmits if receiver is not None else 0,
+        retx_acks=receiver.counters.ack_retransmits if receiver is not None else 0,
         completed=outcome.completed)
+
+
+def _payload(config: ExperimentConfig) -> bytes:
+    return random.Random(config.seed).randbytes(config.data_size)
+
+
+def _run_cell(config: ExperimentConfig, data: bytes, cell: tuple,
+              mode: str = "sim") -> TransferStats:
+    """Send data once as one (B, W, iteration) cell of config, on the cell's seed."""
+    block_size, window_size, iteration = cell
+    seed = cell_seed(config.seed, *cell)
+    params = TransferParameters(block_size=block_size, window_size=window_size,
+                                retransmit_interval_ms=config.interval_ms,
+                                max_attempts=config.max_attempts)
+    info = f"cell-{block_size}-{window_size}-{iteration}"
+    if mode == "sim":
+        outcome = run_simulated_transfer(
+            data, replace(config.link, seed=seed), params, info=info)
+    else:
+        outcome = run_loopback_transfer(data, params, info=info, seed=seed)
+    return _stats_from(outcome, len(data), cell, seed)
 
 
 def run_experiment(config: ExperimentConfig, block_size: int, window_size: int,
                    iteration: int) -> TransferStats:
     """Run one cell to completion or failure on a fresh simulated link."""
-    seed = cell_seed(config.seed, block_size, window_size, iteration)
-    data = random.Random(config.seed).randbytes(config.data_size)
-    outcome = run_simulated_transfer(
-        data, replace(config.link, seed=seed),
-        _params_for(config, block_size, window_size),
-        info=f"cell-{block_size}-{window_size}-{iteration}")
-    return _stats_from(outcome, config.data_size, block_size, window_size,
-                       iteration, seed)
+    return _run_cell(config, _payload(config), (block_size, window_size, iteration))
+
+
+def _write_csv(csv_path, rows, old_text: str = "") -> None:
+    """Write the header and rows unless the file already reads so; the file is
+    replaced in one step, so an interruption leaves the old one whole."""
+    text = "".join(f"{line}\n" for line in [CSV_HEADER, *(r.csv_row() for r in rows)])
+    if text != old_text:
+        Path(f"{csv_path}.part").write_text(text, encoding="utf-8", newline="\n")
+        Path(f"{csv_path}.part").replace(csv_path)
 
 
 def sweep(config: ExperimentConfig, csv_path) -> list:
     """Run the whole grid, writing one CSV row per cell iteration.
 
-    Cells already present in the file are not re-run, so an interrupted
-    sweep resumes where it stopped; a complete file is left as is. Rows are
-    written in grid order regardless of interruption, and identical seeds
-    produce identical bytes.
+    A rerun into the same file reuses each row whose block size, window
+    size, iteration and seed match a cell of the grid and runs only the
+    rest; the link, data size and timer settings have no column, so a change
+    to any of them needs a fresh file. Each fresh row is appended and flushed
+    as its cell ends, so an interrupted sweep keeps its finished rows, and a
+    torn tail line is dropped. The finished file holds the grid's rows in
+    grid order, a complete file is left as is, and identical seeds produce
+    identical bytes.
     """
-    existing: dict = {}
+    cells = list(config.cells())
+    rows: dict = dict.fromkeys(cells)
     try:
-        with open(csv_path, "r", encoding="utf-8") as handle:
-            lines = handle.read().splitlines()
-        if lines and lines[0] == CSV_HEADER:
-            for line in lines[1:]:
-                try:
-                    row = TransferStats.from_csv_row(line)
-                except ValueError:
-                    continue  # torn tail line from an interrupted run
-                existing[(row.block_size, row.window_size, row.iteration)] = row
+        text = Path(csv_path).read_text(encoding="utf-8")
     except FileNotFoundError:
-        pass
+        text = ""
+    lines = text.split("\n")[:-1]  # a tail with no newline is torn
+    if lines[:1] == [CSV_HEADER]:
+        for line in lines[1:]:
+            try:
+                row = TransferStats.from_csv_row(line)
+            except ValueError:
+                continue
+            cell = (row.block_size, row.window_size, row.iteration)
+            if cell in rows and row.seed == cell_seed(config.seed, *cell):
+                rows[cell] = row
 
-    rows = []
-    fresh = 0
-    for block_size, window_size, iteration in config.cells():
-        row = existing.get((block_size, window_size, iteration))
-        if row is None:
-            row = run_experiment(config, block_size, window_size, iteration)
-            fresh += 1
-        rows.append(row)
-    if fresh or len(existing) != len(rows):
-        with open(csv_path, "w", encoding="utf-8", newline="\n") as handle:
-            handle.write(CSV_HEADER + "\n")
-            for row in rows:
-                handle.write(row.csv_row() + "\n")
-    return rows
+    known = [rows[cell] for cell in cells if rows[cell] is not None]
+    _write_csv(csv_path, known, text)
+    if len(known) < len(cells):
+        data = _payload(config)
+        with open(csv_path, "a", encoding="utf-8", newline="\n") as handle:
+            for cell in cells:
+                if rows[cell] is None:
+                    rows[cell] = _run_cell(config, data, cell)
+                    handle.write(rows[cell].csv_row() + "\n")
+                    handle.flush()
+        _write_csv(csv_path, [rows[cell] for cell in cells])  # grid order
+    return [rows[cell] for cell in cells]
 
 
 def summarize(rows) -> str:
@@ -251,34 +278,30 @@ def evaluate_large(data_size: int = DEFAULT_MAX_TRANSFER_SIZE,
     """Repeat one large transfer and aggregate its stats.
 
     mode "sim" runs over a simulated link (lossless unless given), "loopback"
-    over two real UDP sockets on this host. A lossless simulated link cannot
-    legitimately retransmit a window, so that is enforced here.
+    over two real UDP sockets on this host. The repetitions share one payload
+    and run as the cells of a one-cell ExperimentConfig. A simulated link with
+    no loss, no jitter and no rate limit, under an interval of at least its
+    round trip, gives the sender no cause to re-send a window, so a re-sent
+    window there raises RuntimeError.
     """
     if mode not in ("sim", "loopback"):
         raise ValueError(f"unknown mode {mode!r}")
     if repetitions < 1:
         raise ValueError("repetitions must be at least 1")
-    link = link if link is not None else LinkModel()
-    params = TransferParameters(
-        block_size=block_size, window_size=window_size,
-        retransmit_interval_ms=interval_ms, max_attempts=max_attempts)
-    data = random.Random(seed).randbytes(data_size)
+    config = ExperimentConfig(
+        block_grid=(block_size,), window_grid=(window_size,),
+        iterations=repetitions, data_size=data_size, link=link or LinkModel(),
+        seed=seed, interval_ms=interval_ms, max_attempts=max_attempts)
+    link = config.link
+    clean = (mode == "sim" and interval_ms >= 2 * link.latency_base_ms and not (
+        link.loss_probability or link.latency_jitter_ms or link.rate_kbps))
+    data = _payload(config)
 
     collected = []
-    for rep in range(repetitions):
-        rep_seed = cell_seed(seed, block_size, window_size, rep)
-        if mode == "sim":
-            outcome = run_simulated_transfer(
-                data, replace(link, seed=rep_seed), params, info=f"eval-{rep}")
-        else:
-            outcome = run_loopback_transfer(data, params, info=f"eval-{rep}",
-                                            seed=rep_seed)
-        stats = _stats_from(outcome, data_size, block_size, window_size,
-                            rep, rep_seed)
-        healthy_sim = (mode == "sim" and link.loss_probability == 0.0)
-        if healthy_sim and stats.retx_windows:
-            raise RuntimeError(
-                f"window retransmissions on a lossless link (rep {rep})")
+    for rep, cell in enumerate(config.cells()):
+        stats = _run_cell(config, data, cell, mode)
+        if clean and stats.retx_windows:
+            raise RuntimeError(f"window retransmissions on a lossless link (rep {rep})")
         collected.append(stats)
 
     throughputs = [s.throughput_Bps for s in collected if s.completed] or [0.0]

@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+from blockfer import bench, engine
 from blockfer.bench import (
     CSV_HEADER,
     ExperimentConfig,
@@ -38,6 +39,11 @@ def test_config_validation():
         tiny_config(iterations=0)
     with pytest.raises(ValueError):
         tiny_config(data_size=-1)
+    # every cell's transfer parameters are checked before any cell runs
+    for bad in (dict(block_grid=(600, 1201)), dict(window_grid=(16, 306)),
+                dict(interval_ms=0.0), dict(max_attempts=0)):
+        with pytest.raises(ValueError):
+            tiny_config(**bad)
 
 
 def test_cell_seed_is_deterministic_and_spreads():
@@ -114,6 +120,49 @@ def test_sweep_resumes_from_partial_csv(tmp_path):
     assert path.read_bytes() == complete
 
 
+def test_sweep_reuses_only_rows_of_its_own_seed(tmp_path):
+    """A row is reused only when its seed column is the cell's seed, so a
+    sweep under another seed into the same file reruns every cell."""
+    shared, fresh = tmp_path / "shared.csv", tmp_path / "fresh.csv"
+    sweep(tiny_config(seed=3), shared)
+    sweep(tiny_config(seed=4), shared)
+    sweep(tiny_config(seed=4), fresh)
+    assert shared.read_bytes() == fresh.read_bytes()
+
+
+def test_interrupted_sweep_keeps_its_finished_rows(tmp_path, monkeypatch):
+    config = tiny_config()
+    whole, path = tmp_path / "whole.csv", tmp_path / "s.csv"
+    sweep(config, whole)
+    calls = []
+    run = bench.run_simulated_transfer
+
+    def interrupted_on_the_fourth(*args, **kwargs):
+        calls.append(args)
+        if len(calls) == 4:
+            raise KeyboardInterrupt
+        return run(*args, **kwargs)
+
+    monkeypatch.setattr(bench, "run_simulated_transfer", interrupted_on_the_fourth)
+    with pytest.raises(KeyboardInterrupt):
+        sweep(config, path)
+    assert path.read_text().splitlines() == whole.read_text().splitlines()[:4]
+    sweep(config, path)
+    assert len(calls) == 4 + 5  # the rerun reuses the 3 finished rows of 8
+    assert path.read_bytes() == whole.read_bytes()
+
+
+def test_sweep_drops_a_torn_tail_and_restores_grid_order(tmp_path):
+    config = tiny_config()
+    path = tmp_path / "s.csv"
+    sweep(config, path)
+    complete = path.read_bytes()
+    header, *rows = complete.decode().splitlines(keepends=True)
+    path.write_text(header + "".join(reversed(rows[2:])) + rows[0].rstrip("\n"))
+    assert len(sweep(config, path)) == 8
+    assert path.read_bytes() == complete
+
+
 def test_bigger_blocks_transfer_faster():
     # fewer windows means fewer ack round trips on a 20 ms link
     config = tiny_config(data_size=2 * 2**20, iterations=1,
@@ -175,6 +224,41 @@ def test_evaluate_large_lossy_sim_counts_losses():
                             link=link, interval_ms=200.0, seed=13)
     assert all(s.completed for s in report.stats)
     assert report.total_lost_blocks > 0
+
+
+def test_evaluate_large_lets_a_rate_limited_lossless_link_probe():
+    """A window that takes longer to cross a 250 kbit/s link than the sender's
+    timeout draws probes, though nothing is lost."""
+    report = evaluate_large(data_size=2**20, repetitions=1, mode="sim",
+                            link=LinkModel(latency_base_ms=20.0, rate_kbps=250.0))
+    assert all(s.completed for s in report.stats)
+    assert report.total_retx_windows > 0
+    assert report.total_lost_blocks == 0
+
+
+def test_evaluate_large_lets_a_short_interval_probe():
+    """An interval under the round trip fires before window 0's ack arrives."""
+    link = LinkModel(latency_base_ms=20.0)
+    report = evaluate_large(data_size=2**20, repetitions=1, link=link, interval_ms=30.0)
+    assert report.total_retx_windows > 0
+    report = evaluate_large(data_size=2**20, repetitions=1, link=link, interval_ms=40.0)
+    assert report.total_retx_windows == 0
+
+
+def test_evaluate_large_catches_a_probe_on_a_clean_link(monkeypatch):
+    """A sender whose timeout falls below the round trip re-sends on a link
+    that gives it no cause: the check still raises there."""
+    set_rto = engine._set_rto
+
+    def hasty(state):
+        set_rto(state)
+        if isinstance(state, engine.SenderState):
+            state.rto = 1.0
+
+    monkeypatch.setattr(engine, "_set_rto", hasty)
+    with pytest.raises(RuntimeError, match="lossless link"):
+        evaluate_large(data_size=2**20, repetitions=1, mode="sim",
+                       link=LinkModel(latency_base_ms=20.0))
 
 
 def test_transfer_stats_row_roundtrip():

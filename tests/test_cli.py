@@ -23,11 +23,17 @@ from blockfer.wire import (
 CLI = [sys.executable, "-m", "blockfer.cli"]
 
 
-def run_cli(*args, env_extra=None, timeout=90):
-    env = os.environ.copy()
+def cli_env(env_extra=None) -> dict:
+    """This environment without its BLOCKFER_* variables, then env_extra: a
+    child reads only the defaults a test gives it."""
+    env = {k: v for k, v in os.environ.items() if not k.startswith("BLOCKFER_")}
     env.update(env_extra or {})
+    return env
+
+
+def run_cli(*args, env_extra=None, timeout=90):
     return subprocess.run([*CLI, *map(str, args)], capture_output=True,
-                          text=True, env=env, timeout=timeout)
+                          text=True, env=cli_env(env_extra), timeout=timeout)
 
 
 def free_port() -> int:
@@ -44,11 +50,16 @@ def test_no_arguments_is_a_usage_error():
     assert result.stdout == ""
 
 
-def test_bad_flag_value_is_a_usage_error():
-    result = run_cli("send", "--to", "127.0.0.1:9", "--block-size", "0", "/dev/null")
-    assert result.returncode == 2
-    assert result.stdout == ""
-    assert "block" in result.stderr.lower()
+def test_bad_flag_value_is_a_usage_error(tmp_path):
+    csv = tmp_path / "s.csv"
+    for args in (("send", "--to", "127.0.0.1:9", "--block-size", "0", "/dev/null"),
+                 ("sweep", "--blocks", "5000,600", "--csv", csv),
+                 ("eval", "--block-size", "5000")):
+        result = run_cli(*args)
+        assert result.returncode == 2, result.stderr
+        assert result.stdout == ""
+        assert "block" in result.stderr.lower()
+    assert not csv.exists()  # the sweep's grid is checked before any cell runs
 
 
 def test_send_missing_file_is_an_io_error(tmp_path):
@@ -99,7 +110,7 @@ def send_receive(tmp_path, size, extra_send=(), extra_recv=(), env_extra=None):
         [*CLI, "recv", "--port", str(port), "--out", str(sink),
          "--wait-s", "30", *map(str, extra_recv)],
         stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
-        env={**os.environ, **(env_extra or {})})
+        env=cli_env(env_extra))
     try:
         send = run_cli("send", "--to", f"127.0.0.1:{port}",
                        "--interval-ms", "200", "--attempts", "20",
@@ -148,7 +159,7 @@ def test_sealed_transfer_to_the_wrong_peer_key_fails_closed(tmp_path):
         [*CLI, "recv", "--port", str(port), "--out", str(sink), "--wait-s", "2",
          "--cipher", "sealed", "--key", str(keys["bob"][0]),
          "--peer-key", str(keys["alice"][1])],
-        stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True)
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True, env=cli_env())
     try:
         send = run_cli("send", "--to", f"127.0.0.1:{port}",
                        "--interval-ms", "100", "--attempts", "2",
@@ -211,6 +222,15 @@ def test_eval_sim_prints_report(tmp_path):
     assert "window retransmits" in result.stdout
 
 
+def test_eval_over_a_jittered_lossless_link_completes():
+    """Jitter of 500 ms around 20 ms delays blocks past the sender's timeout,
+    so it probes, yet nothing is lost: eval reports and exits 0."""
+    result = run_cli("eval", "--mode", "sim", "--size", "1048576", "--reps", "3",
+                     "--latency-ms", "20", "--jitter-ms", "500")
+    assert result.returncode == 0, result.stderr
+    assert "transfers            3 (3 completed)" in result.stdout
+
+
 def test_recv_refusal_keeps_waiting_for_a_valid_sender(tmp_path):
     """An announcement over --max-size is refused without claiming the
     receiver: the next sender's file arrives and recv exits 0."""
@@ -222,7 +242,7 @@ def test_recv_refusal_keeps_waiting_for_a_valid_sender(tmp_path):
     recv = subprocess.Popen(
         [*CLI, "recv", "--port", str(port), "--out", str(sink),
          "--max-size", "1000", "--wait-s", "20"],
-        stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True)
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True, env=cli_env())
     try:
         send_args = ("send", "--to", f"127.0.0.1:{port}", "--interval-ms", "200",
                      "--attempts", "20")
@@ -265,7 +285,7 @@ def test_recv_claims_the_first_announcement_and_times_out_when_it_goes_silent(tm
     recv = subprocess.Popen(
         [*CLI, "recv", "--port", str(port), "--out", str(tmp_path / "o.bin"),
          "--interval-ms", "100", "--attempts", "2", "--wait-s", "20"],
-        stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True)
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True, env=cli_env())
     first = socket.socket(socket.AF_INET, socket.SOCK_DGRAM)
     second = socket.socket(socket.AF_INET, socket.SOCK_DGRAM)
     try:
@@ -316,7 +336,7 @@ def test_recv_takes_one_transfer_and_turns_its_peers_next_one_away(tmp_path):
     recv = subprocess.Popen(
         [*CLI, "recv", "--port", str(port), "--out", str(sink),
          "--interval-ms", "200", "--wait-s", "20"],
-        stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True)
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True, env=cli_env())
     sock = socket.socket(socket.AF_INET, socket.SOCK_DGRAM)
     try:
         sock.bind(("127.0.0.1", 0))
@@ -360,7 +380,7 @@ def test_recv_lingers_a_whole_interval_for_a_lost_final_ack(tmp_path):
     recv = subprocess.Popen(
         [*CLI, "recv", "--port", str(port), "--out", str(sink),
          "--interval-ms", "3000", "--wait-s", "20"],
-        stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True)
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True, env=cli_env())
     sock = socket.socket(socket.AF_INET, socket.SOCK_DGRAM)
     try:
         sock.bind(("127.0.0.1", 0))
