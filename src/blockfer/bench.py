@@ -176,7 +176,8 @@ def sweep(config: ExperimentConfig, csv_path) -> list:
     as its cell ends, so an interrupted sweep keeps its finished rows, and a
     torn tail line is dropped. The finished file holds the grid's rows in
     grid order, a complete file is left as is, and identical seeds produce
-    identical bytes.
+    identical bytes. Every row comes back as its CSV line reads, with the
+    CSV's rounding, so a rerun summarizes exactly as the fresh run did.
     """
     cells = list(config.cells())
     rows: dict = dict.fromkeys(cells)
@@ -202,8 +203,9 @@ def sweep(config: ExperimentConfig, csv_path) -> list:
         with open(csv_path, "a", encoding="utf-8", newline="\n") as handle:
             for cell in cells:
                 if rows[cell] is None:
-                    rows[cell] = _run_cell(config, data, cell)
-                    handle.write(rows[cell].csv_row() + "\n")
+                    line = _run_cell(config, data, cell).csv_row()
+                    rows[cell] = TransferStats.from_csv_row(line)  # as a rerun reads it
+                    handle.write(line + "\n")
                     handle.flush()
         _write_csv(csv_path, [rows[cell] for cell in cells])  # grid order
     return [rows[cell] for cell in cells]

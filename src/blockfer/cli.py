@@ -22,9 +22,12 @@ refusal), 4 input/output error.
 from __future__ import annotations
 
 import argparse
+import contextlib
+import dataclasses
 import os
 import random
 import sys
+import tempfile
 import time
 
 from .crypto import (
@@ -91,12 +94,13 @@ def _parse_address(text: str):
 
 
 def _int_list(text: str) -> tuple:
+    """A type= callable: argparse shows an ArgumentTypeError's own message."""
     try:
         values = tuple(int(part) for part in text.split(",") if part.strip())
     except ValueError as exc:
-        raise UsageError(f"bad integer list {text!r}") from exc
+        raise argparse.ArgumentTypeError(f"bad integer list {text!r}") from exc
     if not values:
-        raise UsageError(f"empty integer list {text!r}")
+        raise argparse.ArgumentTypeError(f"empty integer list {text!r}")
     return values
 
 
@@ -189,16 +193,19 @@ def _build_parser() -> argparse.ArgumentParser:
     sweep_cmd = sub.add_parser("sweep", help="run the parameter sweep grid")
     sweep_cmd.add_argument("--csv", default=_env("CSV", str, "sweep.csv"),
                            help="CSV output path (default sweep.csv)")
-    sweep_cmd.add_argument("--blocks", type=_int_list, default=None,
-                           help="comma separated block sizes")
-    sweep_cmd.add_argument("--windows", type=_int_list, default=None,
-                           help="comma separated window sizes")
-    sweep_cmd.add_argument("--iterations", type=int, default=None)
-    sweep_cmd.add_argument("--data-size", type=int, default=None,
+    # the grid and timer flags are ExperimentConfig fields, left unset unless given
+    unset = argparse.SUPPRESS
+    sweep_cmd.add_argument("--blocks", type=_int_list, default=unset, dest="block_grid",
+                           metavar="BLOCKS", help="comma separated block sizes")
+    sweep_cmd.add_argument("--windows", type=_int_list, default=unset, dest="window_grid",
+                           metavar="WINDOWS", help="comma separated window sizes")
+    sweep_cmd.add_argument("--iterations", type=int, default=unset)
+    sweep_cmd.add_argument("--data-size", type=int, default=unset,
                            help="bytes per transfer")
     _add_link_flags(sweep_cmd, loss_default=0.01, latency_default=20.0)
-    sweep_cmd.add_argument("--interval-ms", type=float, default=None)
-    sweep_cmd.add_argument("--attempts", type=int, default=None)
+    sweep_cmd.add_argument("--interval-ms", type=float, default=unset)
+    sweep_cmd.add_argument("--attempts", type=int, default=unset, dest="max_attempts",
+                           metavar="ATTEMPTS")
     sweep_cmd.add_argument("--seed", type=int, default=_env("SEED", int, 0))
     sweep_cmd.set_defaults(func=_cmd_sweep)
 
@@ -301,58 +308,78 @@ def _cmd_send(args) -> int:
                                    state.block_count), state.block_count, reported)
 
 
-class _OneClaim:
-    """recv's engine as the Pump sees it: the engine with one rule on top.
+class _OneClaim(Engine):
+    """recv's engine: the Engine with one rule on top.
 
     The first announcement the engine accepts claims recv for its (peer,
     id); from then on every other announcement, from any address, draws
     BUSY. Every other datagram meets the engine's own rules.
     """
 
-    def __init__(self, engine: Engine):
-        self.engine = engine
-        self.next_deadline, self.tick = engine.next_deadline, engine.tick
-        self._engine_packet_in = engine.packet_in
-        self.claimed = None  # (peer, id) of the one transfer recv takes
+    claimed = None  # (peer, id) of the one transfer recv takes
 
     def packet_in(self, peer, packet, now: float) -> EngineOutput:
         if not isinstance(packet, WriteRequest) or self.claimed == (peer, packet.id):
-            return self._engine_packet_in(peer, packet, now)
+            return Engine.packet_in(self, peer, packet, now)  # per datagram: cheaper than super()
         if self.claimed is not None:
             out = EngineOutput()
             out.packets.append((peer, ErrorPacket(packet.id, ErrorCode.BUSY, "receiver busy")))
             return out
-        out = self.engine.packet_in(peer, packet, now)
-        if self.engine.transfer(packet.id) is not None:  # nothing else ever went live
+        out = Engine.packet_in(self, peer, packet, now)
+        if self.transfer(packet.id) is not None:  # nothing else ever went live
             self.claimed = peer, packet.id
         _err(f"{'accepting' if self.claimed else 'refused'} {packet.info!r} "
              f"({packet.data_size} bytes) from {peer[0]}:{peer[1]}")
         return out
 
 
+@contextlib.contextmanager
+def _stage(path: str):
+    """A temporary file next to path, made at once, so that a path recv
+    cannot write fails before any peer is answered. Yields store(data),
+    which writes data there and renames the file onto path; every other
+    way out removes the file."""
+    if os.path.isdir(path):  # the rename onto it would fail only after the final ack
+        raise _IoError(f"cannot write {path}: it is a directory")
+    try:
+        fd, part = tempfile.mkstemp(prefix=f".{os.path.basename(path)}.", suffix=".part",
+                                    dir=os.path.dirname(os.path.abspath(path)))
+    except OSError as exc:
+        raise _IoError(f"cannot write {path}: {exc}") from exc
+    os.close(fd)
+
+    def store(data: bytes) -> None:
+        try:
+            with open(part, "wb") as handle:
+                handle.write(data)
+            umask = os.umask(0)
+            os.umask(umask)
+            os.chmod(part, 0o666 & ~umask)  # the mode a plain open() would have given
+            os.replace(part, path)
+        except OSError as exc:
+            raise _IoError(f"cannot write {path}: {exc}") from exc
+
+    try:
+        yield store
+    finally:
+        with contextlib.suppress(FileNotFoundError):
+            os.remove(part)  # gone already once stored
+
+
 def _cmd_recv(args) -> int:
     cipher = _build_cipher(args)
     params = _build_params(args, cipher)
-    try:
-        endpoint = UdpEndpoint(bind=(args.bind, args.port))
-    except TransportError as exc:
-        raise _IoError(str(exc)) from exc
-
-    claim = _OneClaim(Engine(params=params, rng=random.Random(args.seed)))
-    pump = _pump(endpoint, claim, cipher)
-    started = time.monotonic()
-    linger_until = None
-    reported = -1
-    with endpoint:
+    with _stage(args.out) as store, UdpEndpoint(bind=(args.bind, args.port)) as endpoint:
+        engine = _OneClaim(params=params, rng=random.Random(args.seed))
+        pump = _pump(endpoint, engine, cipher)
+        started = time.monotonic()
+        linger_until = None
+        reported = -1
         while True:
             pump.step()
             for event in pump.take_events():
                 if isinstance(event, Complete):
-                    try:
-                        with open(args.out, "wb") as handle:
-                            handle.write(event.data)
-                    except OSError as exc:
-                        raise _IoError(f"cannot write {args.out}: {exc}") from exc
+                    store(event.data)
                     _err(f"received {len(event.data)} bytes into {args.out}")
                     # linger so a lost final ack still gets answered: a sender
                     # with no RTT sample probes only after its whole interval
@@ -364,9 +391,9 @@ def _cmd_recv(args) -> int:
             if linger_until is not None:
                 if time.monotonic() >= linger_until:
                     return 0
-            elif claim.claimed is not None:
-                state = claim.engine.transfer(claim.claimed[1])
-                reported = _report(state.received_count, state.block_count, reported)
+            elif engine.claimed is not None:
+                state = engine.transfer(engine.claimed[1])
+                reported = _report(state.counters.blocks_received, state.block_count, reported)
             elif args.wait_s is not None and time.monotonic() - started > args.wait_s:
                 failed = (f" ({pump.dropped} datagrams failed to open or decode)"
                           if pump.dropped else "")
@@ -377,21 +404,10 @@ def _cmd_recv(args) -> int:
 def _cmd_sweep(args) -> int:
     from .bench import ExperimentConfig, summarize, sweep
 
-    overrides = {}
-    if args.blocks is not None:
-        overrides["block_grid"] = args.blocks
-    if args.windows is not None:
-        overrides["window_grid"] = args.windows
-    if args.iterations is not None:
-        overrides["iterations"] = args.iterations
-    if args.data_size is not None:
-        overrides["data_size"] = args.data_size
-    if args.interval_ms is not None:
-        overrides["interval_ms"] = args.interval_ms
-    if args.attempts is not None:
-        overrides["max_attempts"] = args.attempts
+    fields = {f.name for f in dataclasses.fields(ExperimentConfig)}
+    overrides = {name: value for name, value in vars(args).items() if name in fields}
     try:
-        config = ExperimentConfig(link=_link_from(args), seed=args.seed, **overrides)
+        config = ExperimentConfig(link=_link_from(args), **overrides)
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
     _err(f"sweeping {len(config.block_grid) * len(config.window_grid)} cells "

@@ -269,7 +269,6 @@ class SenderState(TransferState):
 class ReceiverState(TransferState):
     data_size: int
     blocks: Optional[list] = field(repr=False, default=None)  # None once settled
-    received_count: int = 0
     expected_window: int = 0
     missing: set = field(default_factory=set)  # unreceived below the closed boundary
     trigger: Optional[int] = None  # the block whose arrival sends the next fresh ack
@@ -663,11 +662,10 @@ class Engine:
                 return self._emit_ack(state, EngineOutput(), now, retransmit=True)
             return _NO_OUTPUT
         blocks[n] = d.payload
-        state.received_count += 1
         state.missing.discard(n)
         state.counters.blocks_received += 1
 
-        if state.received_count == state.block_count:
+        if state.counters.blocks_received == state.block_count:
             return self._receiver_done(state, EngineOutput(), now)
         if n == state.trigger:
             return self._close_window(state, EngineOutput(), now)

@@ -12,9 +12,8 @@ A Pump (pump.py) runs engines over any object with three methods:
     already read the arrival time when wait returns;
   * now(): the clock the engines run on, in milliseconds.
 
-Of each engine the Pump calls packet_in, next_deadline and tick, and
-transfer only in outcome(); `blockfer recv` hands it a wrapper with those
-methods that adds its one claim rule to the engine's own.
+The Pump drives Engines only; `blockfer recv` hands it a subclass whose
+packet_in adds its one claim rule to the engine's own.
 
 The simulated link (sim.py) delivers every datagram due at one instant of
 its own clock per wait, as a generator that pops the clock one datagram at

@@ -35,15 +35,14 @@ class Pump:
     """Drives engines over one transport.
 
     engines maps each local name, the name the transport sends from and
-    delivers to, to its Engine, or to any object with the Engine methods the
-    Pump calls: packet_in, next_deadline and tick, and transfer in outcome()
-    alone. encode and decode are the codec; callers pass the names their own
-    module imported, so that whatever wraps those module globals sees every
-    datagram. The identity cipher (the default) is skipped rather than
-    called. The settlement events the engines emit collect in events until
-    take_events(); outcome() reads the received payload from them. dropped
-    counts the datagrams that failed to open or decode, so a wrong peer key
-    can be told from silence.
+    delivers to, to its Engine; `blockfer recv` passes a subclass that adds
+    its one claim rule to packet_in. encode and decode are the codec;
+    callers pass the names their own module imported, so that whatever
+    wraps those module globals sees every datagram. The identity cipher
+    (the default) is skipped rather than called. The settlement events the
+    engines emit collect in events until take_events(); outcome() reads the
+    received payload from them. dropped counts the datagrams that failed to
+    open or decode, so a wrong peer key can be told from silence.
     """
 
     def __init__(self, engines: dict, transport, encode, decode, cipher=None):
@@ -81,9 +80,9 @@ class Pump:
         datagram that arrives to its engine's packet_in.
 
         Datagrams that fail to open or decode are dropped and counted in
-        dropped. The engines tick when the wait brought nothing, or when the
-        transport's clock has passed the deadline anyway. Returns False once
-        nothing can arrive any more.
+        dropped. The engines tick once the transport's clock has reached
+        that deadline, after the datagrams that arrived with it. Returns False
+        once nothing can arrive any more.
         """
         deadlines = [d for e in self.engines.values() if (d := e.next_deadline()) is not None]
         until = min(deadlines) if deadlines else None
@@ -92,9 +91,7 @@ class Pump:
             return False
         now = self.transport.now()
         engines, unpack = self.engines, self.unpack
-        quiet = True
         for local, peer, datagram in arrived:
-            quiet = False
             try:
                 packet = unpack(datagram)
             except (AuthenticationError, DecodeError):
@@ -103,7 +100,7 @@ class Pump:
             out = engines[local].packet_in(peer, packet, now)
             if out.packets or out.events:  # a sender's Complete carries no packets
                 self.flush(local, out)
-        if quiet or (until is not None and now > until):
+        if until is not None and now >= until:
             for local, engine in self.engines.items():
                 self.flush(local, engine.tick(now))
         return True

@@ -9,6 +9,8 @@ import subprocess
 import sys
 import time
 
+import pytest
+
 from blockfer.crypto import PeerKeyPair, save_keypair
 from blockfer.wire import (
     Acknowledgement,
@@ -406,3 +408,81 @@ def test_recv_lingers_a_whole_interval_for_a_lost_final_ack(tmp_path):
             recv.communicate()
     assert recv.returncode == 0, recv_err
     assert sink.read_bytes() == b"x" * 5 + b"y" * 5
+
+
+def test_a_bad_integer_list_says_what_is_wrong_with_it(tmp_path):
+    """argparse keeps an ArgumentTypeError's own message, where a ValueError
+    would read "invalid _int_list value"."""
+    for blocks, message in (("600,x", "bad integer list '600,x'"),
+                            (",", "empty integer list ','")):
+        result = run_cli("sweep", "--blocks", blocks, "--csv", tmp_path / "s.csv")
+        assert result.returncode == 2
+        assert f"argument --blocks: {message}" in result.stderr
+    assert not (tmp_path / "s.csv").exists()
+
+
+def test_a_sweep_rerun_prints_the_summary_of_the_fresh_run(tmp_path):
+    """Fresh rows carry the CSV's rounding as reused rows do, so a rerun that
+    reuses every row prints what the run that wrote them printed."""
+    args = ("sweep", "--blocks", "600,1200", "--windows", "16,80", "--iterations", "2",
+            "--data-size", "200000", "--loss", "0.02", "--latency-ms", "5",
+            "--seed", "9", "--csv", tmp_path / "s.csv")
+    fresh = run_cli(*args)
+    written = (tmp_path / "s.csv").read_bytes()
+    rerun = run_cli(*args)
+    assert fresh.returncode == 0 and rerun.returncode == 0, fresh.stderr + rerun.stderr
+    assert (tmp_path / "s.csv").read_bytes() == written
+    assert rerun.stdout == fresh.stdout
+
+
+def test_recv_to_an_unwritable_path_fails_before_it_binds(tmp_path):
+    for out in (tmp_path / "missing" / "x", tmp_path):
+        started = time.monotonic()
+        result = run_cli("recv", "--port", free_port(), "--out", out, "--wait-s", "5")
+        assert result.returncode == 4
+        assert f"cannot write {out}" in result.stderr
+        assert time.monotonic() - started < 2
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_recv_leaves_only_the_file_it_stored(tmp_path):
+    """The bytes wait in a temporary file next to --out: a received file is
+    renamed into place with the mode a plain open() gives, and a run that
+    stores nothing, timed out or unable to bind, leaves nothing behind."""
+    gave_up = tmp_path / "gave_up"
+    gave_up.mkdir()
+    assert run_cli("recv", "--port", free_port(), "--out", gave_up / "o.bin",
+                   "--wait-s", "0.3").returncode == 3
+    held = socket.socket(socket.AF_INET, socket.SOCK_DGRAM)
+    try:
+        held.bind(("127.0.0.1", 0))
+        result = run_cli("recv", "--port", held.getsockname()[1],
+                         "--out", gave_up / "o.bin", "--wait-s", "5")
+    finally:
+        held.close()
+    assert result.returncode == 4 and "cannot bind" in result.stderr
+    assert list(gave_up.iterdir()) == []
+
+    send_receive(tmp_path, 3000)
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["gave_up", "in.bin", "out.bin"]
+    umask = os.umask(0)
+    os.umask(umask)
+    assert stat.S_IMODE((tmp_path / "out.bin").stat().st_mode) == 0o666 & ~umask
+
+
+@pytest.mark.parametrize("args, env_extra, code, message", [
+    (("send", "--to", "127.0.0.1:9", "--max-size", "1000", "{payload}"), None, 3,
+     "transfer size 5000 exceeds cap 1000"),
+    (("send", "--to", "localhost", "{payload}"), None, 2, "'localhost' is not host:port"),
+    (("eval", "--reps", "1"), {"BLOCKFER_WINDOW": "abc"}, 2, "bad BLOCKFER_WINDOW='abc'"),
+    (("eval", "--mode", "sim", "--size", "20000", "--reps", "1", "--loss", "1.0",
+      "--latency-ms", "1", "--interval-ms", "10", "--attempts", "1"), None, 3,
+     "at least one repetition failed"),
+])
+def test_a_failed_run_exits_with_its_code_and_says_why(tmp_path, args, env_extra, code,
+                                                        message):
+    payload = tmp_path / "p.bin"
+    payload.write_bytes(b"z" * 5000)
+    result = run_cli(*(arg.format(payload=payload) for arg in args), env_extra=env_extra)
+    assert result.returncode == code
+    assert message in result.stderr

@@ -161,10 +161,10 @@ def test_lossless_five_block_walkthrough(announce):
 
     out1 = receiver.packet_in("A", window[0], now=3.0)
     assert out1.packets == [] and out1.events == []
-    assert receiver.transfer(tid).received_count == 1
+    assert receiver.transfer(tid).counters.blocks_received == 1
     out2 = receiver.packet_in("A", window[1], now=3.5)
     assert acks(out2) == [Acknowledgement(tid, 1, ())]
-    assert out2.events == [] and receiver.transfer(tid).received_count == 2
+    assert out2.events == [] and receiver.transfer(tid).counters.blocks_received == 2
 
     out = sender.packet_in("B", acks(out2)[0], now=4.0)
     assert data_packets(out) == [Data(tid, 2, data[8:12]), Data(tid, 3, data[12:16])]
@@ -179,7 +179,7 @@ def test_lossless_five_block_walkthrough(announce):
     assert acks(out) == [Acknowledgement(tid, 3, ())]
     assert out.events == [Complete(tid, data=data)]
     state = receiver.transfer(tid)
-    assert state.phase is ReceiverPhase.DONE and state.received_count == 5
+    assert state.phase is ReceiverPhase.DONE and state.counters.blocks_received == 5
     assert state.blocks is None  # the Complete event holds the only copy
 
     out = sender.packet_in("B", acks(out)[0], now=8.0)
@@ -202,11 +202,11 @@ def test_lossless_counts_random_sizes():
         sender, receiver = make_pair(params, seed=rng.randrange(10**6))
         data = rng.randbytes(size)
         tid, out = sender.start_transfer("B", "x", data, now=0.0)
-        counts = []  # the receiver's received_count after each packet it takes in
+        counts = []  # the receiver's counters.blocks_received after each packet it takes in
 
         def packet_in(peer, packet, now, deliver=receiver.packet_in):
             result = deliver(peer, packet, now=now)
-            counts.append(receiver.transfer(tid).received_count)
+            counts.append(receiver.transfer(tid).counters.blocks_received)
             return result
 
         receiver.packet_in = packet_in
@@ -448,10 +448,10 @@ def test_duplicate_block_no_double_progress(announce):
     receiver.packet_in("A", wr, now=1.0)
     block0 = window[0]
     receiver.packet_in("A", block0, now=3.0)
-    assert receiver.transfer(tid).received_count == 1
+    assert receiver.transfer(tid).counters.blocks_received == 1
     second = receiver.packet_in("A", block0, now=4.0)
     assert second.events == [] and second.packets == []
-    assert receiver.transfer(tid).received_count == 1
+    assert receiver.transfer(tid).counters.blocks_received == 1
     assert receiver.transfer(tid).counters.duplicate_blocks == 1
 
 
@@ -461,7 +461,7 @@ def test_early_block_stored_quietly(announce):
     receiver.packet_in("A", wr, now=1.0)
     out = receiver.packet_in("A", Data(tid, 2, bytes(range(8, 12))), now=2.0)
     assert acks(out) == []  # stored, but window 0 is still open
-    assert out.events == [] and receiver.transfer(tid).received_count == 1
+    assert out.events == [] and receiver.transfer(tid).counters.blocks_received == 1
     receiver.packet_in("A", Data(tid, 0, bytes(range(0, 4))), now=3.0)
     out = receiver.packet_in("A", Data(tid, 1, bytes(range(4, 8))), now=4.0)
     assert acks(out) == [Acknowledgement(tid, 1, ())]  # nothing missing below boundary
@@ -817,7 +817,7 @@ def test_duplicate_closing_block_draws_the_last_ack_again(announce):
     out = receiver.packet_in("A", probe, now=2003.0)
     assert out.packets == [("A", ack1)] and out.events == []
     assert state.counters.ack_retransmits == 1 and state.counters.acks_sent == 3
-    assert state.counters.duplicate_blocks == 2 and state.received_count == 2
+    assert state.counters.duplicate_blocks == 2 and state.counters.blocks_received == 2
     assert state.timed_at is None  # Karn's rule: the next fresh ack gives no sample
     assert receiver.next_deadline() == 2003.0 + state.rto
     # once the next window closes, the old closing block is just a duplicate
@@ -1110,7 +1110,7 @@ def test_peer_silent_mid_transfer_times_out_within_the_budget(silent):
     assert attempts * interval <= state.finished_at <= (attempts + 2) * interval
     # the receiver settles FAILED either way, and keeps none of the blocks it had
     settled = receiver.transfer(tid)
-    assert settled.phase is ReceiverPhase.FAILED and settled.received_count >= 4
+    assert settled.phase is ReceiverPhase.FAILED and settled.counters.blocks_received >= 4
     assert settled.blocks is None
 
 

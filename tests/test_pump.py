@@ -83,8 +83,7 @@ def test_recv_claim_takes_the_first_accepted_announcement_and_busies_the_rest(an
         (1.0, [("R", refused, encode_packet(big))]),
         (2.0, [("R", taker, encode_packet(ok)), ("R", third, encode_packet(other))]),
     ])
-    engine = Engine(replace(PARAMS, max_transfer_size=200), random.Random(9))
-    claim = _OneClaim(engine)
+    claim = _OneClaim(replace(PARAMS, max_transfer_size=200), random.Random(9))
     pump = Pump({"R": claim}, transport, encode_packet, decode_packet)
     assert pump.step() and claim.claimed is None
     assert pump.step() and claim.claimed == (taker, ok.id)
@@ -94,7 +93,7 @@ def test_recv_claim_takes_the_first_accepted_announcement_and_busies_the_rest(an
     assert answers[1] == Acknowledgement(ok.id, 0, ())
     assert [(a.id, a.code) for a in (answers[0], answers[2])] == [
         (big.id, ErrorCode.SIZE_EXCEEDED), (other.id, ErrorCode.BUSY)]
-    assert engine.transfer(big.id) is None and engine.transfer(other.id) is None
+    assert claim.transfer(big.id) is None and claim.transfer(other.id) is None
     assert capsys.readouterr().err.splitlines() == [
         "refused 'big' (500 bytes) from 127.0.0.1:5001",
         "accepting 'ok' (50 bytes) from 127.0.0.1:5002"]
