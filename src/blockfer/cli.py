@@ -24,6 +24,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import dataclasses
+import math
 import os
 import random
 import sys
@@ -88,9 +89,12 @@ def _parse_address(text: str):
     if not sep or not host:
         raise UsageError(f"address {text!r} is not host:port")
     try:
-        return host, int(port)
+        number = int(port)
     except ValueError as exc:
         raise UsageError(f"bad port in {text!r}") from exc
+    if not 1 <= number <= 65535:
+        raise UsageError(f"port in {text!r} is not in 1-65535")
+    return host, number
 
 
 def _int_list(text: str) -> tuple:
@@ -369,6 +373,10 @@ def _stage(path: str):
 def _cmd_recv(args) -> int:
     cipher = _build_cipher(args)
     params = _build_params(args, cipher)
+    if not 0 <= args.port <= 65535:
+        raise UsageError(f"--port {args.port} is not in 0-65535")
+    if args.wait_s is not None and not (math.isfinite(args.wait_s) and args.wait_s >= 0):
+        raise UsageError("--wait-s must be finite and not negative")
     with _stage(args.out) as store, UdpEndpoint(bind=(args.bind, args.port)) as endpoint:
         engine = _OneClaim(params=params, rng=random.Random(args.seed))
         pump = _pump(endpoint, engine, cipher)

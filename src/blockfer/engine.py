@@ -71,6 +71,7 @@ failed record.
 from __future__ import annotations
 
 import heapq
+import math
 import random
 from dataclasses import dataclass, field, replace
 from enum import Enum
@@ -115,8 +116,8 @@ class TransferParameters:
         if not 1 <= self.window_size <= ACK_MAX_UNRECEIVED:
             # an ack listing a whole window must fit one datagram
             raise ValueError(f"window_size must be in [1, {ACK_MAX_UNRECEIVED}]")
-        if self.retransmit_interval_ms <= 0:
-            raise ValueError("retransmit_interval_ms must be positive")
+        if not (math.isfinite(self.retransmit_interval_ms) and self.retransmit_interval_ms > 0):
+            raise ValueError("retransmit_interval_ms must be positive and finite")
         if self.max_attempts < 1:
             raise ValueError("max_attempts must be at least 1")
         if self.max_transfer_size < 0:
@@ -245,10 +246,6 @@ class TransferState:
     finished_at: Optional[float] = None
     error: Optional[ErrorCode] = None  # the code it FAILED with
 
-    @property
-    def interval_ms(self) -> float:
-        return self.params.retransmit_interval_ms
-
     def deadline(self) -> float:
         """When the retransmit timer fires if nothing arrives first."""
         return self.last_sent + self.rto
@@ -283,7 +280,7 @@ def _set_rto(state) -> None:
         rto = max(PTO_MIN_MS, 2 * state.srtt)
     else:
         rto = max(RTO_MIN_MS, state.srtt + 4 * state.rttvar)
-    state.rto = min(state.interval_ms, rto)
+    state.rto = min(state.params.retransmit_interval_ms, rto)
 
 
 def _sample_rtt(state, rtt: float) -> None:
@@ -364,15 +361,16 @@ class Engine:
     deadlines sit in a heap that next_deadline() peeks at and tick() pops
     only the due entries of; an entry goes stale when its transfer settles
     or re-arms, is dropped lazily, and the heap is rebuilt from the live
-    table once it outgrows twice the live count. Timers due at the same instant fire in the order
-    their transfers went live. transfer() and cancel() look the id up in
-    the live states indexed by id, and transfer() then in the finished
-    table. Going live costs one lookup in the RTT cache, and settling with
-    an RTT estimate one store; the cache is keyed by peer, shared by both
-    roles, and drops its least recently settled peer beyond RTT_CACHE_PEERS,
-    so spoofed source addresses cannot grow it without bound. The notes of
-    stray Data are bounded the same way, and an accepted announcement takes
-    its peer's note out.
+    table once it outgrows twice the live count. A tick fires every timer
+    due by its now in one pass, earliest deadline first and, at one
+    instant, in the order their transfers went live. transfer() and
+    cancel() look the id up in the live states indexed by id, and
+    transfer() then in the finished table. Going live costs one lookup in
+    the RTT cache, and settling with an RTT estimate one store; the cache
+    is keyed by peer, shared by both roles, and drops its least recently
+    settled peer beyond RTT_CACHE_PEERS, so spoofed source addresses cannot
+    grow it without bound. The notes of stray Data are bounded the same
+    way, and an accepted announcement takes its peer's note out.
     """
 
     def __init__(self, params: Optional[TransferParameters] = None,
@@ -467,25 +465,18 @@ class Engine:
         """Fire retransmit timers; a firing at the full interval costs one attempt."""
         out = EngineOutput()
         timers = self._timers
-        if not timers or timers[0][0] > now:
-            return out
-        due = {}  # start_seq -> state; a state armed twice for one instant fires once
-        # the entries hold the values next_deadline() publishes, so a tick at
-        # exactly that instant always fires
-        while timers and timers[0][0] <= now:
-            deadline, seq, state = heapq.heappop(timers)
-            if state.finished_at is None and state.deadline() == deadline:
-                due[seq] = state
-        for seq in sorted(due):
-            state = due[seq]
-            if state.rto >= state.interval_ms:
+        # a firing re-arms at now + rto or settles, so each due timer fires once
+        while (deadline := self.next_deadline()) is not None and deadline <= now:
+            state = heapq.heappop(timers)[2]
+            interval = state.params.retransmit_interval_ms
+            if state.rto >= interval:
                 state.attempts_left -= 1
                 if state.attempts_left <= 0:
                     if isinstance(state, SenderState):
                         state.retry_params = state.params.downscaled()
                     self._fail(state, ErrorCode.TIMEOUT, out, now)
                     continue
-            state.rto = min(state.interval_ms, 2 * state.rto)
+            state.rto = min(interval, 2 * state.rto)
             state.timed_at = None  # Karn's rule: a re-sent unit gives no sample
             if isinstance(state, ReceiverState):
                 self._emit_ack(state, out, now, retransmit=True)

@@ -109,7 +109,7 @@ class Pump:
         events, self.events = self.events, []
         return events
 
-    def outcome(self, tid: int, sender, receiver, trace=None) -> TransferOutcome:
+    def outcome(self, tid: int, sender, receiver) -> TransferOutcome:
         """Transfer tid as the engines named sender and receiver left it.
 
         The data comes from the receiver's Complete event. The error is that
@@ -130,5 +130,4 @@ class Pump:
             sender=sent,
             receiver=received,
             error=min(failed, key=lambda s: s.finished_at).error if failed else None,
-            trace=trace if trace is not None else [],
         )

@@ -10,9 +10,10 @@ schedule. That makes whole simulated transfers replayable byte for byte.
 from __future__ import annotations
 
 import heapq
+import math
 import random
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Any, Iterable, Optional
 
 from ..engine import Engine, TransferParameters
@@ -49,10 +50,10 @@ class LinkModel:
             p = getattr(self, name)
             if not 0.0 <= p <= 1.0:
                 raise ValueError(f"{name} must be in [0, 1]")
-        if self.latency_base_ms < 0 or self.latency_jitter_ms < 0:
-            raise ValueError("latencies must not be negative")
-        if self.rate_kbps < 0:
-            raise ValueError("rate_kbps must not be negative")
+        for name in ("latency_base_ms", "latency_jitter_ms", "rate_kbps"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value >= 0):
+                raise ValueError(f"{name} must be finite and not negative")
 
 
 class SimClock:
@@ -159,13 +160,12 @@ class _LinkTransport:
     sent at zero latency while the caller feeds them in still arrives in
     the same wait and in heap order. Nothing can arrive once the link is
     idle and no deadline is pending, or when the deadline lies past
-    max_sim_ms.
+    MAX_SIM_MS.
     """
 
-    def __init__(self, link: SimulatedLink, max_sim_ms: float, trace: Optional[list]):
+    def __init__(self, link: SimulatedLink, trace: Optional[list]):
         self.link = link
         self.clock = link.clock
-        self.max_sim_ms = max_sim_ms
         self.trace = trace
 
     def send(self, local, peer, datagrams: list) -> None:
@@ -181,7 +181,7 @@ class _LinkTransport:
         if delivery_at is not None and (until is None or delivery_at <= until):
             clock.now = delivery_at  # now() holds while the caller feeds them in
             return self._due(delivery_at)
-        if until is None or until > self.max_sim_ms:
+        if until is None or until > MAX_SIM_MS:
             return None  # idle, or stalled beyond any plausible schedule
         clock.now = until
         return []
@@ -206,9 +206,8 @@ def run_simulated_transfer(data: bytes, model: Optional[LinkModel] = None,
     "time src->dst hexbytes" lines.
     """
     model = model if model is not None else LinkModel()
-    params = params if params is not None else TransferParameters()
     trace = [] if record_trace else None
-    transport = _LinkTransport(SimulatedLink(model, SimClock()), MAX_SIM_MS, trace)
+    transport = _LinkTransport(SimulatedLink(model, SimClock()), trace)
     pump = Pump({
         "A": Engine(params=params, rng=random.Random(model.seed ^ _SENDER_SALT)),
         "B": Engine(params=params, rng=random.Random(model.seed ^ _RECEIVER_SALT)),
@@ -217,4 +216,4 @@ def run_simulated_transfer(data: bytes, model: Optional[LinkModel] = None,
     pump.flush("A", out)
     while pump.step():
         pass
-    return pump.outcome(tid, "A", "B", trace)
+    return replace(pump.outcome(tid, "A", "B"), trace=trace or [])

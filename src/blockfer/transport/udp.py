@@ -47,7 +47,7 @@ class UdpEndpoint:
         try:
             self._sock.setsockopt(socket.SOL_SOCKET, socket.SO_RCVBUF, RECEIVE_BUFFER)
             self._sock.bind(bind)
-        except OSError as exc:
+        except (OSError, OverflowError) as exc:  # OverflowError: a port past 65535
             self._sock.close()
             raise TransportError(f"cannot bind {bind}: {exc}") from exc
         self._sock.setblocking(False)
@@ -184,7 +184,6 @@ def run_loopback_transfer(data: bytes, params: Optional[TransferParameters] = No
     Undecodable datagrams are dropped, matching how a public port must treat
     noise.
     """
-    params = params if params is not None else TransferParameters()
     with UdpEndpoint() as a, UdpEndpoint() as b:
         pump = Pump({
             a.address: Engine(params=params, rng=random.Random(seed ^ 0x0DDC0FFE)),

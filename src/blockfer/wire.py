@@ -92,6 +92,9 @@ class ErrorCode(IntEnum):
     UNKNOWN_TRANSFER = 5
 
 
+_ERROR_CODE_MAX = max(ErrorCode)  # decode refuses any larger code
+
+
 class DecodeError(ValueError):
     """Raised for any undecodable input.
 
@@ -298,7 +301,7 @@ def decode_packet(raw: bytes) -> Packet:
                             block_count, nonce, metadata)
 
     if ptype == TYPE_ERROR:
-        if len(raw) > 12 and raw[12] > 5:  # the code is checked before the message length is read
+        if len(raw) > 12 and raw[12] > _ERROR_CODE_MAX:  # checked before the message length
             raise DecodeError("invariant", f"unknown error code {raw[12]}")
         _, _, _, pid, code, length = _section(_ERROR_HEAD, raw, 0, "Error head")
         message = _text(raw, _ERROR_HEAD.size, length, MESSAGE_MAX, "message")

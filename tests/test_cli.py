@@ -11,6 +11,7 @@ import time
 
 import pytest
 
+from blockfer import cli
 from blockfer.crypto import PeerKeyPair, save_keypair
 from blockfer.wire import (
     Acknowledgement,
@@ -478,6 +479,20 @@ def test_recv_leaves_only_the_file_it_stored(tmp_path):
     (("eval", "--mode", "sim", "--size", "20000", "--reps", "1", "--loss", "1.0",
       "--latency-ms", "1", "--interval-ms", "10", "--attempts", "1"), None, 3,
      "at least one repetition failed"),
+    (("send", "--to", "127.0.0.1:70000", "{payload}"), None, 2, "is not in 1-65535"),
+    (("send", "--to", "127.0.0.1:-5", "{payload}"), None, 2, "is not in 1-65535"),
+    (("recv", "--port", "70000", "--out", "{payload}.out"), None, 2,
+     "--port 70000 is not in 0-65535"),
+    (("send", "--to", "127.0.0.1:9", "--interval-ms", "nan", "--attempts", "1", "{payload}"),
+     None, 2, "retransmit_interval_ms must be positive and finite"),
+    (("recv", "--port", "0", "--out", "{payload}.out", "--wait-s", "nan"), None, 2,
+     "--wait-s must be finite and not negative"),
+    (("eval", "--mode", "sim", "--size", "20000", "--reps", "2", "--latency-ms", "nan"),
+     None, 2, "latency_base_ms must be finite"),
+    (("eval", "--reps", "1", "--jitter-ms", "-1"), None, 2,
+     "latency_jitter_ms must be finite and not negative"),
+    (("send", "--to", "127.0.0.1:9", "--cipher", "sealed", "--key", "{payload}",
+      "--peer-key", "{payload}", "{payload}"), None, 4, "cannot load keys"),
 ])
 def test_a_failed_run_exits_with_its_code_and_says_why(tmp_path, args, env_extra, code,
                                                         message):
@@ -486,3 +501,12 @@ def test_a_failed_run_exits_with_its_code_and_says_why(tmp_path, args, env_extra
     result = run_cli(*(arg.format(payload=payload) for arg in args), env_extra=env_extra)
     assert result.returncode == code
     assert message in result.stderr
+
+
+def test_ctrl_c_exits_130(monkeypatch, capsys):
+    def interrupted(args):
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(cli, "_cmd_keygen", interrupted)
+    assert cli.main(["keygen", "--out", "unused"]) == 130
+    assert "interrupted" in capsys.readouterr().err

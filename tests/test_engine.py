@@ -5,6 +5,7 @@ the window rules, then asserted literally.
 """
 
 import gc
+import math
 import random
 import tracemalloc
 from dataclasses import replace
@@ -132,6 +133,9 @@ def test_parameter_validation():
         TransferParameters(window_size=306)
     with pytest.raises(ValueError):
         TransferParameters(retransmit_interval_ms=0)
+    for interval in (math.nan, math.inf):  # a NaN deadline is never due: no timer fires
+        with pytest.raises(ValueError, match="finite"):
+            TransferParameters(retransmit_interval_ms=interval)
     with pytest.raises(ValueError):
         TransferParameters(max_attempts=0)
 
@@ -1385,18 +1389,20 @@ class TimerOracle(RuleBasedStateMachine):
         live = list(self.engine._live.values())
         attempts = [s.attempts_left for s in live]
         due = [s for s in live if brute_deadline(s) <= self.now]
-        spending = [s for s in due if s.rto == s.interval_ms]
+        spending = [s for s in due if s.rto == s.params.retransmit_interval_ms]
+        fired = sorted(due, key=brute_deadline)  # stable: live-table order at one instant
         out = self.engine.tick(self.now)
         # a firing at the full interval costs an attempt; nothing else a tick
         # does touches attempts
         assert [s for s, a in zip(live, attempts) if s.attempts_left != a] == spending
-        # fired in live-table order: each survivor sends to its own peer, each
-        # failure emits Errored, and no two live transfers share a peer
+        # fired earliest deadline first, ties in live-table order: each survivor
+        # sends to its own peer, each failure emits Errored, and no two live
+        # transfers share a peer
         runs = [peer for k, (peer, _) in enumerate(out.packets)
                 if k == 0 or out.packets[k - 1][0] != peer]
-        assert runs == [s.peer for s in due if s.finished_at is None]
+        assert runs == [s.peer for s in fired if s.finished_at is None]
         assert out.events == [Errored(s.id, ErrorCode.TIMEOUT)
-                              for s in due if s.finished_at is not None]
+                              for s in fired if s.finished_at is not None]
         self.send("E", out)
         for name, peer_engine in self.peers.items():
             self.send(name, peer_engine.tick(self.now))
@@ -1457,7 +1463,8 @@ class TimerOracle(RuleBasedStateMachine):
             for s in engine._live.values():
                 assert s.deadline() == s.last_sent + s.rto
                 floor = PTO_MIN_MS if isinstance(s, SenderState) else RTO_MIN_MS
-                assert min(floor, s.interval_ms) <= s.rto <= s.interval_ms
+                interval = s.params.retransmit_interval_ms
+                assert min(floor, interval) <= s.rto <= interval
 
 
 class AdaptiveTimerOracle(TimerOracle):

@@ -2,6 +2,7 @@
 
 import errno
 import heapq
+import math
 import random
 import socket
 import time
@@ -110,7 +111,7 @@ def test_clock_matches_a_reference_heap(steps):
 def test_link_wait_delivers_one_instant_per_wait():
     clock = SimClock()
     link = make_link(clock, latency_base_ms=5.0)
-    transport = _LinkTransport(link, max_sim_ms=1000.0, trace=None)
+    transport = _LinkTransport(link, trace=None)
     for n in range(3):
         link.send("A", "B", bytes([n]), now=0.0)
     link.send("A", "B", b"late", now=1.0)
@@ -225,6 +226,10 @@ def test_link_model_validation():
         LinkModel(latency_base_ms=-1.0)
     with pytest.raises(ValueError):
         LinkModel(rate_kbps=-1.0)
+    for name in ("latency_base_ms", "latency_jitter_ms", "rate_kbps"):
+        for value in (math.nan, math.inf):
+            with pytest.raises(ValueError, match=f"{name} must be finite"):
+                LinkModel(**{name: value})
 
 
 def test_rate_queues_each_direction_one_datagram_after_another():
@@ -348,7 +353,7 @@ def test_repeat_transfers_to_a_peer_never_stall_a_whole_interval():
     link = SimulatedLink(LinkModel(loss_probability=0.01, latency_base_ms=20.0, seed=5),
                          SimClock())
     pump = Pump({"A": Engine(params, random.Random(1)), "B": Engine(params, random.Random(2))},
-                _LinkTransport(link, 86_400_000.0, None), encode_packet, decode_packet)
+                _LinkTransport(link, None), encode_packet, decode_packet)
     payloads = [random.Random(k).randbytes(64 * 1024) for k in range(4)]
     scheduler = TransferScheduler()
     for k in range(300):
@@ -434,6 +439,20 @@ def test_udp_send_error_surfaces_as_transport_error():
     with UdpEndpoint() as a:
         with pytest.raises(TransportError):
             a.send(("127.0.0.1", 0), b"nope")
+
+
+def test_udp_bind_to_a_port_past_65535_closes_and_raises_transport_error(monkeypatch):
+    closed = []
+    close = socket.socket.close
+
+    def recording_close(self):
+        closed.append(self)
+        close(self)
+
+    monkeypatch.setattr(socket.socket, "close", recording_close)
+    with pytest.raises(TransportError, match="cannot bind"):
+        UdpEndpoint(bind=("127.0.0.1", 70000))
+    assert len(closed) == 1 and closed[0].fileno() == -1
 
 
 def test_udp_poll_idle_times_out_empty():
