@@ -7,9 +7,10 @@ CSV. Every transfer, a sweep cell or an evaluation repetition, goes through
 one runner, and each sweep or evaluation builds its payload once. A rerun
 into the same CSV reuses each row whose block size, window size, iteration
 and seed match a cell of the grid, and an interrupted sweep keeps the rows
-it finished. The link, the data size and the timer settings have no CSV
-column, so a change to any of them needs a fresh file. Metrics come straight
-from the engine counters rather than parsed logs.
+it finished: the file is rewritten whole, in grid order, after each fresh
+cell. The link, the data size and the timer settings have no CSV column,
+so a change to any of them needs a fresh file. Metrics come straight from
+the engine counters rather than parsed logs.
 """
 
 from __future__ import annotations
@@ -158,9 +159,11 @@ def run_experiment(config: ExperimentConfig, block_size: int, window_size: int,
 
 
 def _write_csv(csv_path, rows, old_text: str = "") -> None:
-    """Write the header and rows unless the file already reads so; the file is
-    replaced in one step, so an interruption leaves the old one whole."""
-    text = "".join(f"{line}\n" for line in [CSV_HEADER, *(r.csv_row() for r in rows)])
+    """Write the header and the rows that are not None unless the file already
+    reads so; the file is replaced in one step, so an interruption leaves the
+    old one whole."""
+    lines = [CSV_HEADER, *(row.csv_row() for row in rows if row is not None)]
+    text = "".join(f"{line}\n" for line in lines)
     if text != old_text:
         Path(f"{csv_path}.part").write_text(text, encoding="utf-8", newline="\n")
         Path(f"{csv_path}.part").replace(csv_path)
@@ -172,12 +175,14 @@ def sweep(config: ExperimentConfig, csv_path) -> list:
     A rerun into the same file reuses each row whose block size, window
     size, iteration and seed match a cell of the grid and runs only the
     rest; the link, data size and timer settings have no column, so a change
-    to any of them needs a fresh file. Each fresh row is appended and flushed
-    as its cell ends, so an interrupted sweep keeps its finished rows, and a
-    torn tail line is dropped. The finished file holds the grid's rows in
-    grid order, a complete file is left as is, and identical seeds produce
-    identical bytes. Every row comes back as its CSV line reads, with the
-    CSV's rounding, so a rerun summarizes exactly as the fresh run did.
+    to any of them needs a fresh file. The file is written one way: the
+    header and every known row, in grid order, into a .part file that then
+    replaces it. That happens once the old rows are read, which drops a torn
+    tail line and leaves a complete file as is, and again after each fresh
+    cell, so an interrupted sweep keeps its finished rows. Identical seeds
+    produce identical bytes. Every row comes back as its CSV line reads,
+    with the CSV's rounding, so a rerun summarizes exactly as the fresh run
+    did.
     """
     cells = list(config.cells())
     rows: dict = dict.fromkeys(cells)
@@ -196,19 +201,14 @@ def sweep(config: ExperimentConfig, csv_path) -> list:
             if cell in rows and row.seed == cell_seed(config.seed, *cell):
                 rows[cell] = row
 
-    known = [rows[cell] for cell in cells if rows[cell] is not None]
-    _write_csv(csv_path, known, text)
-    if len(known) < len(cells):
-        data = _payload(config)
-        with open(csv_path, "a", encoding="utf-8", newline="\n") as handle:
-            for cell in cells:
-                if rows[cell] is None:
-                    line = _run_cell(config, data, cell).csv_row()
-                    rows[cell] = TransferStats.from_csv_row(line)  # as a rerun reads it
-                    handle.write(line + "\n")
-                    handle.flush()
-        _write_csv(csv_path, [rows[cell] for cell in cells])  # grid order
-    return [rows[cell] for cell in cells]
+    fresh = [cell for cell in cells if rows[cell] is None]
+    data = _payload(config) if fresh else b""
+    _write_csv(csv_path, rows.values(), text)
+    for cell in fresh:
+        line = _run_cell(config, data, cell).csv_row()
+        rows[cell] = TransferStats.from_csv_row(line)  # as a rerun reads it
+        _write_csv(csv_path, rows.values())
+    return list(rows.values())
 
 
 def summarize(rows) -> str:

@@ -46,6 +46,7 @@ from .engine import (
     Engine,
     EngineOutput,
     Errored,
+    SenderPhase,
     TransferParameters,
     TransferRefused,
 )
@@ -143,18 +144,7 @@ def _add_transfer_flags(parser: argparse.ArgumentParser) -> None:
                         default=_env("BLOCK_SIZE", int, None),
                         help="payload bytes per data packet "
                              "(default: largest the cipher can carry)")
-    parser.add_argument("--window", type=int,
-                        default=_env("WINDOW", int, _DEFAULTS.window_size),
-                        help=f"blocks per window (default {_DEFAULTS.window_size})")
-    parser.add_argument("--interval-ms", type=float,
-                        default=_env("INTERVAL_MS", float, _DEFAULTS.retransmit_interval_ms),
-                        help="ceiling of the retransmit timeout in ms, which "
-                             "follows the measured round trip below it "
-                             f"(default {_DEFAULTS.retransmit_interval_ms:g})")
-    parser.add_argument("--attempts", type=int,
-                        default=_env("ATTEMPTS", int, _DEFAULTS.max_attempts),
-                        help="consecutive retransmits before giving up "
-                             f"(default {_DEFAULTS.max_attempts})")
+    _add_window_flags(parser)
     parser.add_argument("--max-size", type=int,
                         default=_env("MAX_SIZE", int, DEFAULT_MAX_TRANSFER_SIZE),
                         help=f"largest accepted transfer in bytes (default {_MAX_SIZE_MIB} MiB)")
@@ -167,6 +157,22 @@ def _add_transfer_flags(parser: argparse.ArgumentParser) -> None:
                         help="peer public key file (sealed mode)")
     parser.add_argument("--seed", type=int, default=_env("SEED", int, None),
                         help="seed for transfer ids (default: fresh entropy)")
+
+
+def _add_window_flags(parser: argparse.ArgumentParser) -> None:
+    """--window, --interval-ms and --attempts, which send, recv and eval share."""
+    parser.add_argument("--window", type=int,
+                        default=_env("WINDOW", int, _DEFAULTS.window_size),
+                        help=f"blocks per window (default {_DEFAULTS.window_size})")
+    parser.add_argument("--interval-ms", type=float,
+                        default=_env("INTERVAL_MS", float, _DEFAULTS.retransmit_interval_ms),
+                        help="ceiling of the retransmit timeout in ms, which "
+                             "follows the measured round trip below it "
+                             f"(default {_DEFAULTS.retransmit_interval_ms:g})")
+    parser.add_argument("--attempts", type=int,
+                        default=_env("ATTEMPTS", int, _DEFAULTS.max_attempts),
+                        help="consecutive retransmits before giving up "
+                             f"(default {_DEFAULTS.max_attempts})")
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -219,14 +225,9 @@ def _build_parser() -> argparse.ArgumentParser:
                           help=f"transfer size in bytes (default {_MAX_SIZE_MIB} MiB)")
     eval_cmd.add_argument("--block-size", type=int,
                           default=_env("BLOCK_SIZE", int, _DEFAULTS.block_size))
-    eval_cmd.add_argument("--window", type=int,
-                          default=_env("WINDOW", int, _DEFAULTS.window_size))
+    _add_window_flags(eval_cmd)
     eval_cmd.add_argument("--reps", type=int, default=10)
     _add_link_flags(eval_cmd, loss_default=0.0, latency_default=0.0)
-    eval_cmd.add_argument("--interval-ms", type=float,
-                          default=_env("INTERVAL_MS", float, _DEFAULTS.retransmit_interval_ms))
-    eval_cmd.add_argument("--attempts", type=int,
-                          default=_env("ATTEMPTS", int, _DEFAULTS.max_attempts))
     eval_cmd.add_argument("--seed", type=int, default=_env("SEED", int, 0))
     eval_cmd.set_defaults(func=_cmd_eval)
 
@@ -295,21 +296,17 @@ def _cmd_send(args) -> int:
         tid, out = engine.start_transfer(peer, info, data, now=pump.transport.now())
         pump.flush(endpoint.address, out)
         _err(f"sending {args.file} ({len(data)} bytes) to {args.to}")
-        reported = -1
-        while True:
+        state, reported = engine.transfer(tid), -1  # the same object once it settles
+        while state.finished_at is None:
             pump.step()
-            for event in pump.take_events():
-                if isinstance(event, Complete) and event.sent:
-                    counters = engine.transfer(tid).counters
-                    _err(f"complete: {counters.blocks_sent} blocks sent, "
-                         f"{counters.lost_blocks} lost on the way")
-                    return 0
-                if isinstance(event, Errored):
-                    _err(f"transfer failed: {event.code.name}")
-                    return 3
-            state = engine.transfer(tid)
             reported = _report(min(state.window_index * params.window_size,
                                    state.block_count), state.block_count, reported)
+    if state.phase is SenderPhase.FAILED:
+        _err(f"transfer failed: {state.error.name}")
+        return 3
+    _err(f"complete: {state.counters.blocks_sent} blocks sent, "
+         f"{state.counters.lost_blocks} lost on the way")
+    return 0
 
 
 class _OneClaim(Engine):

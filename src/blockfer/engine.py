@@ -41,9 +41,9 @@ closes that window; in the drain it is the last block the ack lists.
 
 Both sides run a retransmit timer. A sender that hears nothing for one
 timeout re-sends its announcement (not window 0), or after it sends a
-tail-loss probe:
-the last block of its pending batch alone (RFC 8985), i.e. the receiver's
-trigger, whose arrival makes the receiver ack.
+tail-loss probe: its probe block, the last block of the batch in flight,
+alone (RFC 8985), i.e. the receiver's trigger, whose arrival makes the
+receiver ack.
 A receiver re-sends its last acknowledgement when its own timer fires, and
 also when a duplicate arrives of the block that sent its last fresh ack,
 so a probe whose ack was lost draws that ack again. Each side times one
@@ -116,8 +116,9 @@ class TransferParameters:
         if not 1 <= self.window_size <= ACK_MAX_UNRECEIVED:
             # an ack listing a whole window must fit one datagram
             raise ValueError(f"window_size must be in [1, {ACK_MAX_UNRECEIVED}]")
-        if not (math.isfinite(self.retransmit_interval_ms) and self.retransmit_interval_ms > 0):
-            raise ValueError("retransmit_interval_ms must be positive and finite")
+        # below 1 ms, now + rto can equal now on a clock in ms: a timer would never wait
+        if not 1 <= self.retransmit_interval_ms < math.inf:
+            raise ValueError("retransmit_interval_ms must be finite and at least 1")
         if self.max_attempts < 1:
             raise ValueError("max_attempts must be at least 1")
         if self.max_transfer_size < 0:
@@ -205,7 +206,7 @@ class ReceiverPhase(Enum):
 class SenderCounters:
     blocks_sent: int = 0
     lost_blocks: int = 0          # entries across all fresh unreceived lists
-    window_retransmits: int = 0   # timer-fired probes: one block of the pending batch
+    window_retransmits: int = 0   # timer-fired probes: the probe block alone
     window_retransmit_blocks: int = 0  # blocks those probes sent, so 1 per firing
     wr_retransmits: int = 0
     acks_received: int = 0
@@ -257,7 +258,7 @@ class SenderState(TransferState):
     write_request: WriteRequest
     phase: SenderPhase = SenderPhase.AWAITING_WR_ACK
     window_index: int = 0  # next fresh window to dispatch
-    pending: tuple[int, ...] = ()
+    probe: int = 0  # the last block of the batch in flight, which a probe re-sends
     retry_params: Optional[TransferParameters] = None
     counters: SenderCounters = field(default_factory=SenderCounters)
 
@@ -412,16 +413,15 @@ class Engine:
             data=bytes(data),  # a snapshot: the caller may reuse its buffer; free for bytes
             block_count=block_count,
             total_windows=block_count_for(block_count, params.window_size),
-            write_request=wr, attempts_left=params.max_attempts,
-            last_sent=now, rto=params.retransmit_interval_ms, started_at=now,
+            write_request=wr,
         )
-        self._go_live(state)
+        self._go_live(state, now)
         out = EngineOutput()
         out.packets.append((peer, wr))
         if block_count:
             self._dispatch(state, (), out, now)  # window 0 rides with the announcement
         else:
-            self._arm(state)
+            self._arm(state, now)
         return tid, out
 
     def packet_in(self, peer: Peer, packet: Packet, now: float) -> EngineOutput:
@@ -486,11 +486,10 @@ class Engine:
                     state.counters.wr_retransmits += 1
                 else:
                     # the probe: the block whose arrival makes the receiver ack
-                    _send_blocks(state, state.pending[-1:], out)
+                    _send_blocks(state, (state.probe,), out)
                     state.counters.window_retransmits += 1
                     state.counters.window_retransmit_blocks += 1
-                state.last_sent = now
-                self._arm(state)
+                self._arm(state, now)
         return out
 
     def cancel(self, transfer_id: int, now: float) -> EngineOutput:
@@ -523,7 +522,11 @@ class Engine:
 
     # -- internals
 
-    def _go_live(self, state) -> None:
+    def _go_live(self, state, now: float) -> None:
+        """Start the state's clock and attempt budget; its timeout starts at
+        the interval unless the peer's last settled transfer left an RTT."""
+        state.started_at, state.attempts_left = now, state.params.max_attempts
+        state.rto = state.params.retransmit_interval_ms
         cached = self._rtt.get(state.peer)
         if cached is not None:
             state.srtt, state.rttvar = cached
@@ -532,8 +535,10 @@ class Engine:
         self._started += 1
         self._live[state.peer] = self._ids[state.id] = state
 
-    def _arm(self, state) -> None:
-        """Queue the state's current deadline; its older entries go stale."""
+    def _arm(self, state, now: float) -> None:
+        """Note that the state sent what its timer guards at now, and queue
+        the deadline that sets; its older entries go stale."""
+        state.last_sent = now
         heapq.heappush(self._timers, (state.deadline(), state.start_seq, state))
         self._bound_timers()
 
@@ -597,12 +602,9 @@ class Engine:
             id=wr.id, peer=peer, info=wr.info, params=params, data_size=wr.data_size,
             block_count=wr.block_count,
             total_windows=block_count_for(wr.block_count, wr.window_size),
-            rto=params.retransmit_interval_ms,
             blocks=[None] * wr.block_count,
-            attempts_left=params.max_attempts,
-            started_at=now,
         )
-        self._go_live(state)
+        self._go_live(state, now)
         noted = self._strays.pop(peer, None)
         if wr.block_count == 0:
             self._receiver_done(state, out, now)
@@ -629,8 +631,7 @@ class Engine:
             if state.timed_at is not None:
                 _sample_rtt(state, now - state.timed_at)  # one whole ack-to-ack cycle
             state.timed_at = now
-        state.last_sent = now
-        self._arm(state)
+        self._arm(state, now)
         return out
 
     def _receiver_data(self, state: ReceiverState, d: Data, now: float) -> EngineOutput:
@@ -719,10 +720,10 @@ class Engine:
         hi = min(lo + state.params.window_size, state.block_count)
         if lo < hi:
             state.window_index += 1
-        state.pending = pending = (*listed, *range(lo, hi))
-        _send_blocks(state, pending, out)
-        state.last_sent = state.timed_at = now
-        self._arm(state)
+        batch = (*listed, *range(lo, hi))
+        _send_blocks(state, batch, out)
+        state.probe, state.timed_at = batch[-1], now
+        self._arm(state, now)
 
 
 # --- outbound scheduling ---------------------------------------------------------

@@ -86,7 +86,7 @@ class UdpEndpoint:
                     stop += 1  # a shorter datagram may close the run
                 self._send_run(to, datagrams[start:stop], size)
                 start = stop
-        except OSError as exc:
+        except (OSError, OverflowError) as exc:  # OverflowError: a port past 65535
             raise TransportError(f"send to {to} failed: {exc}") from exc
 
     def _send_run(self, to, run, size: int) -> None:
@@ -108,7 +108,8 @@ class UdpEndpoint:
         A GRO-coalesced buffer is split back into its datagrams.
         """
         received = []
-        gro, recvmsg, recvfrom = self._gro, self._sock.recvmsg, self._sock.recvfrom
+        gro, recvfrom = self._gro, self._sock.recvfrom
+        recvmsg = self._sock.recvmsg if gro else None  # Windows sockets have none
         while True:
             try:
                 if gro:

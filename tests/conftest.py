@@ -3,8 +3,10 @@
 Lets the processes the tests start import blockfer from a checkout: the
 pythonpath setting in pyproject.toml puts src/ on this process's sys.path
 only; the CLI tests run `python -m blockfer.cli` as children, which read
-PYTHONPATH instead. Also records the batches senders open, and starts a
-transfer by hand with its announcement and window 0 apart.
+PYTHONPATH instead. Removes every inherited BLOCKFER_* variable, so the
+parsers built here and the children started from here read only the
+defaults a test gives them. Also records the batches senders open, and
+starts a transfer by hand with its announcement and window 0 apart.
 """
 
 import os
@@ -20,6 +22,8 @@ SRC = str(Path(__file__).resolve().parent.parent / "src")
 _paths = [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]
 if SRC not in _paths:
     os.environ["PYTHONPATH"] = os.pathsep.join([SRC, *_paths])
+for _name in [name for name in os.environ if name.startswith("BLOCKFER_")]:
+    del os.environ[_name]
 
 
 def _blocks(out):

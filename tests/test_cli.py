@@ -27,11 +27,9 @@ CLI = [sys.executable, "-m", "blockfer.cli"]
 
 
 def cli_env(env_extra=None) -> dict:
-    """This environment without its BLOCKFER_* variables, then env_extra: a
-    child reads only the defaults a test gives it."""
-    env = {k: v for k, v in os.environ.items() if not k.startswith("BLOCKFER_")}
-    env.update(env_extra or {})
-    return env
+    """This environment, which conftest cleared of BLOCKFER_* variables, then
+    env_extra: a child reads only the defaults a test gives it."""
+    return {**os.environ, **(env_extra or {})}
 
 
 def run_cli(*args, env_extra=None, timeout=90):
@@ -484,7 +482,7 @@ def test_recv_leaves_only_the_file_it_stored(tmp_path):
     (("recv", "--port", "70000", "--out", "{payload}.out"), None, 2,
      "--port 70000 is not in 0-65535"),
     (("send", "--to", "127.0.0.1:9", "--interval-ms", "nan", "--attempts", "1", "{payload}"),
-     None, 2, "retransmit_interval_ms must be positive and finite"),
+     None, 2, "retransmit_interval_ms must be finite and at least 1"),
     (("recv", "--port", "0", "--out", "{payload}.out", "--wait-s", "nan"), None, 2,
      "--wait-s must be finite and not negative"),
     (("eval", "--mode", "sim", "--size", "20000", "--reps", "2", "--latency-ms", "nan"),
@@ -493,6 +491,15 @@ def test_recv_leaves_only_the_file_it_stored(tmp_path):
      "latency_jitter_ms must be finite and not negative"),
     (("send", "--to", "127.0.0.1:9", "--cipher", "sealed", "--key", "{payload}",
       "--peer-key", "{payload}", "{payload}"), None, 4, "cannot load keys"),
+    (("send", "--to", "127.0.0.1:9", "--interval-ms", "0.5", "{payload}"), None, 2,
+     "retransmit_interval_ms must be finite and at least 1"),
+    (("recv", "--port", "0", "--out", "{payload}.out", "--interval-ms", "0.5"), None, 2,
+     "retransmit_interval_ms must be finite and at least 1"),
+    (("eval", "--size", "20000", "--reps", "1", "--interval-ms", "0.5"), None, 2,
+     "retransmit_interval_ms must be finite and at least 1"),
+    (("sweep", "--blocks", "600", "--windows", "16", "--iterations", "1", "--data-size",
+      "20000", "--interval-ms", "0.5", "--csv", "{payload}.csv"), None, 2,
+     "retransmit_interval_ms must be finite and at least 1"),
 ])
 def test_a_failed_run_exits_with_its_code_and_says_why(tmp_path, args, env_extra, code,
                                                         message):

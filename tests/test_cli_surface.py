@@ -6,10 +6,7 @@ so such a change is made on purpose, with this table and the docs."""
 
 import argparse
 import dataclasses
-import os
 import re
-
-import pytest
 
 from blockfer import cli
 from blockfer.bench import ExperimentConfig
@@ -53,14 +50,6 @@ SURFACE = {
 }
 
 
-@pytest.fixture
-def clean_env(monkeypatch):
-    """No BLOCKFER_* variable, as the parser reads them when it is built."""
-    for name in [n for n in os.environ if n.startswith(cli.ENV_PREFIX)]:
-        monkeypatch.delenv(name)
-    return monkeypatch
-
-
 def subcommands() -> dict:
     """Each subcommand's actions by option string (a positional by its dest)."""
     parser = cli._build_parser()
@@ -74,7 +63,7 @@ def env_name(option: str) -> str:
     return cli.ENV_PREFIX + option.lstrip("-").replace("-", "_").upper()
 
 
-def test_every_flag_default_and_choice_is_pinned(clean_env):
+def test_every_flag_default_and_choice_is_pinned():
     seen = {name: {option: (action.default, action.required,
                             tuple(action.choices) if action.choices else None)
                    for option, action in actions.items()}
@@ -82,7 +71,7 @@ def test_every_flag_default_and_choice_is_pinned(clean_env):
     assert seen == SURFACE
 
 
-def test_sweep_flags_left_unset_are_experiment_config_fields(clean_env):
+def test_sweep_flags_left_unset_are_experiment_config_fields():
     fields = {field.name for field in dataclasses.fields(ExperimentConfig)}
     unset = [a.dest for a in subcommands()["sweep"].values() if a.default == UNSET]
     assert len(unset) == 6 and set(unset) <= fields
@@ -102,18 +91,18 @@ def documented_env_flags() -> set:
     return pairs
 
 
-def test_environment_feeds_exactly_the_documented_flags(clean_env):
+def test_environment_feeds_exactly_the_documented_flags(monkeypatch):
     baseline = subcommands()
     names = {env_name(option) for actions in baseline.values()
              for option in actions if option.startswith("--")}
     fed = set()
     for name in sorted(names):
-        clean_env.setenv(name, "71")
+        monkeypatch.setenv(name, "71")
         for command, actions in subcommands().items():
             for option, action in actions.items():
                 if action.default != baseline[command][option].default:
                     assert env_name(option) == name, (command, option)
                     fed.add((command, option))
-        clean_env.delenv(name)
+        monkeypatch.delenv(name)
     assert fed == documented_env_flags()
     assert len(fed) == 9 + 9 + 1 + 2 + 5

@@ -140,6 +140,21 @@ def test_parameter_validation():
         TransferParameters(max_attempts=0)
 
 
+def test_an_interval_below_one_ms_is_refused():
+    """Below 1 ms, now + rto can equal now on a clock in ms: with an interval
+    of 1e-9 started at now=1e8, one tick re-armed each timer at the instant
+    it fired, sent every re-send and failed the transfer. Such an interval is
+    refused; at 1 ms a timer waits, so a tick at its deadline fires it once."""
+    for interval in (1e-9, 0.5, 0.999):
+        with pytest.raises(ValueError, match="at least 1"):
+            TransferParameters(retransmit_interval_ms=interval, max_attempts=5)
+    sender = Engine(TransferParameters(retransmit_interval_ms=1.0), rng=random.Random(1))
+    tid, _ = sender.start_transfer("B", "x", bytes(10), now=1e8)
+    out = sender.tick(now=1e8 + 1.0)
+    assert out.packets == [("B", sender.transfer(tid).write_request)] and out.events == []
+    assert sender.next_deadline() == 1e8 + 2.0
+
+
 # --- lossless walkthrough ----------------------------------------------------
 
 
@@ -792,7 +807,7 @@ def test_window_timeout_probes_with_the_closing_block(announce):
     assert out.packets == []
     out = sender.tick(now=2000.0)  # last_sent=0.0, when window 0 went out, + interval
     assert out.packets == [("B", b1)]  # the probe: the closing block alone, not the batch
-    assert state.pending == (0, 1)
+    assert state.probe == 1
     assert state.counters.window_retransmits == 1
     assert state.counters.window_retransmit_blocks == 1
     assert state.counters.blocks_sent == 3
@@ -849,7 +864,7 @@ def test_duplicate_drain_trigger_draws_the_last_ack_again(announce):
     assert ack == Acknowledgement(tid, 3, (0, 2))
     state, sent = receiver.transfer(tid), sender.transfer(tid)
     b0, b2 = batch
-    assert sent.phase is SenderPhase.SENDING and sent.pending == (0, 2)
+    assert sent.phase is SenderPhase.SENDING and sent.probe == 2
     assert sent.window_index == sent.total_windows  # the drain: every fresh window is out
     # block 0 is lost again; block 2, the drain trigger, draws an ack that is lost
     [last] = acks(receiver.packet_in("A", b2, now=now + 1.0))
@@ -1315,9 +1330,28 @@ class TimerOracle(RuleBasedStateMachine):
         self.peers = {p: Engine(params=self.params, rng=random.Random(10 + i))
                       for i, p in enumerate(PEERS)}
         self.wire = []  # (src, dst, packet) in flight
+        self.batches = {}  # (src, transfer id) -> block numbers of its latest batch
         self.now = 0.0
 
-    def send(self, src, out):
+    def send(self, src, out, fired=False):
+        """Put out's packets on the wire from src, checking its Data per
+        transfer. A batch ascends, so it sends no block twice, and lies below
+        the sender's next fresh window: the listed losses, all below the
+        window it sends, then that window. A fired timer sends the last
+        block of the transfer's latest batch alone."""
+        engine = self.engine if src == "E" else self.peers[src]
+        sent = {}
+        for _, packet in out.packets:
+            if isinstance(packet, Data):
+                sent.setdefault(packet.id, []).append(packet.block_number)
+        for tid, blocks in sent.items():
+            if fired:
+                assert blocks == self.batches[src, tid][-1:]
+                continue
+            s = engine.transfer(tid)
+            assert all(map(lt, blocks, blocks[1:]))
+            assert blocks[-1] < min(s.window_index * s.params.window_size, s.block_count)
+            self.batches[src, tid] = blocks
         self.wire.extend((src, dst, packet) for dst, packet in out.packets)
 
     @rule(peer=st.sampled_from(PEERS), size=st.integers(0, 24), outbound=st.booleans())
@@ -1403,9 +1437,9 @@ class TimerOracle(RuleBasedStateMachine):
         assert runs == [s.peer for s in fired if s.finished_at is None]
         assert out.events == [Errored(s.id, ErrorCode.TIMEOUT)
                               for s in fired if s.finished_at is not None]
-        self.send("E", out)
+        self.send("E", out, fired=True)
         for name, peer_engine in self.peers.items():
-            self.send(name, peer_engine.tick(self.now))
+            self.send(name, peer_engine.tick(self.now), fired=True)
 
     @rule(which=st.integers(0, len(PEERS)))
     def cancel(self, which):
@@ -1445,17 +1479,6 @@ class TimerOracle(RuleBasedStateMachine):
             for s in engine._finished.values():
                 if isinstance(s, SenderState) and s.phase is SenderPhase.DONE:
                     assert s.counters.blocks_sent == s.counters.blocks_due(s.block_count)
-
-    @invariant()
-    def live_senders_batch_each_block_once(self):
-        """A sender's pending batch ascends and lies below its next fresh
-        window: the listed losses, all below the window it sends, then that window."""
-        for engine in (self.engine, *self.peers.values()):
-            for s in engine._live.values():
-                if isinstance(s, SenderState) and s.pending:
-                    assert all(map(lt, s.pending, s.pending[1:]))
-                    assert s.pending[-1] < min(s.window_index * s.params.window_size,
-                                               s.block_count)
 
     @invariant()
     def deadline_is_last_send_plus_rto(self):

@@ -8,7 +8,6 @@ everything.
 
 import importlib
 import json
-import os
 import subprocess
 import sys
 
@@ -34,11 +33,10 @@ def report():
 
 
 def run_child(code: str) -> list:
-    """Run code in a fresh interpreter, without this environment's BLOCKFER_*
-    defaults; returns the JSON lines it printed."""
-    env = {k: v for k, v in os.environ.items() if not k.startswith("BLOCKFER_")}
+    """Run code in a fresh interpreter, in this environment, which conftest
+    cleared of BLOCKFER_* defaults; returns the JSON lines it printed."""
     result = subprocess.run([sys.executable, "-c", _REPORT + code],
-                            capture_output=True, text=True, env=env, timeout=60)
+                            capture_output=True, text=True, timeout=60)
     assert result.returncode == 0, result.stderr
     return [json.loads(line) for line in result.stdout.splitlines()]
 

@@ -4,6 +4,7 @@ import errno
 import heapq
 import math
 import random
+import select
 import socket
 import time
 
@@ -439,6 +440,41 @@ def test_udp_send_error_surfaces_as_transport_error():
     with UdpEndpoint() as a:
         with pytest.raises(TransportError):
             a.send(("127.0.0.1", 0), b"nope")
+
+
+def test_udp_send_to_a_port_past_65535_raises_transport_error():
+    with UdpEndpoint() as a:
+        with pytest.raises(TransportError):
+            a.send(("127.0.0.1", 70000), b"x")
+
+
+def test_udp_without_recvmsg_or_sendmsg_sends_and_receives(monkeypatch):
+    """A socket as Windows offers it, with no recvmsg, no sendmsg and no UDP
+    offload options: each datagram takes its own sendto and recvfrom."""
+    real = socket.socket
+
+    class NoMsgSocket:
+        def __init__(self, *args):
+            self._real = real(*args)
+
+        def setsockopt(self, level, option, value):
+            if level == socket.IPPROTO_UDP:
+                raise OSError(errno.ENOPROTOOPT, "no UDP offload")
+            self._real.setsockopt(level, option, value)
+
+        def __getattr__(self, name):
+            if name in ("recvmsg", "sendmsg"):
+                raise AttributeError(name)
+            return getattr(self._real, name)
+
+    monkeypatch.setattr(socket, "socket", NoMsgSocket)
+    with UdpEndpoint() as a:
+        a.send(a.address, b"one", b"two", b"three")
+        received = a.poll(2.0)
+        while len(received) < 3:
+            assert select.select([a], [], [], 2.0)[0], received
+            received += a.drain()
+        assert received == [(a.address, b"one"), (a.address, b"two"), (a.address, b"three")]
 
 
 def test_udp_bind_to_a_port_past_65535_closes_and_raises_transport_error(monkeypatch):
