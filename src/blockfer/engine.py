@@ -95,7 +95,7 @@ TIMER_SLACK = 8  # stale timer entries tolerated beyond twice the live count
 RTO_MIN_MS = 200.0  # floor of the receiver's adaptive timeout, as Linux's TCP_RTO_MIN
 PTO_MIN_MS = 100.0  # floor of the sender's probe timeout: above host stalls, so a clean path fires none
 MIN_WINDOW = 16  # a timed-out retry halves its window down to this; smaller ones stay
-RTT_CACHE_PEERS = 1024  # peers whose last (srtt, rttvar) seeds their next transfer
+RTT_CACHE_PEERS = 1024  # peer records with no live transfer kept: RTT estimate and stray note
 
 Peer = Any  # opaque hashable address; sockets use (host, port), tests use str
 
@@ -137,7 +137,6 @@ class TransferParameters:
 class Complete:
     id: int
     data: Optional[bytes] = None  # receiver side: the payload, owned by the caller
-    sent: bool = False            # sender side carries this flag
 
 
 @dataclass(frozen=True)
@@ -300,14 +299,6 @@ def _check_info(info: str) -> None:
         raise ValueError(f"info exceeds {INFO_MAX} UTF-8 bytes")
 
 
-def _remember(table: dict, peer: Peer, value) -> None:
-    """Store value as peer's newest entry; past RTT_CACHE_PEERS peers the oldest goes."""
-    table.pop(peer, None)  # re-inserted last: the dict stays in the order of stores
-    table[peer] = value
-    if len(table) > RTT_CACHE_PEERS:
-        del table[next(iter(table))]
-
-
 def _send_blocks(state: SenderState, numbers: tuple, out: EngineOutput) -> None:
     """Put the numbered blocks on the wire, each a view of the sender's snapshot."""
     peer, tid, size = state.peer, state.id, state.params.block_size
@@ -319,6 +310,20 @@ def _send_blocks(state: SenderState, numbers: tuple, out: EngineOutput) -> None:
 # --- the engine ----------------------------------------------------------------
 
 
+class _PeerRecord:
+    """What an engine holds for one address: its live transfer, either role;
+    the (srtt, rttvar) of the last transfer with it that settled with one;
+    and the id of the last Data it sent that met no record."""
+
+    __slots__ = ("live", "rtt", "stray")
+
+    def __init__(self):
+        self.live = self.rtt = self.stray = None
+
+
+_NO_PEER = _PeerRecord()  # what an address with no record reads; never stored or written
+
+
 class Engine:
     """Event-driven transfer engine for any number of peers.
 
@@ -326,8 +331,9 @@ class Engine:
     id: an announcement whose id is live with another peer is refused with
     COLLISION. _settle is the one place a transfer ends: it sets the DONE or
     FAILED phase and finished_at, emits the Complete or Errored event, drops
-    the payload and moves the state to the finished table, which transfer()
-    reads when no live state has the id. A WriteRequest that meets a record
+    the payload and clears its peer's live slot; the state stays in the id
+    table, which transfer() reads, until a newer state with its id goes
+    live, another peer's included. A WriteRequest that meets a record
     of its own peer and id is answered only by a receiver, a live one with
     its last ack and a DONE one with its final ack, and dropped by any other;
     only one with no record from that peer is judged as a new announcement.
@@ -351,39 +357,40 @@ class Engine:
     Cost model: each event builds one EngineOutput, a slotted record, but
     for a Data block that sends no ack and settles nothing, which returns
     one shared empty output; callers read it and never append to it. The
-    live table is keyed by peer and the finished table by transfer id, and
-    every lookup checks the other half of (peer, id), so an inbound packet
-    costs the same however many transfers are live or finished. A Data for
-    a live receiver, the most common packet, is dispatched before any other
-    check, before any output is built, and decides whether to ack by one
-    comparison with the receiver's trigger; a batch's blocks are views of
-    the sender's snapshot of its data, not copies. When two peers' finished
-    transfers share an id, the newer record replaces the older. Retransmit
-    deadlines sit in a heap that next_deadline() peeks at and tick() pops
-    only the due entries of; an entry goes stale when its transfer settles
-    or re-arms, is dropped lazily, and the heap is rebuilt from the live
-    table once it outgrows twice the live count. A tick fires every timer
+    engine keeps two tables besides its timer heap. The peer table holds one
+    record per address: its live transfer, either role; the SRTT and RTTVAR
+    of the last transfer with it that settled with them, shared by both
+    roles; and the id of the last stray Data it sent, which an accepted
+    announcement takes out. The id table holds each id's newest state, live
+    or settled. Every lookup is one dict lookup that checks the other half
+    of (peer, id), so an inbound packet costs the same however many
+    transfers are live or settled. A Data for a live receiver, the most
+    common packet, is dispatched on one peer lookup and one slot read before
+    any other check, before any output is built, and decides whether to ack
+    by one comparison with the receiver's trigger; a batch's blocks are
+    views of the sender's snapshot of its data, not copies. transfer() and
+    cancel() are one id lookup. The peer table has one bound: a record is
+    touched when a transfer with its peer goes live or settles and when it
+    notes a stray, and beyond RTT_CACHE_PEERS records with no live transfer
+    the least recently touched of those goes, so spoofed source addresses
+    cannot grow it without bound. A record with a live transfer is never
+    evicted; eviction steps past those only. Retransmit deadlines sit in a
+    heap that next_deadline() peeks at and tick() pops only the due entries
+    of; an entry goes stale when its transfer settles or re-arms, is dropped
+    lazily, and once the heap outgrows twice the live count it is rebuilt
+    from its own entries, one per unsettled state. A tick fires every timer
     due by its now in one pass, earliest deadline first and, at one
-    instant, in the order their transfers went live. transfer() and
-    cancel() look the id up in the live states indexed by id, and
-    transfer() then in the finished table. Going live costs one lookup in
-    the RTT cache, and settling with an RTT estimate one store; the cache
-    is keyed by peer, shared by both roles, and drops its least recently
-    settled peer beyond RTT_CACHE_PEERS, so spoofed source addresses cannot
-    grow it without bound. The notes of stray Data are bounded the same
-    way, and an accepted announcement takes its peer's note out.
+    instant, in the order their transfers went live.
     """
 
     def __init__(self, params: Optional[TransferParameters] = None,
                  rng: Optional[random.Random] = None):
         self.params = params if params is not None else TransferParameters()
         self.rng = rng if rng is not None else random.Random()
-        self._live: dict = {}       # peer -> its live state, in the order they went live
-        self._finished: dict = {}   # transfer id -> settled state
-        self._rtt: dict = {}        # peer -> (srtt, rttvar) of its last settled transfer
-        self._strays: dict = {}     # peer -> id of the last Data it sent that met no record
-        self._ids: dict = {}        # transfer id -> its live state, either role
+        self._peers: dict = {}      # peer -> _PeerRecord, least recently touched first
+        self._ids: dict = {}        # transfer id -> its newest state, live or settled
         self._timers: list = []     # heap of (deadline, start_seq, state)
+        self._live_count = 0        # transfers live: the records whose live is set
         self._started = 0           # start_seq of the next state to go live
 
     # -- event entry points
@@ -394,7 +401,7 @@ class Engine:
         """Announce a transfer to peer. Raises BusyError/SizeExceededError/ValueError."""
         _check_info(info)
         params = params if params is not None else self.params
-        if peer in self._live:
+        if self._peers.get(peer, _NO_PEER).live is not None:
             raise BusyError(f"a transfer with {peer!r} is already live")
         if len(data) > params.max_transfer_size:
             raise SizeExceededError(
@@ -425,7 +432,7 @@ class Engine:
         return tid, out
 
     def packet_in(self, peer: Peer, packet: Packet, now: float) -> EngineOutput:
-        state = self._live.get(peer)
+        state = self._peers.get(peer, _NO_PEER).live
         if state is not None and state.id != packet.id:
             state = None
         elif isinstance(packet, Data) and isinstance(state, ReceiverState):
@@ -433,7 +440,7 @@ class Engine:
 
         out = EngineOutput()
         if state is None:  # no live transfer: the one rule for stragglers
-            settled = self._finished.get(packet.id)
+            settled = self._ids.get(packet.id)  # if this peer's, settled: its live one is state
             if settled is not None and settled.peer != peer:
                 settled = None
             if (isinstance(settled, ReceiverState) and settled.phase is ReceiverPhase.DONE
@@ -444,7 +451,7 @@ class Engine:
                 self._accept_or_refuse(peer, packet, out, now)
             elif settled is None and isinstance(packet, Data):
                 # a stray, perhaps ahead of its announcement: noted, never answered
-                _remember(self._strays, peer, packet.id)
+                self._touch(peer).stray = packet.id
             elif settled is None and isinstance(packet, Acknowledgement):
                 out.packets.append((peer, ErrorPacket(
                     packet.id, ErrorCode.UNKNOWN_TRANSFER, f"no transfer {packet.id}")))
@@ -494,11 +501,10 @@ class Engine:
 
     def cancel(self, transfer_id: int, now: float) -> EngineOutput:
         """Abort a live transfer, telling the peer."""
-        out = EngineOutput()
         state = self._ids.get(transfer_id)
-        if state is not None:
-            self._fail(state, ErrorCode.TIMEOUT, out, now, message="cancelled")
-        return out
+        if state is not None and state.finished_at is None:
+            return self._fail(state, ErrorCode.TIMEOUT, EngineOutput(), now, message="cancelled")
+        return EngineOutput()
 
     # -- inspection
 
@@ -513,27 +519,39 @@ class Engine:
         return None
 
     def live_transfer_with(self, peer: Peer) -> Optional[int]:
-        state = self._live.get(peer)
+        state = self._peers.get(peer, _NO_PEER).live
         return state.id if state is not None else None
 
     def transfer(self, transfer_id: int):
-        """The live state for an id, else the finished one; None if unknown."""
-        return self._ids.get(transfer_id) or self._finished.get(transfer_id)
+        """The newest state with that id, live or settled; None if unknown."""
+        return self._ids.get(transfer_id)
 
     # -- internals
 
-    def _go_live(self, state, now: float) -> None:
+    def _go_live(self, state, now: float) -> _PeerRecord:
         """Start the state's clock and attempt budget; its timeout starts at
-        the interval unless the peer's last settled transfer left an RTT."""
+        the interval unless the peer's last settled transfer left an RTT.
+        The state replaces any older one with its id. Returns its peer's record."""
         state.started_at, state.attempts_left = now, state.params.max_attempts
         state.rto = state.params.retransmit_interval_ms
-        cached = self._rtt.get(state.peer)
-        if cached is not None:
-            state.srtt, state.rttvar = cached
+        self._live_count += 1
+        record = self._touch(state.peer)
+        if record.rtt is not None:
+            state.srtt, state.rttvar = record.rtt
             _set_rto(state)
         state.start_seq = self._started
         self._started += 1
-        self._live[state.peer] = self._ids[state.id] = state
+        record.live = self._ids[state.id] = state
+        return record
+
+    def _touch(self, peer: Peer) -> _PeerRecord:
+        """Peer's record, made or moved to the end; past RTT_CACHE_PEERS
+        records with no live transfer, the least recently touched one goes."""
+        record = self._peers.pop(peer, None) or _PeerRecord()
+        self._peers[peer] = record
+        if len(self._peers) - self._live_count > RTT_CACHE_PEERS:  # steps past live records
+            del self._peers[next(p for p, r in self._peers.items() if r.live is None)]
+        return record
 
     def _arm(self, state, now: float) -> None:
         """Note that the state sent what its timer guards at now, and queue
@@ -543,8 +561,9 @@ class Engine:
         self._bound_timers()
 
     def _bound_timers(self) -> None:
-        if len(self._timers) > 2 * len(self._live) + TIMER_SLACK:
-            self._timers[:] = [(s.deadline(), s.start_seq, s) for s in self._live.values()]
+        if len(self._timers) > 2 * self._live_count + TIMER_SLACK:  # one entry per live state
+            self._timers[:] = {seq: (s.deadline(), seq, s)
+                               for _, seq, s in self._timers if s.finished_at is None}.values()
             heapq.heapify(self._timers)
 
     def _settle(self, state, event: CallbackEvent, out: EngineOutput, now: float) -> None:
@@ -560,10 +579,11 @@ class Engine:
             state.phase = phases.DONE
         state.finished_at = now
         out.events.append(event)
-        del self._live[state.peer], self._ids[state.id]
-        self._finished[state.id] = state
+        self._live_count -= 1
+        record = self._touch(state.peer)
+        record.live = None
         if state.srtt is not None:
-            _remember(self._rtt, state.peer, (state.srtt, state.rttvar))
+            record.rtt = state.srtt, state.rttvar
         self._bound_timers()
 
     def _fail(self, state, code: ErrorCode, out: EngineOutput, now: float,
@@ -576,7 +596,7 @@ class Engine:
 
     def _accept_or_refuse(self, peer: Peer, wr: WriteRequest,
                           out: EngineOutput, now: float) -> None:
-        live = self._live.get(peer)
+        live = self._peers.get(peer, _NO_PEER).live
         params = self.params
         refusal = None
         if isinstance(live, SenderState) and live.phase is SenderPhase.AWAITING_WR_ACK:
@@ -584,8 +604,8 @@ class Engine:
             refusal = ErrorCode.COLLISION, "simultaneous transfer announcements"
         elif live is not None:
             refusal = ErrorCode.BUSY, f"transfer {live.id} still live with this peer"
-        elif wr.id in self._ids:  # one live transfer per id: two would share its slot
-            refusal = ErrorCode.COLLISION, "transfer id in use"
+        elif (same_id := self._ids.get(wr.id)) is not None and same_id.finished_at is None:
+            refusal = ErrorCode.COLLISION, "transfer id in use"  # two live would share its slot
         elif wr.block_size != params.block_size or wr.window_size != params.window_size:
             try:  # the announced sizes, in the ranges TransferParameters allows
                 params = replace(params, block_size=wr.block_size, window_size=wr.window_size)
@@ -604,8 +624,8 @@ class Engine:
             total_windows=block_count_for(wr.block_count, wr.window_size),
             blocks=[None] * wr.block_count,
         )
-        self._go_live(state, now)
-        noted = self._strays.pop(peer, None)
+        record = self._go_live(state, now)
+        noted, record.stray = record.stray, None
         if wr.block_count == 0:
             self._receiver_done(state, out, now)
             return
@@ -706,7 +726,7 @@ class Engine:
             _sample_rtt(state, now - state.timed_at)
 
         if a.window_index == state.total_windows and not a.unreceived:
-            self._settle(state, Complete(state.id, sent=True), out, now)
+            self._settle(state, Complete(state.id), out, now)
             return
         state.phase = SenderPhase.SENDING
         state.counters.lost_blocks += len(a.unreceived)

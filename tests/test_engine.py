@@ -10,6 +10,7 @@ import random
 import tracemalloc
 from dataclasses import replace
 from operator import lt
+from typing import NamedTuple
 
 import pytest
 from hypothesis import HealthCheck, seed, settings, strategies as st
@@ -61,6 +62,30 @@ def data_packets(out):
 
 def acks(out):
     return [p for _, p in out.packets if isinstance(p, Acknowledgement)]
+
+
+class Tables(NamedTuple):
+    peers: dict  # peer -> its record: live, rtt and stray
+    live: list   # the live states, in the order they went live
+    idle: dict   # peer -> its record with no live transfer, least recently touched first
+    ids: dict    # transfer id -> its newest state, live or settled
+    timers: list  # the timer heap
+
+
+def tables(engine):
+    """An engine's tables, the one place these tests read its internals,
+    checked for agreement: each record's live state is its id's state, is
+    unsettled and has that peer; the live count is the number of live
+    records; and every unsettled state is its peer's live one."""
+    peers, ids = engine._peers, engine._ids
+    live = [r.live for r in peers.values() if r.live is not None]
+    for s in live:
+        assert ids[s.id] is s and s.finished_at is None and peers[s.peer].live is s
+    assert engine._live_count == len(live)
+    assert all(peers[s.peer].live is s for s in ids.values() if s.finished_at is None)
+    live.sort(key=lambda s: s.start_seq)
+    idle = {peer: r for peer, r in peers.items() if r.live is None}
+    return Tables(peers, live, idle, ids, engine._timers)
 
 
 def pump(sender, receiver, out, now=0.0, drop=None, allow_ticks=False, hop=0.0):
@@ -202,7 +227,7 @@ def test_lossless_five_block_walkthrough(announce):
     assert state.blocks is None  # the Complete event holds the only copy
 
     out = sender.packet_in("B", acks(out)[0], now=8.0)
-    assert out.events == [Complete(tid, sent=True)]
+    assert out.events == [Complete(tid)]
     state = sender.transfer(tid)
     assert state.phase is SenderPhase.DONE
     assert state.counters.blocks_sent == 5
@@ -241,7 +266,7 @@ def test_lossless_counts_random_sizes():
         assert s.counters.window_retransmits == 0
         assert r.counters.acks_sent == windows + 1
         assert Complete(tid, data=data) in events
-        assert Complete(tid, sent=True) in events
+        assert Complete(tid) in events
         # progress is monotonic and complete happens exactly once per side
         assert counts == sorted(counts) and counts[-1] == block_count
         assert len([e for e in events if isinstance(e, Complete)]) == 2
@@ -333,7 +358,7 @@ def test_zero_size_transfer():
     assert out.events == [Complete(tid, data=b"")]
     assert receiver.transfer(tid).phase is ReceiverPhase.DONE
     out = sender.packet_in("B", acks(out)[0], now=2.0)
-    assert out.events == [Complete(tid, sent=True)]
+    assert out.events == [Complete(tid)]
     assert sender.transfer(tid).phase is SenderPhase.DONE
 
 
@@ -509,7 +534,7 @@ def test_closing_block_ahead_of_its_announcement_closes_window_0_at_once(announc
         batch.extend(sender.packet_in("B", ack, now=3.0))
     assert [d.block_number for d in data_packets(batch)] == [0, 1, 2, 3]
     events = pump(sender, receiver, batch, now=3.0)  # no ticks: any timer would stall it
-    assert Complete(tid, data=data) in events and Complete(tid, sent=True) in events
+    assert Complete(tid, data=data) in events and Complete(tid) in events
     s, r = sender.transfer(tid).counters, receiver.transfer(tid).counters
     assert s.blocks_sent == s.blocks_due(5) == 7 and s.lost_blocks == 2
     assert (s.wr_retransmits, s.window_retransmits, r.ack_retransmits) == (0, 0, 0)
@@ -529,7 +554,7 @@ def test_lost_announcement_recovers_window_0_without_a_probe(size):
     events = pump(sender, receiver, out, hop=hop, allow_ticks=True,
                   drop=lambda p: isinstance(p, WriteRequest) and lost and lost.pop())
     s = sender.transfer(tid)
-    assert Complete(tid, data=data) in events and Complete(tid, sent=True) in events
+    assert Complete(tid, data=data) in events and Complete(tid) in events
     assert s.counters.blocks_sent == s.counters.blocks_due(s.block_count)
     assert (s.counters.wr_retransmits, s.counters.window_retransmits) == (1, 0)
     assert s.counters.lost_blocks == 2  # window 0 once more, in the next batch
@@ -662,7 +687,7 @@ def test_transfer_lookup_prefers_live_and_checks_peer():
     # another address reusing the id gets no final ack for A's transfer, nor an answer
     out = receiver.packet_in("C", Data(tid, 0, data[:4]), now=1.0)
     assert out.packets == [] and out.events == []
-    # a live transfer with the same id is preferred over the finished one
+    # a live transfer with the same id replaces the finished one
     wr = WriteRequest(tid, "y", len(data), 4, 2, 2, nonce=1)
     receiver.packet_in("C", wr, now=2.0)
     live = receiver.transfer(tid)
@@ -678,6 +703,29 @@ def test_transfer_lookup_prefers_live_and_checks_peer():
         out = receiver.packet_in("C", d, now=3.0)
     assert Complete(tid, data=data) in out.events
     assert receiver.transfer(tid) is live
+
+
+def test_a_live_id_replaces_another_peers_settled_record():
+    """A state that goes live replaces the older record with its id, even
+    another peer's settled one: receiver A completed transfer 77, C's
+    transfer 77 goes live, and A's Data for 77 then meets no record and
+    draws nothing, not A's final ack."""
+    engine = Engine(params=SMALL, rng=random.Random(2))
+    wr = WriteRequest(77, "x", 4, 4, 2, 1, nonce=1)
+    engine.packet_in("A", wr, now=0.0)
+    assert Complete(77, data=b"abcd") in engine.packet_in("A", Data(77, 0, b"abcd"), now=1.0).events
+    final = Acknowledgement(77, 1, ())
+    assert acks(engine.packet_in("A", Data(77, 0, b"abcd"), now=2.0)) == [final]
+    out = engine.packet_in("C", replace(wr, nonce=2), now=3.0)
+    assert acks(out) == [Acknowledgement(77, 0, ())]
+    live = engine.transfer(77)
+    assert live.peer == "C" and live.finished_at is None
+    out = engine.packet_in("A", Data(77, 0, b"abcd"), now=4.0)
+    assert out.packets == [] and out.events == []
+    assert Complete(77, data=b"wxyz") in engine.packet_in("C", Data(77, 0, b"wxyz"), now=5.0).events
+    out = engine.packet_in("A", Data(77, 0, b"abcd"), now=6.0)  # C's record is the settled one
+    assert out.packets == [] and out.events == []
+    assert engine.transfer(77) is live
 
 
 # (role, outcome, packet) -> (answer to the settled transfer's own peer,
@@ -881,7 +929,7 @@ def test_duplicate_drain_trigger_draws_the_last_ack_again(announce):
     assert resent == b0
     out = receiver.packet_in("A", resent, now=now + 302.0)
     assert Complete(tid, data=data) in out.events
-    assert Complete(tid, sent=True) in sender.packet_in("B", acks(out)[0], now=now + 303.0).events
+    assert Complete(tid) in sender.packet_in("B", acks(out)[0], now=now + 303.0).events
 
 
 def test_a_resent_drain_ack_moves_the_trigger_to_its_last_entry(announce):
@@ -929,7 +977,7 @@ def test_done_receiver_answers_a_probe_with_its_final_ack(announce):
     assert receiver.packet_in("A", probe, now=2003.0).packets == [("A", final)]
     assert receiver.packet_in("A", b0, now=2004.0).packets == [("A", final)]
     assert receiver.transfer(tid).counters.ack_retransmits == 0  # settled: no timer, no count
-    assert Complete(tid, sent=True) in sender.packet_in("B", final, now=2005.0).events
+    assert Complete(tid) in sender.packet_in("B", final, now=2005.0).events
 
 
 def test_receiver_timeout_and_reack(announce):
@@ -1098,7 +1146,7 @@ def test_slow_window_is_not_resent_before_its_ack(announce):
         assert sender.tick(now).packets == [] and receiver.tick(now).packets == []
         out = sender.packet_in("B", ack, now=now)
         batch = data_packets(out)
-    assert batches == 6 and Complete(tid, sent=True) in out.events
+    assert batches == 6 and Complete(tid) in out.events
     assert Complete(tid, data=data) in got.events
     # both sides sampled the same whole cycle: 500 ms of blocks plus the round trip
     cycle = 500.0 + 2 * latency
@@ -1154,7 +1202,7 @@ def test_settled_transfers_retain_no_payload():
         retained = tracemalloc.get_traced_memory()[0] - before
     finally:
         tracemalloc.stop()
-    assert len(receiver._finished) == len(sender._finished) == 200
+    assert len(tables(receiver).ids) == len(tables(sender).ids) == 200
     assert retained < 2 * 2**20, f"engines retain {retained / 2**20:.2f} MiB"
 
 
@@ -1187,7 +1235,7 @@ def seeded_pair():
     Returns the engines and the settled sender and receiver."""
     sender, receiver = make_pair()
     tid, out = sender.start_transfer("B", "x", bytes(range(20)), now=0.0)
-    assert Complete(tid, sent=True) in pump(sender, receiver, out, hop=2.0)
+    assert Complete(tid) in pump(sender, receiver, out, hop=2.0)
     first, received = sender.transfer(tid), receiver.transfer(tid)
     assert 0 < first.srtt < 10 and 0 < received.srtt < 10
     return sender, receiver, first, received
@@ -1207,7 +1255,7 @@ def test_second_transfer_resends_a_lost_announcement_after_the_seeded_rto(announ
     assert [p for _, p in resent.packets] == [state.write_request]
     assert state.counters.wr_retransmits == 1 and state.attempts_left == SMALL.max_attempts
     assert state.rto == 2 * PTO_MIN_MS  # Karn's rule and the backoff are unchanged
-    assert Complete(tid, sent=True) in pump(sender, receiver, resent, now=100.0 + PTO_MIN_MS)
+    assert Complete(tid) in pump(sender, receiver, resent, now=100.0 + PTO_MIN_MS)
 
 
 def test_second_announcement_reacks_a_lost_closing_block_after_the_seeded_rto(announce):
@@ -1280,9 +1328,10 @@ def test_rtt_cache_keeps_the_most_recently_settled_peers():
         settle(f"P{k}", now=10.0 * k)
     settle("P0", now=1e5)  # settles again: now the most recent, not the oldest
     settle("Q", now=1e5 + 10.0)
-    assert len(sender._rtt) == RTT_CACHE_PEERS
-    assert "P1" not in sender._rtt and {"P0", "P2", "Q"} <= sender._rtt.keys()
-    assert list(sender._rtt)[-2:] == ["P0", "Q"]
+    idle = tables(sender).idle
+    assert len(idle) == RTT_CACHE_PEERS and all(r.rtt is not None for r in idle.values())
+    assert "P1" not in idle and {"P0", "P2", "Q"} <= idle.keys()
+    assert list(idle)[-2:] == ["P0", "Q"]
 
 
 def test_stray_notes_keep_the_most_recent_peers():
@@ -1292,15 +1341,58 @@ def test_stray_notes_keep_the_most_recent_peers():
     engine = Engine(params=SMALL, rng=random.Random(2))
     for k in range(RTT_CACHE_PEERS + 1):
         assert engine.packet_in(f"P{k}", Data(k + 1, 0, b"abcd"), now=0.0).packets == []
-    assert len(engine._strays) == RTT_CACHE_PEERS and "P0" not in engine._strays
+    idle = tables(engine).idle
+    assert len(idle) == RTT_CACHE_PEERS and "P0" not in idle
+    assert [r.stray for r in idle.values()] == list(range(2, RTT_CACHE_PEERS + 2))
     engine.packet_in("P1", Data(99, 0, b"abcd"), now=1.0)  # P1's note is now 99, not 2
     wr = WriteRequest(id=2, info="x", data_size=8, block_size=4, window_size=2,
                       block_count=2, nonce=1)
     assert acks(engine.packet_in("P1", wr, now=2.0)) == [Acknowledgement(2, 0, ())]
-    assert "P1" not in engine._strays
+    assert tables(engine).peers["P1"].stray is None
     wr = replace(wr, id=3)
     assert acks(engine.packet_in("P2", wr, now=2.0)) == [Acknowledgement(3, 0, ()),
                                                           Acknowledgement(3, 1, (0, 1))]
+
+
+def test_a_live_record_outlasts_a_flood_of_strays(announce):
+    """A transfer with A stays live and completes while more than twice
+    RTT_CACHE_PEERS fresh addresses send strays: eviction steps past A's
+    record, the least recently touched, and the idle records stay at the cap."""
+    sender, receiver = make_pair()
+    data = bytes(range(20))
+    tid, wr, window = announce(sender, "B", data)
+    receiver.packet_in("A", wr, now=1.0)
+    flood = 2 * RTT_CACHE_PEERS + 1
+    for k in range(flood):
+        assert receiver.packet_in(f"S{k}", Data(k + 1, 0, b"abcd"), now=2.0).packets == []
+    t = tables(receiver)
+    assert t.live == [receiver.transfer(tid)] and list(t.peers)[0] == "A"
+    assert list(t.idle) == [f"S{k}" for k in range(flood - RTT_CACHE_PEERS, flood)]
+    out = EngineOutput()
+    for d in window:
+        out.extend(receiver.packet_in("A", d, now=3.0))
+    batch = EngineOutput()
+    for ack in acks(out):
+        batch.extend(sender.packet_in("B", ack, now=4.0))
+    assert Complete(tid, data=data) in pump(sender, receiver, batch, now=4.0)
+    t = tables(receiver)
+    assert t.live == [] and len(t.idle) == RTT_CACHE_PEERS and list(t.idle)[-1] == "A"
+
+
+def test_one_record_carries_a_peers_rtt_and_its_stray(announce):
+    """A's settled transfer leaves its RTT in A's record, and A's later stray
+    its id in the same record: A's next transfer starts from that RTT, and
+    accepting it closes window 0 at once and takes the note out."""
+    sender, receiver, _, received = seeded_pair()
+    tid, wr, (_, b1) = announce(sender, "B", bytes(range(20)), info="y", now=100.0)
+    assert receiver.packet_in("A", b1, now=101.0).packets == []  # ahead of its announcement
+    record = tables(receiver).peers["A"]
+    assert (record.live, record.rtt, record.stray) == (None, (received.srtt, received.rttvar), tid)
+    out = receiver.packet_in("A", wr, now=102.0)
+    assert acks(out) == [Acknowledgement(tid, 0, ()), Acknowledgement(tid, 1, (0, 1))]
+    state = receiver.transfer(tid)
+    assert (state.srtt, state.rttvar, state.rto) == (received.srtt, received.rttvar, RTO_MIN_MS)
+    assert (record.live, record.stray) == (state, None)
 
 
 TIMED = TransferParameters(block_size=4, window_size=2, retransmit_interval_ms=100.0,
@@ -1315,7 +1407,7 @@ def brute_deadline(state):
 
 class TimerOracle(RuleBasedStateMachine):
     """Engine "E" against peer engines over a wire that drops, duplicates and
-    reorders at will, checking the timer heap against a scan of the live table.
+    reorders at will, checking the timer heap against a scan of the live records.
 
     With TIMED the interval lies below RTO_MIN_MS, so a receiver's timeout
     stays at the interval while a sender's probe timeout can fall below it;
@@ -1401,7 +1493,7 @@ class TimerOracle(RuleBasedStateMachine):
         with any strictly increasing list and any window_index, most often
         one within a window of the sender's own."""
         senders = [(name, s) for name, engine in (("E", self.engine), *self.peers.items())
-                   for s in engine._live.values() if isinstance(s, SenderState)]
+                   for s in tables(engine).live if isinstance(s, SenderState)]
         if senders:
             name, s = senders[which % len(senders)]
             window = (s.window_index + shift) % 2**32
@@ -1420,7 +1512,7 @@ class TimerOracle(RuleBasedStateMachine):
 
     def advance(self, step):
         self.now += step
-        live = list(self.engine._live.values())
+        live = tables(self.engine).live
         attempts = [s.attempts_left for s in live]
         due = [s for s in live if brute_deadline(s) <= self.now]
         spending = [s for s in due if s.rto == s.params.retransmit_interval_ms]
@@ -1443,47 +1535,47 @@ class TimerOracle(RuleBasedStateMachine):
 
     @rule(which=st.integers(0, len(PEERS)))
     def cancel(self, which):
-        live = list(self.engine._live.values())
+        live = tables(self.engine).live
         tid = live[which].id if which < len(live) else 12345
         self.send("E", self.engine.cancel(tid, now=self.now))
 
     @invariant()
     def next_deadline_is_the_live_minimum(self):
-        expected = min((brute_deadline(s) for s in self.engine._live.values()), default=None)
+        expected = min((brute_deadline(s) for s in tables(self.engine).live), default=None)
         assert self.engine.next_deadline() == expected
 
     @invariant()
     def live_transfers_are_indexed_by_id(self):
-        """transfer(id) returns each live state, and no two share an id."""
+        """The peer records and the id table agree (tables() checks it),
+        transfer(id) returns each live state, and no two share an id."""
         for engine in (self.engine, *self.peers.values()):
-            live = list(engine._live.values())
+            live = tables(engine).live
             assert len({s.id for s in live}) == len(live)
             for s in live:
                 assert engine.transfer(s.id) is s
 
     @invariant()
-    def timer_heap_stays_bounded(self):
-        assert len(self.engine._timers) <= 2 * len(self.engine._live) + TIMER_SLACK
-
-    @invariant()
-    def per_peer_tables_stay_bounded(self):
+    def tables_stay_bounded(self):
+        """The heap holds at most twice the live count plus TIMER_SLACK
+        entries, and the peer table at most RTT_CACHE_PEERS idle records."""
         for engine in (self.engine, *self.peers.values()):
-            assert len(engine._rtt) <= RTT_CACHE_PEERS
-            assert len(engine._strays) <= RTT_CACHE_PEERS
+            t = tables(engine)
+            assert len(t.timers) <= 2 * len(t.live) + TIMER_SLACK
+            assert len(t.idle) <= RTT_CACHE_PEERS
 
     @invariant()
     def done_senders_conserve_blocks(self):
         """Each DONE sender sent each block once, each listed loss once more
         and one block per probe."""
         for engine in (self.engine, *self.peers.values()):
-            for s in engine._finished.values():
+            for s in tables(engine).ids.values():
                 if isinstance(s, SenderState) and s.phase is SenderPhase.DONE:
                     assert s.counters.blocks_sent == s.counters.blocks_due(s.block_count)
 
     @invariant()
     def deadline_is_last_send_plus_rto(self):
         for engine in (self.engine, *self.peers.values()):
-            for s in engine._live.values():
+            for s in tables(engine).live:
                 assert s.deadline() == s.last_sent + s.rto
                 floor = PTO_MIN_MS if isinstance(s, SenderState) else RTO_MIN_MS
                 interval = s.params.retransmit_interval_ms

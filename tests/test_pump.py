@@ -110,18 +110,18 @@ def test_an_output_with_events_and_no_packets_still_reaches_take_events():
     pump.flush("S", out)
     assert pump.step()
     assert len(transport.sent) == 1  # the announcement alone
-    assert pump.take_events() == [Complete(tid, sent=True)]
+    assert pump.take_events() == [Complete(tid)]
 
 
 def test_flush_sends_each_run_to_one_peer_in_one_call():
     out = EngineOutput()
     blocks = [Data(1, n, b"b") for n in range(3)] + [Data(2, 0, b"c")]
     out.packets.extend(zip(["B", "B", "C", "B"], blocks))
-    out.events.append(Complete(3, sent=True))
+    out.events.append(Complete(3))
     transport = ScriptedTransport([])
     pump = Pump({"A": Engine(PARAMS)}, transport, encode_packet, decode_packet)
     pump.flush("A", out)
     assert transport.calls == [("A", "B", [encode_packet(blocks[0]), encode_packet(blocks[1])]),
                                ("A", "C", [encode_packet(blocks[2])]),
                                ("A", "B", [encode_packet(blocks[3])])]
-    assert pump.take_events() == [Complete(3, sent=True)]
+    assert pump.take_events() == [Complete(3)]
