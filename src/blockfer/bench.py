@@ -67,7 +67,7 @@ class ExperimentConfig:
     link: LinkModel = DEFAULT_SWEEP_LINK
     seed: int = 0
     interval_ms: float = 100.0
-    max_attempts: int = 5
+    max_attempts: int = _DEFAULTS.max_attempts
 
     def __post_init__(self):
         if not self.block_grid or not self.window_grid:

@@ -29,7 +29,6 @@ import os
 import random
 import sys
 import tempfile
-import time
 
 from .crypto import (
     IdentityCipher,
@@ -45,8 +44,6 @@ from .engine import (
     Complete,
     Engine,
     EngineOutput,
-    Errored,
-    SenderPhase,
     TransferParameters,
     TransferRefused,
 )
@@ -268,12 +265,22 @@ def _pump(endpoint: UdpEndpoint, engine, cipher) -> Pump:
                 encode_packet, decode_packet, cipher)
 
 
-def _report(done: int, total: int, reported: int) -> int:
-    """Print a progress line if the whole percentage moved since reported; return it."""
-    percent = 100 * done // total if total else 100
-    if percent != reported:
-        _err(f"{percent:3d}% ({done}/{total} blocks)")
-    return percent
+def _settle(pump: Pump, state, done) -> bool:
+    """Step pump until the transfer state settles, printing a progress line
+    whenever the whole percentage of its blocks that done() counts moves.
+    Returns whether it completed; a failure is reported."""
+    reported = -1
+    while state.finished_at is None:
+        pump.step()
+        count = done()
+        percent = 100 * count // state.block_count if state.block_count else 100
+        if percent != reported:
+            _err(f"{percent:3d}% ({count}/{state.block_count} blocks)")
+            reported = percent
+    if state.error is not None:
+        _err(f"transfer failed: {state.error.name}")
+        return False
+    return True
 
 
 def _cmd_send(args) -> int:
@@ -296,14 +303,10 @@ def _cmd_send(args) -> int:
         tid, out = engine.start_transfer(peer, info, data, now=pump.transport.now())
         pump.flush(endpoint.address, out)
         _err(f"sending {args.file} ({len(data)} bytes) to {args.to}")
-        state, reported = engine.transfer(tid), -1  # the same object once it settles
-        while state.finished_at is None:
-            pump.step()
-            reported = _report(min(state.window_index * params.window_size,
-                                   state.block_count), state.block_count, reported)
-    if state.phase is SenderPhase.FAILED:
-        _err(f"transfer failed: {state.error.name}")
-        return 3
+        state = engine.transfer(tid)  # the same object once it settles
+        if not _settle(pump, state, lambda: min(state.window_index * params.window_size,
+                                                state.block_count)):
+            return 3
     _err(f"complete: {state.counters.blocks_sent} blocks sent, "
          f"{state.counters.lost_blocks} lost on the way")
     return 0
@@ -377,33 +380,28 @@ def _cmd_recv(args) -> int:
     with _stage(args.out) as store, UdpEndpoint(bind=(args.bind, args.port)) as endpoint:
         engine = _OneClaim(params=params, rng=random.Random(args.seed))
         pump = _pump(endpoint, engine, cipher)
-        started = time.monotonic()
-        linger_until = None
-        reported = -1
-        while True:
-            pump.step()
-            for event in pump.take_events():
-                if isinstance(event, Complete):
-                    store(event.data)
-                    _err(f"received {len(event.data)} bytes into {args.out}")
-                    # linger so a lost final ack still gets answered: a sender
-                    # with no RTT sample probes only after its whole interval
-                    linger_until = (time.monotonic() + LINGER_S
-                                    + params.retransmit_interval_ms / 1000.0)
-                elif isinstance(event, Errored):
-                    _err(f"transfer failed: {event.code.name}")
-                    return 3
-            if linger_until is not None:
-                if time.monotonic() >= linger_until:
-                    return 0
-            elif engine.claimed is not None:
-                state = engine.transfer(engine.claimed[1])
-                reported = _report(state.counters.blocks_received, state.block_count, reported)
-            elif args.wait_s is not None and time.monotonic() - started > args.wait_s:
+        now = pump.transport.now
+        give_up_at = None if args.wait_s is None else now() + args.wait_s * 1000.0
+        pump.step(give_up_at)  # at least once, so that --wait-s 0 takes what is queued
+        while engine.claimed is None:
+            if give_up_at is not None and now() >= give_up_at:
                 failed = (f" ({pump.dropped} datagrams failed to open or decode)"
                           if pump.dropped else "")
                 _err(f"no transfer arrived in time{failed}")
                 return 3
+            pump.step(give_up_at)
+        state = engine.transfer(engine.claimed[1])
+        if not _settle(pump, state, lambda: state.counters.blocks_received):
+            return 3
+        data = next(e.data for e in pump.take_events() if isinstance(e, Complete))
+        store(data)
+        _err(f"received {len(data)} bytes into {args.out}")
+        # linger so a lost final ack still gets answered: a sender with no
+        # RTT sample probes only after its whole interval
+        linger_until = now() + LINGER_S * 1000.0 + params.retransmit_interval_ms
+        while now() < linger_until:
+            pump.step(linger_until)
+    return 0
 
 
 def _cmd_sweep(args) -> int:

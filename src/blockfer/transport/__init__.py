@@ -17,8 +17,11 @@ packet_in adds its one claim rule to the engine's own.
 
 The simulated link (sim.py) delivers every datagram due at one instant of
 its own clock per wait, as a generator that pops the clock one datagram at
-a time; UDP (udp.py) waits on the monotonic clock for at most 0.2 s at a
-time. On Linux, UDP sends each run of datagrams with GSO and reads with GRO
+a time; UDP (udp.py) waits on the monotonic clock until a datagram arrives
+or the deadline passes, and with no deadline until a datagram arrives. The
+Pump waits for the engines' earliest timer or its caller's deadline,
+whichever comes first, so a caller keeps time on the transport's clock
+alone. On Linux, UDP sends each run of datagrams with GSO and reads with GRO
 where the kernel offers both, so a window takes a few system calls rather
 than one per datagram; the datagrams on the wire are the same. Either way
 a transfer behaves identically; only delivery timing and loss differ.

@@ -2,9 +2,9 @@
 
 A Pump holds engines by local name and moves datagrams between them and a
 transport. It encodes and seals what the engines emit, waits until the
-earliest retransmit deadline for what arrives, opens and decodes it, and
-ticks the engines when their timers are due. The simulator, the loopback
-driver and the command line all run on it.
+earliest retransmit deadline, or its caller's if that comes first, for what
+arrives, opens and decodes it, and ticks the engines when their timers are
+due. The simulator, the loopback driver and the command line all run on it.
 """
 
 from __future__ import annotations
@@ -75,18 +75,20 @@ class Pump:
             send(local, to, run)
         self.events.extend(out.events)
 
-    def step(self) -> bool:
-        """Wait until the engines' earliest next_deadline, and feed each
-        datagram that arrives to its engine's packet_in.
+    def step(self, until: Optional[float] = None) -> bool:
+        """Wait until the engines' earliest next_deadline or the caller's
+        until, whichever comes first, and feed each datagram that arrives
+        to its engine's packet_in.
 
         Datagrams that fail to open or decode are dropped and counted in
         dropped. The engines tick once the transport's clock has reached
-        that deadline, after the datagrams that arrived with it. Returns False
-        once nothing can arrive any more.
+        their deadline, after the datagrams that arrived with it; a wait
+        that ends at until alone ticks nothing. Returns False once nothing
+        can arrive any more.
         """
         deadlines = [d for e in self.engines.values() if (d := e.next_deadline()) is not None]
-        until = min(deadlines) if deadlines else None
-        arrived = self.transport.wait(until)
+        due = min(deadlines, default=None)
+        arrived = self.transport.wait(due if until is None else min([until, *deadlines]))
         if arrived is None:
             return False
         now = self.transport.now()
@@ -100,7 +102,7 @@ class Pump:
             out = engines[local].packet_in(peer, packet, now)
             if out.packets or out.events:  # a sender's Complete carries no packets
                 self.flush(local, out)
-        if until is not None and now >= until:
+        if due is not None and now >= due:
             for local, engine in self.engines.items():
                 self.flush(local, engine.tick(now))
         return True

@@ -15,7 +15,6 @@ from ..wire import MTU, MtuError, decode_packet, encode_packet
 from .pump import Pump, TransferOutcome
 
 RECEIVE_BUFFER = 4 * 1024 * 1024  # absorbs whole window bursts
-MAX_WAIT_S = 0.2  # longest single wait, so callers regain control now and then
 WALL_TIMEOUT_S = 120.0  # bounds a wedged run_loopback_transfer
 
 # Linux UDP segmentation offload (linux/udp.h); the socket module has no names
@@ -129,8 +128,9 @@ class UdpEndpoint:
             else:
                 received.append((addr, datagram))
 
-    def poll(self, timeout: float) -> list:
-        """Wait up to timeout seconds, then return everything queued."""
+    def poll(self, timeout: Optional[float]) -> list:
+        """Wait up to timeout seconds, or until a datagram arrives if it is
+        None, then return everything queued."""
         readable, _, _ = select.select([self], [], [], timeout)
         return self.drain() if readable else []
 
@@ -148,8 +148,9 @@ class UdpTransport:
     """Bound UdpEndpoints as a Pump transport, on the monotonic clock in ms.
 
     Each endpoint's local name is its own address. A wait returns what
-    arrived once a datagram is queued, the deadline has passed or
-    MAX_WAIT_S have gone by; it never reports that nothing can arrive.
+    arrived once a datagram is queued or the deadline has passed; with no
+    deadline it blocks until a datagram arrives, and it never reports that
+    nothing can arrive.
     One endpoint waits in UdpEndpoint.poll; several share one select and
     then drain each readable one.
     """
@@ -164,9 +165,7 @@ class UdpTransport:
         return time.monotonic() * 1000.0
 
     def wait(self, until: Optional[float]) -> Iterable:
-        timeout = MAX_WAIT_S
-        if until is not None:
-            timeout = min(max((until - self.now()) / 1000.0, 0.0), MAX_WAIT_S)
+        timeout = None if until is None else max((until - self.now()) / 1000.0, 0.0)
         if len(self.endpoints) == 1:
             [(local, endpoint)] = self.endpoints.items()
             received = endpoint.poll(timeout)  # here, so now() reads after the arrival
@@ -193,9 +192,9 @@ def run_loopback_transfer(data: bytes, params: Optional[TransferParameters] = No
         sender, receiver = pump.engines[a.address], pump.engines[b.address]
         tid, out = sender.start_transfer(b.address, info, data, now=pump.transport.now())
         pump.flush(a.address, out)
-        give_up_at = time.monotonic() + WALL_TIMEOUT_S
-        while time.monotonic() < give_up_at and (
+        give_up_at = pump.transport.now() + WALL_TIMEOUT_S * 1000.0
+        while pump.transport.now() < give_up_at and (
                 sender.live_transfer_with(b.address) is not None
                 or receiver.live_transfer_with(a.address) is not None):
-            pump.step()
+            pump.step(give_up_at)
         return pump.outcome(tid, a.address, b.address)

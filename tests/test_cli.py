@@ -3,6 +3,7 @@
 import os
 import random
 import re
+import select
 import socket
 import stat
 import subprocess
@@ -199,6 +200,68 @@ def test_recv_gives_up_after_wait(tmp_path):
     result = run_cli("recv", "--port", str(free_port()),
                      "--out", tmp_path / "o.bin", "--wait-s", "0.3")
     assert result.returncode == 3
+    assert not (tmp_path / "o.bin").exists()
+
+
+def count_selects(monkeypatch, before=None):
+    """Record the timeout of every select.select call; before(readers), if
+    given, runs ahead of each one."""
+    timeouts, real_select = [], select.select
+
+    def counted(readers, writers, errors, timeout=None):
+        if before is not None:
+            before(readers)
+        timeouts.append(timeout)
+        return real_select(readers, writers, errors, timeout)
+
+    monkeypatch.setattr(select, "select", counted)
+    return timeouts
+
+
+def test_an_idle_recv_sleeps_in_one_wait_until_wait_s_ends(tmp_path, monkeypatch, capsys):
+    """recv waits for the claim with --wait-s as its deadline: one select for
+    the whole 0.3 s, not a wake-up every 0.2 s, and it gives up when it ends."""
+    timeouts = count_selects(monkeypatch)
+    started = time.monotonic()
+    code = cli.main(["recv", "--port", "0", "--out", str(tmp_path / "o.bin"),
+                     "--wait-s", "0.3"])
+    elapsed = time.monotonic() - started
+    assert code == 3
+    assert "no transfer arrived in time" in capsys.readouterr().err
+    assert len(timeouts) == 1 and 0.25 < timeouts[0] <= 0.3
+    assert elapsed >= 0.3
+    assert not (tmp_path / "o.bin").exists()
+
+
+def test_recv_with_wait_s_0_still_takes_an_announcement_already_queued(
+        tmp_path, monkeypatch, capsys):
+    """--wait-s 0 looks once at what has arrived: an announcement queued
+    before that first, zero-length wait claims recv, whose transfer then
+    times out on its own timer as its sender stays silent."""
+    peer = socket.socket(socket.AF_INET, socket.SOCK_DGRAM)
+    peer.bind(("127.0.0.1", 0))
+    peer.settimeout(5.0)
+    announcement = WriteRequest(id=7, info="doc", data_size=10, block_size=5,
+                                window_size=2, block_count=2, nonce=1)
+    real_select = select.select
+
+    def queue_announcement(readers):
+        if not timeouts:
+            [endpoint] = readers
+            peer.sendto(encode_packet(announcement), endpoint.address)
+            assert real_select(readers, [], [], 5.0)[0]  # queued by now
+
+    timeouts = count_selects(monkeypatch, queue_announcement)
+    try:
+        code = cli.main(["recv", "--port", "0", "--out", str(tmp_path / "o.bin"),
+                         "--wait-s", "0", "--interval-ms", "1", "--attempts", "1"])
+        assert decode_packet(peer.recv(2048)) == Acknowledgement(7, 0, ())
+    finally:
+        peer.close()
+    err = capsys.readouterr().err
+    assert code == 3
+    assert "accepting 'doc' (10 bytes)" in err and "transfer failed: TIMEOUT" in err
+    assert timeouts[0] == 0
     assert not (tmp_path / "o.bin").exists()
 
 

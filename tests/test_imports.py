@@ -6,10 +6,12 @@ from a clean interpreter, since this process has long since loaded
 everything.
 """
 
+import ast
 import importlib
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -98,3 +100,22 @@ def test_submodules_still_import_from_the_package():
     from blockfer.transport import sim
 
     assert sim is sys.modules["blockfer.transport.sim"]
+
+
+def test_only_the_udp_transport_imports_time():
+    """The engine keeps no clock, and neither do the Pump, the simulator or
+    the CLI: each reads time from its transport's now(), and only the UDP
+    transport's now() reads the system's clock."""
+    package = Path(blockfer.__file__).parent
+    importers = set()
+    for path in package.rglob("*.py"):
+        for node in ast.walk(ast.parse(path.read_bytes())):
+            if isinstance(node, ast.Import):
+                modules = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                modules = [node.module]
+            else:
+                continue
+            if any(module.split(".")[0] == "time" for module in modules):
+                importers.add(path.relative_to(package).as_posix())
+    assert importers == {"transport/udp.py"}

@@ -71,6 +71,29 @@ def test_step_drops_what_fails_to_open_and_ticks_only_when_due(announce):
     assert transport.waits == [50.0] * 3 + [120.0]
 
 
+def test_step_waits_for_the_earlier_of_its_callers_deadline_and_the_engines(announce):
+    """step(until) hands wait the earlier of until and the engines' earliest
+    deadline. A step that wakes at the caller's deadline ticks nothing; a
+    later step still ticks at the engine's."""
+    engine = Engine(PARAMS, random.Random(3))
+    transport = ScriptedTransport([(20.0, []), (50.0, []), (60.0, [])])
+    pump = Pump({"A": engine}, transport, encode_packet, decode_packet)
+    tid, _, _ = announce(engine, "B", b"z" * 250)  # its announcement is due again at 50
+    assert engine.next_deadline() == 50.0
+
+    assert pump.step(until=20.0) and transport.calls == []
+    assert engine.transfer(tid).counters.wr_retransmits == 0
+    assert pump.step(until=80.0) and len(transport.sent) == 1  # the announcement again
+    assert engine.transfer(tid).counters.wr_retransmits == 1
+    assert pump.step(until=60.0)  # the re-armed timer is later still: nothing fires
+    assert transport.waits == [20.0, 50.0, 60.0] and len(transport.sent) == 1
+
+    idle = ScriptedTransport([(5.0, []), (9.0, [])])
+    pump = Pump({"A": Engine(PARAMS)}, idle, encode_packet, decode_packet)
+    assert pump.step(until=5.0) and pump.step()
+    assert idle.waits == [5.0, None]  # no engine deadline: the caller's, or none
+
+
 def test_recv_claim_takes_the_first_accepted_announcement_and_busies_the_rest(announce, capsys):
     """recv's claim object driven by the Pump as its engine: an announcement
     over the size cap is refused and claims nothing, the next one the engine
