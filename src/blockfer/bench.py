@@ -55,8 +55,9 @@ def cell_seed(seed: int, block_size: int, window_size: int, iteration: int) -> i
 class ExperimentConfig:
     """A sweep grid plus the link and transfer tunables shared by its cells.
 
-    Construction checks every cell's TransferParameters, so a bad grid or
-    timer setting fails before any cell runs."""
+    Construction checks every cell's TransferParameters, and a data size
+    within the engine's cap that every cell runs under, so a bad grid, timer
+    setting or size fails before any cell runs or any payload is built."""
 
     # 8 MiB per transfer and a 100 ms interval keep the RTT-per-window signal
     # well above timeout-stall noise, so per-cell means order cleanly by B
@@ -74,8 +75,8 @@ class ExperimentConfig:
             raise ValueError("parameter grids must not be empty")
         if self.iterations < 1:
             raise ValueError("iterations must be at least 1")
-        if self.data_size < 0:
-            raise ValueError("data_size must not be negative")
+        if not 0 <= self.data_size <= DEFAULT_MAX_TRANSFER_SIZE:
+            raise ValueError(f"data_size must be in 0-{DEFAULT_MAX_TRANSFER_SIZE}")
         for block_size, window_size in product(self.block_grid, self.window_grid):
             TransferParameters(block_size=block_size, window_size=window_size,
                                retransmit_interval_ms=self.interval_ms,
@@ -280,16 +281,18 @@ def evaluate_large(data_size: int = DEFAULT_MAX_TRANSFER_SIZE,
     """Repeat one large transfer and aggregate its stats.
 
     mode "sim" runs over a simulated link (lossless unless given), "loopback"
-    over two real UDP sockets on this host. The repetitions share one payload
-    and run as the cells of a one-cell ExperimentConfig. A simulated link with
-    no loss, no jitter and no rate limit, under an interval of at least its
-    round trip, gives the sender no cause to re-send a window, so a re-sent
-    window there raises RuntimeError.
+    over two real UDP sockets on this host, which take no link. The
+    repetitions share one payload and run as the cells of a one-cell
+    ExperimentConfig. A simulated link with no loss, no jitter and no rate
+    limit, under an interval of at least its round trip, gives the sender no
+    cause to re-send a window, so a re-sent window there raises RuntimeError.
     """
     if mode not in ("sim", "loopback"):
         raise ValueError(f"unknown mode {mode!r}")
     if repetitions < 1:
         raise ValueError("repetitions must be at least 1")
+    if mode == "loopback" and link not in (None, LinkModel()):
+        raise ValueError("loopback mode runs over real sockets and takes no link")
     config = ExperimentConfig(
         block_grid=(block_size,), window_grid=(window_size,),
         iterations=repetitions, data_size=data_size, link=link or LinkModel(),

@@ -11,9 +11,11 @@ case), e.g. BLOCKFER_BLOCK_SIZE=600:
 
 The others are set by flag only: --to, --port, --out, --info, --wait-s,
 the link flags, sweep's --blocks --windows --iterations --data-size
---interval-ms --attempts, and eval's --mode --size --reps. Standard output
-carries only requested data and reports; progress and diagnostics go to
-standard error.
+--interval-ms --attempts, and eval's --mode --size --reps. A variable is
+read only by the subcommand that runs, and only when its flag is absent;
+its value must pass the flag's type and choices checks, and a bad one exits
+2 with the usage line and the variable's name. Standard output carries only
+requested data and reports; progress and diagnostics go to standard error.
 
 Exit codes: 0 success, 2 usage error, 3 transfer failure (timeout or peer
 refusal), 4 input/output error.
@@ -68,14 +70,29 @@ class UsageError(ValueError):
     """Bad flags or option combinations; maps to exit code 2."""
 
 
-def _env(name: str, cast, fallback):
-    raw = os.environ.get(ENV_PREFIX + name)
-    if raw is None:
-        return fallback
-    try:
-        return cast(raw)
-    except (TypeError, ValueError) as exc:
-        raise UsageError(f"bad {ENV_PREFIX}{name}={raw!r}: {exc}") from exc
+def _flag(parser, option: str, fallback, cast=str, **options) -> None:
+    """Add option to parser; a set BLOCKFER_<NAME> variable replaces fallback.
+
+    argparse converts that string default only for the subcommand that runs
+    and only when the flag is absent. It must pass cast and the flag's
+    choices, or parsing fails, naming the variable."""
+    name = ENV_PREFIX + option.lstrip("-").replace("-", "_").upper()
+    raw = os.environ.get(name)
+
+    def convert(text: str):
+        try:
+            value = cast(text)
+            if text is raw and value not in options.get("choices", (value,)):
+                raise ValueError(f"not one of {', '.join(options['choices'])}")
+        except (TypeError, ValueError) as exc:
+            if text is not raw:
+                raise  # a command-line value: argparse words the error
+            raise argparse.ArgumentTypeError(f"bad {name}={raw!r}: {exc}") from exc
+        return value
+
+    convert.__name__ = cast.__name__  # argparse names the type in its messages
+    parser.add_argument(option, type=convert, default=fallback if raw is None else raw,
+                        **options)
 
 
 def _err(message: str) -> None:
@@ -137,39 +154,30 @@ def _build_params(args, cipher) -> TransferParameters:
 
 
 def _add_transfer_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--block-size", type=int,
-                        default=_env("BLOCK_SIZE", int, None),
-                        help="payload bytes per data packet "
-                             "(default: largest the cipher can carry)")
+    _flag(parser, "--block-size", None, int,
+          help="payload bytes per data packet "
+               "(default: largest the cipher can carry)")
     _add_window_flags(parser)
-    parser.add_argument("--max-size", type=int,
-                        default=_env("MAX_SIZE", int, DEFAULT_MAX_TRANSFER_SIZE),
-                        help=f"largest accepted transfer in bytes (default {_MAX_SIZE_MIB} MiB)")
-    parser.add_argument("--cipher", choices=("identity", "sealed"),
-                        default=_env("CIPHER", str, "identity"),
-                        help="datagram protection (default identity)")
-    parser.add_argument("--key", default=_env("KEY", str, None),
-                        help="own private key file (sealed mode)")
-    parser.add_argument("--peer-key", default=_env("PEER_KEY", str, None),
-                        help="peer public key file (sealed mode)")
-    parser.add_argument("--seed", type=int, default=_env("SEED", int, None),
-                        help="seed for transfer ids (default: fresh entropy)")
+    _flag(parser, "--max-size", DEFAULT_MAX_TRANSFER_SIZE, int,
+          help=f"largest accepted transfer in bytes (default {_MAX_SIZE_MIB} MiB)")
+    _flag(parser, "--cipher", "identity", choices=("identity", "sealed"),
+          help="datagram protection (default identity)")
+    _flag(parser, "--key", None, help="own private key file (sealed mode)")
+    _flag(parser, "--peer-key", None, help="peer public key file (sealed mode)")
+    _flag(parser, "--seed", None, int, help="seed for transfer ids (default: fresh entropy)")
 
 
 def _add_window_flags(parser: argparse.ArgumentParser) -> None:
     """--window, --interval-ms and --attempts, which send, recv and eval share."""
-    parser.add_argument("--window", type=int,
-                        default=_env("WINDOW", int, _DEFAULTS.window_size),
-                        help=f"blocks per window (default {_DEFAULTS.window_size})")
-    parser.add_argument("--interval-ms", type=float,
-                        default=_env("INTERVAL_MS", float, _DEFAULTS.retransmit_interval_ms),
-                        help="ceiling of the retransmit timeout in ms, which "
-                             "follows the measured round trip below it "
-                             f"(default {_DEFAULTS.retransmit_interval_ms:g})")
-    parser.add_argument("--attempts", type=int,
-                        default=_env("ATTEMPTS", int, _DEFAULTS.max_attempts),
-                        help="consecutive retransmits before giving up "
-                             f"(default {_DEFAULTS.max_attempts})")
+    _flag(parser, "--window", _DEFAULTS.window_size, int,
+          help=f"blocks per window (default {_DEFAULTS.window_size})")
+    _flag(parser, "--interval-ms", _DEFAULTS.retransmit_interval_ms, float,
+          help="ceiling of the retransmit timeout in ms, which "
+               "follows the measured round trip below it "
+               f"(default {_DEFAULTS.retransmit_interval_ms:g})")
+    _flag(parser, "--attempts", _DEFAULTS.max_attempts, int,
+          help="consecutive retransmits before giving up "
+               f"(default {_DEFAULTS.max_attempts})")
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -189,8 +197,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     recv = sub.add_parser("recv", help="accept one transfer and store it")
     recv.add_argument("--port", type=int, required=True, help="UDP port to bind")
-    recv.add_argument("--bind", default=_env("BIND", str, "127.0.0.1"),
-                      help="address to bind (default 127.0.0.1)")
+    _flag(recv, "--bind", "127.0.0.1", help="address to bind (default 127.0.0.1)")
     recv.add_argument("--out", required=True, help="path for the received bytes")
     recv.add_argument("--wait-s", type=float, default=None,
                       help="give up if no transfer starts within this many seconds")
@@ -198,8 +205,7 @@ def _build_parser() -> argparse.ArgumentParser:
     recv.set_defaults(func=_cmd_recv)
 
     sweep_cmd = sub.add_parser("sweep", help="run the parameter sweep grid")
-    sweep_cmd.add_argument("--csv", default=_env("CSV", str, "sweep.csv"),
-                           help="CSV output path (default sweep.csv)")
+    _flag(sweep_cmd, "--csv", "sweep.csv", help="CSV output path (default sweep.csv)")
     # the grid and timer flags are ExperimentConfig fields, left unset unless given
     unset = argparse.SUPPRESS
     sweep_cmd.add_argument("--blocks", type=_int_list, default=unset, dest="block_grid",
@@ -213,19 +219,18 @@ def _build_parser() -> argparse.ArgumentParser:
     sweep_cmd.add_argument("--interval-ms", type=float, default=unset)
     sweep_cmd.add_argument("--attempts", type=int, default=unset, dest="max_attempts",
                            metavar="ATTEMPTS")
-    sweep_cmd.add_argument("--seed", type=int, default=_env("SEED", int, 0))
+    _flag(sweep_cmd, "--seed", 0, int)
     sweep_cmd.set_defaults(func=_cmd_sweep)
 
     eval_cmd = sub.add_parser("eval", help="repeat one large transfer and report")
     eval_cmd.add_argument("--mode", choices=("sim", "loopback"), default="sim")
     eval_cmd.add_argument("--size", type=int, default=DEFAULT_MAX_TRANSFER_SIZE,
                           help=f"transfer size in bytes (default {_MAX_SIZE_MIB} MiB)")
-    eval_cmd.add_argument("--block-size", type=int,
-                          default=_env("BLOCK_SIZE", int, _DEFAULTS.block_size))
+    _flag(eval_cmd, "--block-size", _DEFAULTS.block_size, int)
     _add_window_flags(eval_cmd)
     eval_cmd.add_argument("--reps", type=int, default=10)
     _add_link_flags(eval_cmd, loss_default=0.0, latency_default=0.0)
-    eval_cmd.add_argument("--seed", type=int, default=_env("SEED", int, 0))
+    _flag(eval_cmd, "--seed", 0, int)
     eval_cmd.set_defaults(func=_cmd_eval)
 
     keygen = sub.add_parser("keygen", help="write a fresh key pair")
@@ -248,13 +253,10 @@ def _add_link_flags(parser, loss_default: float, latency_default: float) -> None
 def _link_from(args):
     from .transport.sim import LinkModel
 
-    try:
-        return LinkModel(loss_probability=args.loss, latency_base_ms=args.latency_ms,
-                         latency_jitter_ms=args.jitter_ms,
-                         reorder_probability=args.reorder,
-                         duplicate_probability=args.duplicate)
-    except ValueError as exc:
-        raise UsageError(str(exc)) from exc
+    return LinkModel(loss_probability=args.loss, latency_base_ms=args.latency_ms,
+                     latency_jitter_ms=args.jitter_ms,
+                     reorder_probability=args.reorder,
+                     duplicate_probability=args.duplicate)
 
 
 # --- transfer loops ----------------------------------------------------------
@@ -453,9 +455,6 @@ def _cmd_keygen(args) -> int:
 def main(argv=None) -> int:
     try:
         args = _build_parser().parse_args(argv)
-    except UsageError as exc:  # bad BLOCKFER_* values surface during parsing
-        _err(str(exc))
-        return 2
     except SystemExit as exc:  # argparse handles --help and usage errors
         return int(exc.code or 0)
     try:

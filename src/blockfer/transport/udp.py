@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import errno
+import math
 import random
 import select
 import socket
@@ -16,6 +17,9 @@ from .pump import Pump, TransferOutcome
 
 RECEIVE_BUFFER = 4 * 1024 * 1024  # absorbs whole window bursts
 WALL_TIMEOUT_S = 120.0  # bounds a wedged run_loopback_transfer
+# select refuses a timeout past about 9.2e9 s; a deadline further off than
+# this waits as if there were none
+MAX_TIMEOUT_S = 1e9
 
 # Linux UDP segmentation offload (linux/udp.h); the socket module has no names
 # for them. UDP_SEGMENT sends one buffer as a run of datagrams of a given size
@@ -165,7 +169,8 @@ class UdpTransport:
         return time.monotonic() * 1000.0
 
     def wait(self, until: Optional[float]) -> Iterable:
-        timeout = None if until is None else max((until - self.now()) / 1000.0, 0.0)
+        left = math.inf if until is None else (until - self.now()) / 1000.0
+        timeout = max(left, 0.0) if left <= MAX_TIMEOUT_S else None
         if len(self.endpoints) == 1:
             [(local, endpoint)] = self.endpoints.items()
             received = endpoint.poll(timeout)  # here, so now() reads after the arrival

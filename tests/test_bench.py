@@ -186,6 +186,33 @@ def test_summarize_emits_aligned_means(tmp_path):
     assert first[0] == "600" and first[1] == "16" and first[2] == "2"
 
 
+def test_a_size_past_the_engine_cap_is_refused_before_any_payload(monkeypatch):
+    """Every cell runs under the engine's default cap, so a larger data size
+    could only fail, after its whole payload was built."""
+    def built(config):
+        raise AssertionError(f"built a payload of {config.data_size} bytes")
+
+    monkeypatch.setattr(bench, "_payload", built)
+    cap = engine.DEFAULT_MAX_TRANSFER_SIZE
+    assert tiny_config(data_size=cap).data_size == cap
+    for size in (cap + 1, 10**11):
+        with pytest.raises(ValueError, match="data_size must be in"):
+            tiny_config(data_size=size)
+        with pytest.raises(ValueError, match="data_size must be in"):
+            evaluate_large(data_size=size, repetitions=1)
+
+
+def test_evaluate_large_loopback_takes_no_link():
+    """Real sockets cannot apply a simulated link's loss or latency, so a
+    loopback run refuses any link but the empty one rather than ignore it."""
+    with pytest.raises(ValueError, match="takes no link"):
+        evaluate_large(data_size=30_000, repetitions=1, mode="loopback",
+                       link=LinkModel(loss_probability=0.9, latency_base_ms=500.0))
+    report = evaluate_large(data_size=30_000, repetitions=1, mode="loopback",
+                            link=LinkModel(), interval_ms=500.0)
+    assert all(s.completed for s in report.stats)
+
+
 def test_evaluate_large_scaled_down_sim():
     report = evaluate_large(data_size=1 * 2**20, repetitions=2, mode="sim",
                             link=QUIET, seed=11)

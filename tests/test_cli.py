@@ -196,6 +196,38 @@ def test_environment_prefix_feeds_defaults(tmp_path):
     assert "block" in result.stderr.lower()
 
 
+def test_a_variable_is_read_only_by_the_command_that_runs_without_its_flag(
+        tmp_path, monkeypatch, capsys):
+    """A bad BLOCKFER_WINDOW stops only a command that would use it: keygen
+    has no --window, --help converts nothing, and a given --window wins."""
+    monkeypatch.setenv("BLOCKFER_WINDOW", "abc")
+    assert cli.main(["keygen", "--out", str(tmp_path / "k")]) == 0
+    assert cli.main(["--help"]) == 0
+    assert cli.main(["send", "--help"]) == 0
+    assert cli.main(["send", "--window", "80", "--to", "127.0.0.1:9",
+                     str(tmp_path / "absent.bin")]) == 4  # past parsing, to the read
+    assert "cannot read" in capsys.readouterr().err
+
+
+def test_a_variable_must_meet_its_flags_choices(tmp_path, monkeypatch, capsys):
+    """BLOCKFER_CIPHER=bogus is refused as --cipher bogus is, before any
+    datagram leaves; with keys at hand it must not run a sealed transfer."""
+    for name in ("alice", "bob"):
+        save_keypair(PeerKeyPair.generate(), str(tmp_path / name))
+    payload = tmp_path / "p.bin"
+    payload.write_bytes(b"c" * 300)
+    monkeypatch.setenv("BLOCKFER_CIPHER", "bogus")
+    with socket.socket(socket.AF_INET, socket.SOCK_DGRAM) as peer:
+        peer.bind(("127.0.0.1", 0))
+        code = cli.main(["send", "--to", f"127.0.0.1:{peer.getsockname()[1]}",
+                         "--key", str(tmp_path / "alice.key"),
+                         "--peer-key", str(tmp_path / "bob.pub"),
+                         "--interval-ms", "10", "--attempts", "1", str(payload)])
+        assert select.select([peer], [], [], 0)[0] == []
+    assert code == 2
+    assert "bad BLOCKFER_CIPHER='bogus'" in capsys.readouterr().err
+
+
 def test_recv_gives_up_after_wait(tmp_path):
     result = run_cli("recv", "--port", str(free_port()),
                      "--out", tmp_path / "o.bin", "--wait-s", "0.3")
@@ -563,6 +595,10 @@ def test_recv_leaves_only_the_file_it_stored(tmp_path):
     (("sweep", "--blocks", "600", "--windows", "16", "--iterations", "1", "--data-size",
       "20000", "--interval-ms", "0.5", "--csv", "{payload}.csv"), None, 2,
      "retransmit_interval_ms must be finite and at least 1"),
+    (("eval", "--size", "300000000", "--reps", "1"), None, 2,
+     "data_size must be in 0-262144000"),
+    (("eval", "--mode", "loopback", "--size", "30000", "--reps", "2", "--loss", "0.9",
+      "--latency-ms", "500"), None, 2, "loopback mode runs over real sockets and takes no link"),
 ])
 def test_a_failed_run_exits_with_its_code_and_says_why(tmp_path, args, env_extra, code,
                                                         message):

@@ -1423,6 +1423,7 @@ class TimerOracle(RuleBasedStateMachine):
                       for i, p in enumerate(PEERS)}
         self.wire = []  # (src, dst, packet) in flight
         self.batches = {}  # (src, transfer id) -> block numbers of its latest batch
+        self.payloads = {}  # transfer id -> the bytes its sender started with
         self.now = 0.0
 
     def send(self, src, out, fired=False):
@@ -1430,8 +1431,12 @@ class TimerOracle(RuleBasedStateMachine):
         transfer. A batch ascends, so it sends no block twice, and lies below
         the sender's next fresh window: the listed losses, all below the
         window it sends, then that window. A fired timer sends the last
-        block of the transfer's latest batch alone."""
+        block of the transfer's latest batch alone. A receiver completes
+        with exactly its sender's bytes."""
         engine = self.engine if src == "E" else self.peers[src]
+        for event in out.events:
+            if isinstance(event, Complete) and event.data is not None:
+                assert event.data == self.payloads[event.id]
         sent = {}
         for _, packet in out.packets:
             if isinstance(packet, Data):
@@ -1449,10 +1454,13 @@ class TimerOracle(RuleBasedStateMachine):
     @rule(peer=st.sampled_from(PEERS), size=st.integers(0, 24), outbound=st.booleans())
     def start(self, peer, size, outbound):
         src, dst, engine = ("E", peer, self.engine) if outbound else (peer, "E", self.peers[peer])
+        # bytes of their own for each start, so a misplaced block shows
+        data = random.Random(len(self.payloads)).randbytes(size)
         try:
-            _, out = engine.start_transfer(dst, "x", bytes(size), now=self.now)
+            tid, out = engine.start_transfer(dst, "x", data, now=self.now)
         except TransferRefused:
             return
+        self.payloads[tid] = data
         self.send(src, out)
 
     def deliver(self, src, dst, packet):

@@ -119,3 +119,21 @@ def test_only_the_udp_transport_imports_time():
             if any(module.split(".")[0] == "time" for module in modules):
                 importers.add(path.relative_to(package).as_posix())
     assert importers == {"transport/udp.py"}
+
+
+def test_only_one_cli_function_reads_the_environment():
+    """Each BLOCKFER_* variable reaches its flag through cli._flag, as the
+    flag's default: no other module or function reads os.environ or
+    os.getenv, so a new flag's variable takes the same path."""
+    package = Path(blockfer.__file__).parent
+    readers = set()
+    for path in package.rglob("*.py"):
+        for top in ast.parse(path.read_bytes()).body:
+            for node in ast.walk(top):
+                if (isinstance(node, ast.Attribute) and node.attr in ("environ", "getenv")
+                        and isinstance(node.value, ast.Name) and node.value.id == "os") or (
+                        isinstance(node, ast.ImportFrom) and node.module == "os"
+                        and {alias.name for alias in node.names} & {"environ", "getenv"}):
+                    where = getattr(top, "name", "<module>")
+                    readers.add((path.relative_to(package).as_posix(), where))
+    assert readers == {("cli.py", "_flag")}

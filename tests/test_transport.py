@@ -34,7 +34,7 @@ from blockfer.transport import (
     run_simulated_transfer,
 )
 from blockfer.transport.sim import _LinkTransport
-from blockfer.transport.udp import UDP_GRO, UDP_SEGMENT
+from blockfer.transport.udp import UDP_GRO, UDP_SEGMENT, UdpTransport
 from blockfer.wire import (
     Acknowledgement,
     Data,
@@ -494,6 +494,16 @@ def test_udp_bind_to_a_port_past_65535_closes_and_raises_transport_error(monkeyp
 def test_udp_poll_idle_times_out_empty():
     with UdpEndpoint() as a:
         assert a.poll(0.05) == []
+
+
+def test_udp_wait_takes_a_deadline_past_what_select_accepts():
+    """select refuses a timeout past about 9.2e9 s: a deadline that far off
+    waits as for none, so a queued datagram comes back at once."""
+    with UdpEndpoint() as a, UdpEndpoint() as b:
+        for transport in (UdpTransport(a), UdpTransport(a, b)):
+            a.send(a.address, b"queued")
+            got = transport.wait(transport.now() + 1e300)
+            assert got == [(a.address, a.address, b"queued")]
 
 
 def test_loopback_transfer_small_file():
